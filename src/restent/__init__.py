@@ -1,12 +1,10 @@
-"""Certified upper bounds on restoration entropy via metric-adapted
+"""Grid-sampled upper bounds on restoration entropy via metric-adapted
 singular values on the positive-definite-matrix manifold."""
 
 from .dynamics import (
     CompactSet,
-    CocycleJacobian,
     SystemModel,
     builtin_systems,
-    cocycle,
     default_region,
     flow,
     invariance_spot_check,
@@ -40,9 +38,6 @@ from .errors import (
 )
 from .metrics import (
     MetricField,
-    MetricSpectrum,
-    ct_metric_spectrum,
-    metric_singular_values,
     orbital_derivative_fd,
 )
 from .spd import (

@@ -10,10 +10,6 @@ props    randomized geometry/spectrum property suite
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 3 invariance spot-check failure, 4 property violation.
-
-The environment variable RESTENT_THREADS overrides the worker count used
-for tabulated-metric grid sweeps; output files are always written by the
-single main thread after reduction.
 """
 from __future__ import annotations
 
@@ -118,8 +114,19 @@ def _build_system(args):
     return system, region, resolution, cfg
 
 
+def _positive_option(args, name: str, default: float) -> float:
+    """A float flag that must be positive when given, else its default."""
+    value = getattr(args, name, None)
+    if value is None:
+        return default
+    if not value > 0:
+        raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value}")
+    return float(value)
+
+
 def _build_metric(spec, system, args):
     spec = spec or "identity"
+    bar_tol = _positive_option(args, "bar_tol", 1e-7)
     if spec == "identity":
         return MetricField.identity(system.dim)
     if spec.startswith("constant:"):
@@ -131,7 +138,6 @@ def _build_metric(spec, system, args):
         return lanford_metric(system.params["a"])
     if spec.startswith("auto:"):
         value = spec[len("auto:"):]
-        bar_tol = float(getattr(args, "bar_tol", None) or 1e-7)
         if system.time_type == "discrete":
             try:
                 steps = int(value)
@@ -144,9 +150,9 @@ def _build_metric(spec, system, args):
         except ValueError as exc:
             raise ConfigError("auto:<T> needs a numeric horizon for "
                               "continuous systems") from exc
-        return minimizing_metric_ct(system, horizon,
-                                    time_samples=int(getattr(args, "time_samples", None) or 64),
-                                    tol=bar_tol)
+        samples = getattr(args, "time_samples", None)
+        return minimizing_metric_ct(system, horizon, tol=bar_tol,
+                                    time_samples=64 if samples is None else samples)
     raise ConfigError(f"unknown metric {spec!r}")
 
 
@@ -172,11 +178,10 @@ def _run_spot_check(system, region, resolution, horizon, require):
 
 def _compute_bound(system, region, metric, resolution, args):
     refine = bool(getattr(args, "refine", False))
+    pdot_step = _positive_option(args, "pdot_step", 1e-5)
     if system.time_type == "discrete":
         return dt_bound(system, region, metric, resolution, refine=refine)
-    pdot = "fd" if metric.kind == "tabulated" else "analytic"
-    return ct_bound(system, region, metric, resolution, pdot=pdot,
-                    pdot_step=float(getattr(args, "pdot_step", None) or 1e-5),
+    return ct_bound(system, region, metric, resolution, pdot_step=pdot_step,
                     refine=refine)
 
 
@@ -340,10 +345,8 @@ def cmd_props(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restent",
-        description="Upper bounds on restoration entropy via metric-adapted "
-                    "singular values",
-        epilog="RESTENT_THREADS overrides the worker count for tabulated-"
-               "metric grid sweeps.",
+        description="Grid-sampled upper bounds on restoration entropy via "
+                    "metric-adapted singular values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--box", help="sampling box lo:hi,lo:hi,...")
         p.add_argument("--resolution", help="grid points per axis (int or list)")
         p.add_argument("--out", help="output file stem")
-        p.add_argument("--seed", type=int, default=42, help="seed recorded in output")
         p.add_argument("--refine", action="store_true",
                        help="double the resolution until the bound settles")
         p.add_argument("--bar-tol", type=float, help="barycenter tolerance for auto metrics")

@@ -1,16 +1,15 @@
-"""System definitions, flow and cocycle propagation, grid sampling, and
-forward-invariance spot checks.
+"""System definitions, flow and flow-Jacobian propagation, grid sampling,
+and forward-invariance spot checks.
 
 States are row vectors; every rhs/jacobian rule is vectorized over leading
 axes, so whole sample grids propagate as one batch.  Continuous-time flows
-use fixed-step classical RK4; the variational (cocycle) matrix is integrated
-jointly with the state, on the same steps.  Trajectories whose norm exceeds
+use fixed-step classical RK4; the variational matrix (the flow Jacobian) is
+integrated jointly with the state, on the same steps.  Trajectories whose norm exceeds
 the blow-up guard are frozen at their last admissible state and reported
 with the escape time.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -83,15 +82,6 @@ class CompactSet:
     def descriptor(self) -> dict:
         return {"kind": self.kind, "label": self.label,
                 "bounds": [[float(lo), float(hi)] for lo, hi in self.bounds]}
-
-
-@dataclass(frozen=True)
-class CocycleJacobian:
-    """Jacobian of the time-t flow map at x."""
-
-    x: tuple
-    t: float
-    matrix: Array
 
 
 @dataclass
@@ -292,25 +282,6 @@ def flow(system: SystemModel, x0, t, step: Optional[float] = None) -> Array:
             escape_times=times,
         )
     return prop.states[0] if single else prop.states
-
-
-def cocycle(system: SystemModel, x0, t, step: Optional[float] = None) -> CocycleJacobian:
-    """Jacobian of the time-t flow map at x0 (single point).
-
-    Discrete systems take the ordered Jacobian product along the orbit;
-    continuous systems integrate the variational matrix jointly with the
-    state."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        raise ConfigError("cocycle expects a single state; use propagate for batches")
-    prop = propagate(system, x0, t, step=step, variational=True)
-    if np.any(prop.escaped):
-        raise BlowupError(
-            f"trajectory of '{system.name}' blew up at t={prop.escape_times[0]:.6g}",
-            escape_times=prop.escape_times,
-        )
-    return CocycleJacobian(x=tuple(float(v) for v in x0), t=float(t),
-                           matrix=prop.jacobians[0])
 
 
 def sample_set(region: CompactSet, resolution) -> Array:
@@ -534,22 +505,3 @@ def _scaled_box(region: CompactSet, scale: float) -> CompactSet:
                     (lo + hi) / 2 + scale * (hi - lo) / 2)
                    for lo, hi in region.bounds)
     return CompactSet(bounds=bounds, constraint=region.constraint, label=region.label)
-
-
-def system_from_config(cfg) -> tuple:
-    """Build (system, region, resolution) from a JSON-style mapping with keys
-    ``system``/``name``, ``params``, optional ``box`` and ``resolution``.
-    Custom right-hand sides are code-level extensions, not config entries."""
-    if isinstance(cfg, str):
-        with open(cfg, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    name = cfg.get("system", cfg.get("name"))
-    if not name:
-        raise ConfigError("config must name a system")
-    params = dict(cfg.get("params", {}))
-    system = make_system(name, **params)
-    region = None
-    if "box" in cfg:
-        region = CompactSet(bounds=tuple((float(lo), float(hi)) for lo, hi in cfg["box"]))
-    resolution = cfg.get("resolution")
-    return system, region, resolution

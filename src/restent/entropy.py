@@ -9,44 +9,25 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CompactSet, SystemModel, propagate, sample_set
-from .errors import BlowupError, ConfigError, NumericError
-from .metrics import (
-    MetricField,
-    ct_spectrum_values,
-    metric_sv_values,
-    orbital_derivative_fd,
-)
-from .spd import as_spd, inductive_barycenter, power
+from .dynamics import DEFAULT_STEP, CompactSet, SystemModel, propagate, sample_set
+from .errors import ConfigError, NumericError
+from .metrics import MetricField, ct_spectrum_values, metric_sv_values
+from .spd import inductive_barycenter, power, sym
 
 Array = np.ndarray
 
 LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 1
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("RESTENT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, items):
-    n = _thread_count()
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
+# Largest condition number of a Jacobian product whose inverse Gram matrix
+# is still representable in double precision.
+COND_LIMIT = 3e7
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +68,7 @@ class BoundReport:
             self.created = datetime.now(timezone.utc).isoformat()
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["per_point"] = [asdict(p) if isinstance(p, PointRecord) else p
-                          for p in self.per_point]
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "BoundReport":
@@ -179,11 +157,64 @@ def _double_resolution(res: list) -> list:
     return [2 * c - 1 for c in res]
 
 
-def _finish_report(system, region, metric, resolution, records, excluded,
-                   units, pdot_mode=None) -> BoundReport:
-    if not records:
+def _spectra(system: SystemModel, metric: MetricField, pts: Array,
+             pdot_step: Optional[float]) -> tuple:
+    """Metric spectra at every grid point, evaluated as one batch.
+
+    The metric is evaluated once, on the points stacked with their images
+    (discrete time) or with their flowed points for the finite-difference
+    Pdot (continuous time, metrics without an orbital rule).  Returns
+    ``(values, reasons)``: ``reasons[i]`` is None, or says why point i is
+    left out (its Jacobian, flowed point or metric values are unusable);
+    ``values`` holds the spectra of the other points, in grid order."""
+    m = len(pts)
+    reasons = [None] * m
+    jac = system.jacobian(pts)
+    if system.time_type == "discrete":
+        stacked = np.concatenate([pts, system.rhs(pts)])
+    elif metric.has_orbital:
+        stacked = pts
+    else:
+        prop = propagate(system, pts, pdot_step, step=pdot_step)
+        for i in np.flatnonzero(prop.escaped):
+            reasons[i] = (f"trajectory of '{system.name}' blew up within the "
+                          f"finite-difference step at t={prop.escape_times[i]:.6g}")
+        stacked = np.concatenate([pts, prop.states])
+    p, why = metric.values(stacked)
+    why_ahead = why[m:] or [None] * m
+    bad_jac = (~np.isfinite(jac).all(axis=(-2, -1))).tolist()
+    reasons = [r or w or a or ("non-finite Jacobian" if b else None)
+               for r, w, a, b in zip(reasons, why, why_ahead, bad_jac)]
+    ok = np.array([r is None for r in reasons])
+    if not ok.any():
         raise NumericError("every sample point was excluded; no bound available")
-    locals_ = np.array([r.local for r in records])
+    p_ok, jac_ok = p[:m][ok], jac[ok]
+    if system.time_type == "discrete":
+        return metric_sv_values(p_ok, p[m:][ok], jac_ok), reasons
+    if metric.has_orbital:
+        pdot = metric.orbital_derivative(pts[ok])
+    else:
+        pdot = sym((p[m:][ok] - p_ok) / pdot_step)
+    return ct_spectrum_values(p_ok, jac_ok, pdot), reasons
+
+
+def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
+                resolution: list, pdot_step: Optional[float] = None) -> BoundReport:
+    pts = sample_set(region, resolution)
+    values, reasons = _spectra(system, metric, pts, pdot_step)
+    locals_ = positive_sum(values)
+    if system.time_type == "discrete":
+        units, pdot_mode = "bits/step", None
+    else:
+        locals_ = locals_ / (2.0 * LN2)
+        units = "bits/time"
+        pdot_mode = "analytic" if metric.has_orbital else "fd"
+    states = pts.tolist()
+    kept = [x for x, r in zip(states, reasons) if r is None]
+    records = [PointRecord(state=x, spectrum=v, local=lb)
+               for x, v, lb in zip(kept, values.tolist(), locals_.tolist())]
+    excluded = [{"state": x, "reason": r}
+                for x, r in zip(states, reasons) if r is not None]
     best = int(np.argmax(locals_))
     return BoundReport(
         system=system.name,
@@ -194,9 +225,9 @@ def _finish_report(system, region, metric, resolution, records, excluded,
         region=region.descriptor(),
         metric=metric.label,
         metric_horizon=metric.horizon,
-        resolution=_resolution_list(resolution, region.dim),
+        resolution=list(resolution),
         bound=float(locals_[best]),
-        maximizer=list(records[best].state),
+        maximizer=list(kept[best]),
         per_point=records,
         excluded=excluded,
         pdot_mode=pdot_mode,
@@ -211,105 +242,26 @@ def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
     Jacobian, measured between the metric at x and at its image."""
     if system.time_type != "discrete":
         raise ConfigError("dt_bound requires a discrete-time system")
-
-    def compute(res) -> BoundReport:
-        pts = sample_set(region, res)
-        records, excluded = [], []
-
-        def one(x):
-            phi_x = system.rhs(x)
-            jac = system.jacobian(x)
-            p = metric.evaluate(x)
-            q = metric.evaluate(phi_x)
-            return metric_sv_values(p, q, jac)
-
-        for x in pts:
-            try:
-                values = one(x)
-            except (NumericError, ConfigError, BlowupError) as exc:
-                excluded.append({"state": [float(v) for v in x], "reason": str(exc)})
-                continue
-            records.append(PointRecord(
-                state=[float(v) for v in x],
-                spectrum=[float(v) for v in values],
-                local=float(positive_sum(values)),
-            ))
-        return _finish_report(system, region, metric, res, records, excluded,
-                              units="bits/step")
-
-    return _refine_loop(compute, region, resolution, refine, refine_tol,
-                        max_refines, point_budget)
+    return _refine_loop(lambda res: _grid_bound(system, region, metric, res),
+                        region, resolution, refine, refine_tol, max_refines,
+                        point_budget)
 
 
 def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, pdot: str = "analytic", pdot_step: float = 1e-5,
+             resolution=9, pdot_step: float = 1e-5,
              refine: bool = False, refine_tol: float = 1e-4,
              max_refines: int = 3, point_budget: int = 8_000_000) -> BoundReport:
     """Upper bound for a continuous-time system: 1/(2 ln 2) times the grid
     max of the summed positive roots of the metric spectrum.
 
-    ``pdot`` selects the orbital derivative: "analytic" uses the metric's
-    own rule, "fd" a one-sided flow finite difference with step
-    ``pdot_step`` (required for tabulated metrics)."""
+    The orbital derivative Pdot comes from the metric's own rule when it has
+    one, and otherwise from a one-sided flow finite difference with step
+    ``pdot_step`` (tabulated metrics)."""
     if system.time_type != "continuous":
         raise ConfigError("ct_bound requires a continuous-time system")
-    if pdot not in ("analytic", "fd"):
-        raise ConfigError(f"unknown orbital-derivative mode {pdot!r}")
-    if pdot == "analytic" and not metric.has_orbital:
-        raise ConfigError(
-            f"metric '{metric.label}' carries no orbital derivative; "
-            "pass pdot='fd' to enable the flow finite difference")
-
-    def compute(res) -> BoundReport:
-        pts = sample_set(region, res)
-        records, excluded = [], []
-        if metric.kind != "tabulated":
-            jac = system.jacobian(pts)
-            p = metric.evaluate(pts)
-            if pdot == "analytic":
-                pd = metric.orbital_derivative(pts)
-            else:
-                pd = orbital_derivative_fd(metric, system, pts, h=pdot_step)
-            values = ct_spectrum_values(p, jac, pd)
-            locals_ = positive_sum(values) / (2.0 * LN2)
-            for x, v, lb in zip(pts, values, locals_):
-                records.append(PointRecord(
-                    state=[float(c) for c in x],
-                    spectrum=[float(c) for c in v],
-                    local=float(lb),
-                ))
-        else:
-            def one(x):
-                p = metric.evaluate(x)
-                jac = system.jacobian(x)
-                if pdot == "analytic":
-                    pd = metric.orbital_derivative(x)
-                else:
-                    pd = orbital_derivative_fd(metric, system, x, h=pdot_step)
-                return ct_spectrum_values(p, jac, pd)
-
-            outcomes = _map_points(lambda x: _try_point(one, x), list(pts))
-            for x, (values, err) in zip(pts, outcomes):
-                if err is not None:
-                    excluded.append({"state": [float(v) for v in x], "reason": err})
-                    continue
-                records.append(PointRecord(
-                    state=[float(c) for c in x],
-                    spectrum=[float(c) for c in values],
-                    local=float(positive_sum(values) / (2.0 * LN2)),
-                ))
-        return _finish_report(system, region, metric, res, records, excluded,
-                              units="bits/time", pdot_mode=pdot)
-
-    return _refine_loop(compute, region, resolution, refine, refine_tol,
-                        max_refines, point_budget)
-
-
-def _try_point(fn, x):
-    try:
-        return fn(x), None
-    except (NumericError, ConfigError, BlowupError) as exc:
-        return None, str(exc)
+    return _refine_loop(
+        lambda res: _grid_bound(system, region, metric, res, pdot_step),
+        region, resolution, refine, refine_tol, max_refines, point_budget)
 
 
 def _refine_loop(compute, region, resolution, refine, refine_tol,
@@ -339,29 +291,42 @@ def _refine_loop(compute, region, resolution, refine, refine_tol,
 # Minimizing metric sequences
 # ---------------------------------------------------------------------------
 
-def _inverse_gram_atom(a: Array) -> Array:
-    """(A^T A)^{-1}, i.e. the congruence push of the identity by A^{-1}."""
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "minimizing metrics require an invertible Jacobian at every "
-            f"sample point; inversion failed: {exc}") from exc
-    if not np.all(np.isfinite(inv)):
-        raise NumericError(
-            "minimizing metrics require an invertible Jacobian at every "
-            "sample point; got a numerically singular one")
-    cond = np.linalg.cond(a)
-    if cond > 3e7:
-        raise NumericError(
-            f"cocycle factor has condition number {cond:.2e}; its inverse "
-            "Gram matrix is not representable in double precision - "
-            "shorten the metric horizon")
-    return inv @ inv.T
+def _inverse_gram_atoms(a: Array, reasons: list) -> Array:
+    """(A^T A)^{-1}, the congruence push of the identity by A^{-1}, for a
+    stack (m, k, n, n) of Jacobian products, k per sample row.  A row whose
+    product is not invertible in double precision gets the reason of its
+    first such product, unless it already has a reason."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(a[finite])
+    ok = cond <= COND_LIMIT
+    for i, k in zip(*np.nonzero(~ok)):
+        if reasons[i] is not None:
+            continue
+        if np.isfinite(cond[i, k]):
+            reasons[i] = (
+                f"Jacobian product has condition number {cond[i, k]:.2e}; its "
+                "inverse Gram matrix is not representable in double precision "
+                "- shorten the metric horizon")
+        else:
+            reasons[i] = ("minimizing metrics require an invertible Jacobian at "
+                          "every sample point; got a numerically singular one")
+    inv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(a.shape[-1])))
+    return inv @ np.swapaxes(inv, -1, -2)
 
 
-def minimizing_metric_dt(system: SystemModel, steps: int, tol: float = 1e-7,
-                         max_cycles: int = 10000) -> MetricField:
+def _inverted_barycenters(atoms: Array, reasons: list, tol: float) -> Array:
+    """Inverse of the unweighted barycenter of each row's atoms (m, k, n, n);
+    rows that have a reason get the identity."""
+    bars = np.broadcast_to(np.eye(atoms.shape[-1]), atoms[:, 0].shape).copy()
+    for i, why in enumerate(reasons):
+        if why is None:
+            bars[i] = inductive_barycenter(atoms[i], tol=tol)
+    return power(bars, -1.0)
+
+
+def minimizing_metric_dt(system: SystemModel, steps: int,
+                         tol: float = 1e-7) -> MetricField:
     """Tabulated metric whose value at x is the inverted unweighted
     barycenter of the identity together with the inverse-Gram atoms of the
     orbit Jacobian products of length 1..steps-1.  steps=1 yields the
@@ -372,25 +337,23 @@ def minimizing_metric_dt(system: SystemModel, steps: int, tol: float = 1e-7,
     if steps < 1:
         raise ConfigError("steps must be at least 1")
 
-    def rule(x: Array) -> Array:
-        atoms = [np.eye(system.dim)]
-        prod = np.eye(system.dim)
-        xj = np.asarray(x, dtype=float)
+    def rule(x: Array) -> tuple:
+        prod = np.broadcast_to(np.eye(system.dim), (len(x), system.dim, system.dim))
+        prods = [prod]
         for _ in range(steps - 1):
-            prod = system.jacobian(xj) @ prod
-            xj = system.rhs(xj)
-            atoms.append(_inverse_gram_atom(prod))
-        bar = inductive_barycenter(atoms, tol=tol, max_cycles=max_cycles)
-        return as_spd(power(bar, -1.0))
+            prod = system.jacobian(x) @ prod
+            x = system.rhs(x)
+            prods.append(prod)
+        reasons = [None] * len(x)
+        atoms = _inverse_gram_atoms(np.stack(prods, axis=1), reasons)
+        return _inverted_barycenters(atoms, reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=f"auto:N={steps}",
                                  horizon=float(steps))
 
 
 def minimizing_metric_ct(system: SystemModel, horizon: float,
-                         time_samples: int = 64, tol: float = 1e-7,
-                         max_cycles: int = 10000,
-                         step: Optional[float] = None) -> MetricField:
+                         time_samples: int = 64, tol: float = 1e-7) -> MetricField:
     """Tabulated metric from the time-discretized barycenter of the
     inverse-Gram atoms of the flow Jacobian, at equally spaced times in
     [0, horizon] including both endpoints."""
@@ -406,20 +369,16 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
         # single atom at s = 0: the barycenter is the identity everywhere
         return MetricField.constant(np.eye(system.dim), label=f"auto:T={horizon:g}")
     nodes = np.linspace(0.0, horizon, time_samples)
-    h = step if step is not None else 1e-3
 
-    def rule(x: Array) -> Array:
-        prop = propagate(system, np.asarray(x, dtype=float)[None, :], horizon,
-                         step=h, variational=True, record_at=nodes)
-        if np.any(prop.escaped):
-            raise BlowupError(
-                f"trajectory escaped at t={prop.escape_times[0]:.6g} while "
-                "building the minimizing metric",
-                escape_times=prop.escape_times)
-        atoms = [_inverse_gram_atom(prop.jacobians[k][0])
-                 for k in range(len(nodes))]
-        bar = inductive_barycenter(atoms, tol=tol, max_cycles=max_cycles)
-        return as_spd(power(bar, -1.0))
+    def rule(x: Array) -> tuple:
+        prop = propagate(system, x, horizon, step=DEFAULT_STEP, variational=True,
+                         record_at=nodes)
+        reasons = [None] * len(x)
+        for i in np.flatnonzero(prop.escaped):
+            reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
+                          "while building the minimizing metric")
+        atoms = _inverse_gram_atoms(np.swapaxes(prop.jacobians, 0, 1), reasons)
+        return _inverted_barycenters(atoms, reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=f"auto:T={horizon:g}",
                                  horizon=horizon)

@@ -9,13 +9,13 @@ until the final bit conversion in the bound formulas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .spd import power, sym
+from .spd import EIG_FLOOR, power, sym
 
 Array = np.ndarray
 
@@ -29,11 +29,12 @@ class MetricField:
     """Rule x -> P(x) plus, when available, the orbital derivative rule
     x -> Pdot(x) (per unit time).
 
-    kind is one of "constant", "analytic", "tabulated".  Tabulated fields
-    compute values on demand and memoize per point; they carry no orbital
-    derivative, so continuous-time use requires an explicit flow-based
-    finite-difference fallback.  Evaluation rules must be pure: the memo
-    cache is the only internal state and its writes are idempotent.
+    kind is one of "constant", "analytic", "tabulated".  Constant and
+    analytic rules map states (..., n) -> (..., n, n).  A tabulated rule maps
+    a batch of distinct states (m, n) to ``(P, reasons)``: P has shape
+    (m, n, n) and ``reasons[i]`` is None, or says why row i has no value.
+    Tabulated fields carry no orbital derivative, so continuous-time bounds
+    take a flow finite difference for them.
     """
 
     dim: int
@@ -42,7 +43,6 @@ class MetricField:
     eval_rule: Callable[[Array], Array]
     orbital_rule: Optional[Callable[[Array], Array]] = None
     horizon: Optional[float] = None      # lookback of minimizing metrics
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def constant(matrix, label: str = "constant") -> "MetricField":
@@ -76,23 +76,47 @@ class MetricField:
         return MetricField(dim=dim, kind="tabulated", label=label,
                            eval_rule=rule, horizon=horizon)
 
+    def values(self, x: Array) -> tuple:
+        """P over a batch of states (m, n), without raising per row.
+
+        Returns ``(P, reasons)``: ``reasons[i]`` is None, or says why row i
+        has no usable value (the rule could not build it, or it is not
+        finite and positive definite as ``as_spd`` requires).  A tabulated
+        rule runs once per distinct row, rows compared bit for bit."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[-1] != self.dim:
+            raise ConfigError(f"expected states of shape (m, {self.dim}), got {x.shape}")
+        if self.kind == "tabulated":
+            slots: dict = {}
+            inverse = [slots.setdefault(row.tobytes(), len(slots)) for row in x]
+            distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, self.dim)
+            p, why = self.eval_rule(distinct)
+            p = np.asarray(p, dtype=float)[inverse]
+            reasons = [why[k] for k in inverse]
+        else:
+            p = np.asarray(self.eval_rule(x), dtype=float)
+            reasons = [None] * len(x)
+        p = sym(p)
+        finite = np.isfinite(p).all(axis=(-2, -1))
+        w = np.full(p.shape[:-1], np.nan)
+        w[finite] = np.linalg.eigvalsh(p[finite])
+        spd = (w[:, -1] > 0) & (w[:, 0] > EIG_FLOOR * w[:, -1])
+        for i in np.flatnonzero(~spd):
+            if reasons[i] is None:
+                reasons[i] = f"metric value is not positive definite (eigenvalues {w[i]})"
+        return p, reasons
+
     def evaluate(self, x: Array) -> Array:
-        """P at x; batched over leading axes of x."""
+        """P at x; batched over leading axes of x.  Raises NumericError with
+        the reason of the first row that has no value."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ConfigError(f"state dimension {x.shape[-1]} != metric dimension {self.dim}")
-        if self.kind == "tabulated":
-            if x.ndim == 1:
-                key = x.tobytes()
-                hit = self._cache.get(key)
-                if hit is None:
-                    hit = sym(np.asarray(self.eval_rule(x), dtype=float))
-                    self._cache[key] = hit
-                return hit
-            return np.stack([self.evaluate(row) for row in x.reshape(-1, self.dim)]).reshape(
-                x.shape[:-1] + (self.dim, self.dim)
-            )
-        return sym(np.asarray(self.eval_rule(x), dtype=float))
+        p, reasons = self.values(x.reshape(-1, self.dim))
+        failed = [r for r in reasons if r is not None]
+        if failed:
+            raise NumericError(failed[0])
+        return p.reshape(x.shape + (self.dim,))
 
     @property
     def has_orbital(self) -> bool:
@@ -106,25 +130,6 @@ class MetricField:
                 "enable a flow-based finite difference instead"
             )
         return sym(np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float))
-
-
-@dataclass(frozen=True)
-class MetricSpectrum:
-    """Spectrum at one sample point, values nonincreasing.
-
-    Discrete time: base-2 log singular values (bits/step).  Continuous time:
-    real roots in natural-log units (1/time).
-    """
-
-    point: tuple
-    values: tuple
-
-    @staticmethod
-    def make(point, values) -> "MetricSpectrum":
-        return MetricSpectrum(
-            point=tuple(float(v) for v in np.atleast_1d(point)),
-            values=tuple(float(v) for v in np.atleast_1d(values)),
-        )
 
 
 def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
@@ -141,37 +146,17 @@ def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
     return out
 
 
-def metric_singular_values(metric: MetricField, x, phi_x, jac) -> MetricSpectrum:
-    """Metric-adapted singular-value spectrum of the one-step Jacobian at x,
-    with image point phi_x."""
-    x = np.asarray(x, dtype=float)
-    p = metric.evaluate(x)
-    q = metric.evaluate(np.asarray(phi_x, dtype=float))
-    values = metric_sv_values(p, q, np.asarray(jac, dtype=float))
-    return MetricSpectrum.make(x, values)
-
-
 def ct_spectrum_values(p: Array, jac: Array, pdot: Array) -> Array:
     """Eigenvalues (nonincreasing) of P^{-1/2} (P J + J^T P + Pdot) P^{-1/2},
-    batched over leading axes."""
+    batched over leading axes.  Pdot must be symmetric."""
+    scale = max(1.0, float(np.abs(pdot).max()))
+    if not np.allclose(pdot, np.swapaxes(pdot, -1, -2), atol=1e-9 * scale):
+        raise NumericError("orbital derivative must be symmetric")
     jt = np.swapaxes(jac, -1, -2)
     core = p @ jac + jt @ p + pdot
     r = power(p, -0.5)
     w = np.linalg.eigvalsh(sym(r @ core @ r))
     return w[..., ::-1]
-
-
-def ct_metric_spectrum(metric: MetricField, x, jac, pdot) -> MetricSpectrum:
-    """Continuous-time spectrum at x from the metric value, the vector-field
-    Jacobian, and a symmetric orbital derivative."""
-    x = np.asarray(x, dtype=float)
-    pdot = np.asarray(pdot, dtype=float)
-    scale = max(1.0, float(np.abs(pdot).max()))
-    if not np.allclose(pdot, np.swapaxes(pdot, -1, -2), atol=1e-9 * scale):
-        raise NumericError("orbital derivative must be symmetric")
-    p = metric.evaluate(x)
-    values = ct_spectrum_values(p, np.asarray(jac, dtype=float), sym(pdot))
-    return MetricSpectrum.make(x, values)
 
 
 def orbital_derivative_fd(metric: MetricField, system, x, h: float = 1e-5) -> Array:

@@ -79,6 +79,39 @@ def test_exit_code_config_error(capsys):
                 "--metric", "auto:x"]) == 1
 
 
+def test_zero_time_samples_is_config_error(tmp_path, capsys):
+    code = run(["bound", "--system", "lanford", "--metric", "auto:1",
+                "--time-samples", "0", "--resolution", "2",
+                "--out", str(tmp_path / "ts0")])
+    assert code == 1
+    assert "time_samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
+    code = run(["bound", "--system", "linmap", "--matrix", "[[2,1],[0,2]]",
+                "--metric", "auto:2", "--bar-tol", value, "--resolution", "2",
+                "--out", str(tmp_path / "bt")])
+    assert code == 1
+    assert "--bar-tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.001"])
+def test_nonpositive_pdot_step_is_config_error(tmp_path, capsys, value):
+    code = run(["bound", "--system", "lanford", "--metric", "auto:1",
+                "--time-samples", "2", "--pdot-step", value, "--resolution", "2",
+                "--out", str(tmp_path / "ps")])
+    assert code == 1
+    assert "--pdot-step must be positive" in capsys.readouterr().err
+
+
+def test_seed_flag_only_on_props(capsys):
+    for command in ("bound", "sweep", "oracle"):
+        with pytest.raises(SystemExit):
+            run([command, "--system", "identity", "--seed", "1"])
+    capsys.readouterr()
+
+
 def test_exit_code_numeric_failure(tmp_path, capsys):
     stem = str(tmp_path / "sing")
     code = run(["bound", "--system", "linmap", "--matrix", "diag:1,0",

@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from restent.cli import _build_system, build_parser
 
 from restent.errors import BlowupError, ConfigError, UnknownSystemError
 from restent.dynamics import (
     CompactSet,
     auto_region,
     builtin_systems,
-    cocycle,
     default_region,
     flow,
     identity_system,
@@ -19,7 +22,6 @@ from restent.dynamics import (
     make_system,
     propagate,
     sample_set,
-    system_from_config,
 )
 
 A_DEFAULT = 2.0 / 3.0
@@ -58,17 +60,20 @@ def test_discrete_flow_composition():
         flow(sys_, x0, 1.5)
 
 
+def _flow_jacobian(system, x0, t, step=None):
+    return propagate(system, x0, t, step=step, variational=True).jacobians[0]
+
+
 def test_cocycle_identity_and_linear():
     sys_ = lanford_system()
-    c = cocycle(sys_, np.array([0.1, 0.0, 0.2]), 0.0)
-    assert np.allclose(c.matrix, np.eye(3))
+    assert np.allclose(_flow_jacobian(sys_, np.array([0.1, 0.0, 0.2]), 0.0), np.eye(3))
     m = np.array([[2.0, 1.0], [0.0, 0.5]])
     lin = linear_map_system(m)
-    c5 = cocycle(lin, np.array([0.3, -0.4]), 5)
-    assert np.allclose(c5.matrix, np.linalg.matrix_power(m, 5))
+    a5 = _flow_jacobian(lin, np.array([0.3, -0.4]), 5)
+    assert np.allclose(a5, np.linalg.matrix_power(m, 5))
     ode = linear_ode_system(np.array([[0.2, 1.0], [0.0, -0.4]]))
-    cT = cocycle(ode, np.array([0.1, 0.1]), 2.0, step=1e-3)
-    assert np.allclose(cT.matrix, scipy.linalg.expm(2.0 * np.array([[0.2, 1.0], [0.0, -0.4]])),
+    a_t = _flow_jacobian(ode, np.array([0.1, 0.1]), 2.0, step=1e-3)
+    assert np.allclose(a_t, scipy.linalg.expm(2.0 * np.array([[0.2, 1.0], [0.0, -0.4]])),
                        atol=1e-8)
 
 
@@ -79,10 +84,10 @@ def test_cocycle_composition_property_on_lanford():
     pts = sample_set(region, 5)
     for x0 in pts[rng.choice(len(pts), size=3, replace=False)]:
         s, t = 0.7, 1.1
-        a_t = cocycle(sys_, x0, t, step=1e-3).matrix
+        a_t = _flow_jacobian(sys_, x0, t, step=1e-3)
         x_t = flow(sys_, x0, t, step=1e-3)
-        a_s = cocycle(sys_, x_t, s, step=1e-3).matrix
-        a_st = cocycle(sys_, x0, s + t, step=1e-3).matrix
+        a_s = _flow_jacobian(sys_, x_t, s, step=1e-3)
+        a_st = _flow_jacobian(sys_, x0, s + t, step=1e-3)
         assert np.linalg.norm(a_st - a_s @ a_t) < 1e-6
 
 
@@ -186,15 +191,20 @@ def test_auto_region_returns_verified_set():
 def test_default_region_and_config_loading(tmp_path):
     assert default_region(lanford_system()).kind == "box_with_constraint"
     assert default_region(identity_system(2)).kind == "box"
+
+    def load(cfg):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(cfg))
+        return _build_system(build_parser().parse_args(["bound", "--config", str(path)]))
+
     cfg = {"system": "lanford", "params": {"a": 0.75},
            "box": [[-1, 1], [-1, 1], [0, 1.5]], "resolution": 9}
-    sys_, region, res = system_from_config(cfg)
+    sys_, region, res, _ = load(cfg)
     assert sys_.params["a"] == 0.75
     assert region.bounds[2] == (0.0, 1.5)
     assert res == 9
-    path = tmp_path / "sys.json"
-    path.write_text('{"system": "identity", "params": {"dim": 2}}')
-    sys2, region2, res2 = system_from_config(str(path))
-    assert sys2.name == "identity" and region2 is None and res2 is None
+    sys2, region2, res2, _ = load({"system": "identity", "params": {"dim": 2}})
+    assert sys2.name == "identity" and sys2.dim == 2
+    assert region2.kind == "box" and res2 == 9
     with pytest.raises(ConfigError):
-        system_from_config({"params": {}})
+        load({"params": {}})

@@ -9,6 +9,7 @@ from restent.dynamics import (
     lanford_system,
     linear_map_system,
     linear_ode_system,
+    propagate,
     sample_set,
 )
 from restent.entropy import (
@@ -25,7 +26,8 @@ from restent.entropy import (
     positive_sum,
     proximate_entropy,
 )
-from restent.metrics import MetricField, metric_sv_values
+from restent.metrics import MetricField, ct_spectrum_values, metric_sv_values
+from restent.spd import sym
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)
@@ -111,16 +113,23 @@ def test_ct_bound_lanford_lambda_closed_forms():
         assert np.allclose(rec.spectrum, expected, atol=1e-8)
 
 
+def _constant_rule(x):
+    return np.broadcast_to(np.eye(2), (len(x), 2, 2)), [None] * len(x)
+
+
 def test_ct_bound_requires_matching_time_type_and_pdot():
     sys_ = linear_map_system(np.eye(2))
     with pytest.raises(ConfigError):
         ct_bound(sys_, UNIT_BOX_2, MetricField.identity(2))
     ode = linear_ode_system(np.eye(2))
-    tab = MetricField.tabulated(2, lambda x: np.eye(2), label="tab")
-    with pytest.raises(ConfigError):
-        ct_bound(ode, UNIT_BOX_2, tab)                # no orbital derivative
-    rep = ct_bound(ode, UNIT_BOX_2, tab, pdot="fd", resolution=3)
+    # no orbital rule: Pdot comes from the flow finite difference
+    tab = MetricField.tabulated(2, _constant_rule, label="tab")
+    rep = ct_bound(ode, UNIT_BOX_2, tab, resolution=3)
+    assert rep.pdot_mode == "fd"
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-6)
+    rep = ct_bound(ode, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    assert rep.pdot_mode == "analytic"
+    assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-12)
 
 
 def test_dt_bound_wrong_time_type():
@@ -132,9 +141,9 @@ def test_dt_bound_flags_points_where_metric_is_undefined():
     sys_ = identity_system(1)
 
     def partial(x):
-        if np.any(np.abs(x) > 0.5):
-            raise NumericError("metric value requested outside its domain")
-        return np.eye(1) * (1.0 + x[..., 0] ** 2)
+        reasons = ["metric value requested outside its domain"
+                   if np.any(np.abs(row) > 0.5) else None for row in x]
+        return np.eye(1) * (1.0 + x[:, 0] ** 2)[:, None, None], reasons
 
     metric = MetricField.tabulated(1, partial, label="partial")
     rep = dt_bound(sys_, UNIT_BOX_1, metric, resolution=5)
@@ -208,9 +217,12 @@ def test_minimizing_metric_ct_scalar_growth():
         # equal-weight log-mean of e^{-2 lam s} over the node grid
         value = metric.evaluate(np.array([0.1]))[0, 0]
         assert value == pytest.approx(np.exp(lam * horizon), rel=1e-6)
-        rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3,
-                       pdot="fd", pdot_step=1e-4)
+        rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3, pdot_step=1e-4)
         assert rep.bound == pytest.approx(lam / LN2, rel=1e-3)
+    ode = linear_ode_system(np.array([[0.5]]))
+    metric = minimizing_metric_ct(ode, 1.0, time_samples=5, tol=1e-9)
+    rep = ct_bound(ode, UNIT_BOX_1, metric, resolution=5, pdot_step=1e-4)
+    assert rep.bound == pytest.approx(0.5 / LN2, rel=1e-3)
 
 
 def test_minimizing_metric_ct_lanford_converges_from_above():
@@ -220,8 +232,7 @@ def test_minimizing_metric_ct_lanford_converges_from_above():
     bounds = []
     for horizon in (1.0, 3.0):
         metric = minimizing_metric_ct(sys_, horizon, time_samples=16, tol=1e-6)
-        rep = ct_bound(sys_, region, metric, resolution=3,
-                       pdot="fd", pdot_step=1e-3)
+        rep = ct_bound(sys_, region, metric, resolution=3, pdot_step=1e-3)
         bounds.append(rep.bound)
         assert rep.bound >= ref - 5e-3
         assert rep.bound <= ref + 0.2
@@ -285,12 +296,10 @@ def test_metric_change_bound_on_lanford_orbits():
     c_plus = metric_change_constant(metric, pts)
     rng = np.random.default_rng(42)
     idx = rng.choice(len(pts), size=4, replace=False)
-    from restent.dynamics import cocycle, flow
-
     for x in pts[idx]:
         for t in (1.0, 2.0, 4.0):
-            a_t = cocycle(sys_, x, t, step=1e-3).matrix
-            y = flow(sys_, x, t, step=1e-3)
+            prop = propagate(sys_, x, t, step=1e-3, variational=True)
+            a_t, y = prop.jacobians[0], prop.states[0]
             p, q = metric.evaluate(x), metric.evaluate(y)
             s_metric = positive_sum(metric_sv_values(p, q, a_t))
             s_eucl = positive_sum(np.log2(np.linalg.svd(a_t, compute_uv=False)))
@@ -333,18 +342,65 @@ def test_bound_dominates_oracle_spot():
         assert rep.bound + 1e-9 >= v
 
 
-def test_thread_override_keeps_results_and_order(monkeypatch):
+def _counting_rule(batches, undefined):
+    """Tabulated rule recording every batch of rows it is asked for; rows
+    where ``undefined`` holds get a reason instead of a value."""
+    def rule(x):
+        batches.append(x.tolist())
+        p = np.empty((len(x), 2, 2))
+        p[:, 0, 0] = 1.0 + x[:, 0] ** 2
+        p[:, 1, 1] = 1.0 + x[:, 1] ** 2
+        p[:, 0, 1] = p[:, 1, 0] = 0.3 * x[:, 1]
+        return p, ["outside the rule's domain" if undefined(row) else None for row in x]
+    return rule
+
+
+def _distinct(rows):
+    return len({tuple(r) for r in rows})
+
+
+def test_bound_core_matches_per_point_loop_discrete():
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
-    metric = minimizing_metric_dt(sys_, 3, tol=1e-6)
-    serial = dt_bound(sys_, UNIT_BOX_2, metric, resolution=2)
-    monkeypatch.setenv("RESTENT_THREADS", "4")
-    sys2 = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
-    ode = linear_ode_system(np.array([[0.5]]))
-    tab = minimizing_metric_ct(ode, 1.0, time_samples=5, tol=1e-9)
-    threaded_ct = ct_bound(ode, UNIT_BOX_1, tab, resolution=5,
-                           pdot="fd", pdot_step=1e-4)
-    metric2 = minimizing_metric_dt(sys2, 3, tol=1e-6)
-    threaded = dt_bound(sys2, UNIT_BOX_2, metric2, resolution=2)
-    assert threaded.bound == pytest.approx(serial.bound, abs=1e-12)
-    assert [r.state for r in threaded.per_point] == [r.state for r in serial.per_point]
-    assert threaded_ct.bound == pytest.approx(0.5 / LN2, rel=1e-3)
+    batches = []
+    metric = MetricField.tabulated(
+        2, _counting_rule(batches, lambda row: row[0] > 2.5), label="counting")
+    rep = dt_bound(sys_, UNIT_BOX_2, metric, resolution=3)
+    pts = sample_set(UNIT_BOX_2, 3)
+    # one rule call on 9 points and 9 images; the origin is its own image,
+    # so the rule sees 17 distinct rows
+    assert len(batches) == 1
+    assert len(batches[0]) == _distinct(batches[0]) == 17
+    # the image (3, 0.5) of (1, 1) is undefined: that point is excluded
+    assert rep.excluded == [{"state": [1.0, 1.0], "reason": "outside the rule's domain"}]
+    assert [r.state for r in rep.per_point] == pts[:-1].tolist()
+    for rec, x in zip(rep.per_point, pts[:-1]):
+        p = metric.evaluate(x)
+        q = metric.evaluate(sys_.rhs(x))
+        values = metric_sv_values(p, q, sys_.jacobian(x))
+        assert rec.spectrum == values.tolist()
+        assert rec.local == float(positive_sum(values))
+
+
+def test_bound_core_matches_per_point_loop_continuous():
+    sys_ = linear_ode_system(np.array([[0.4, 1.0], [-1.0, 0.2]]))
+    batches = []
+    metric = MetricField.tabulated(
+        2, _counting_rule(batches, lambda row: row[0] < -0.9 and row[1] < -0.9),
+        label="counting")
+    h = 1e-4
+    rep = ct_bound(sys_, UNIT_BOX_2, metric, resolution=3, pdot_step=h)
+    pts = sample_set(UNIT_BOX_2, 3)
+    # one rule call on 9 points and 9 flowed points; the equilibrium at the
+    # origin flows onto itself bit for bit, so the rule sees 17 distinct rows
+    assert len(batches) == 1
+    assert len(batches[0]) == _distinct(batches[0]) == 17
+    assert rep.excluded == [{"state": [-1.0, -1.0], "reason": "outside the rule's domain"}]
+    assert rep.pdot_mode == "fd"
+    for rec, x in zip(rep.per_point, pts[1:]):
+        p = metric.evaluate(x)
+        ahead = propagate(sys_, x, h, step=h).states[0]
+        pdot = sym((metric.evaluate(ahead) - p) / h)
+        values = ct_spectrum_values(p, sys_.jacobian(x), pdot)
+        assert rec.state == x.tolist()
+        assert rec.spectrum == values.tolist()
+        assert rec.local == float(positive_sum(values) / (2.0 * LN2))

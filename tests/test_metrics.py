@@ -8,9 +8,7 @@ from restent.entropy import lanford_metric, positive_sum
 from restent.metrics import (
     LOG_ZERO,
     MetricField,
-    ct_metric_spectrum,
     ct_spectrum_values,
-    metric_singular_values,
     metric_sv_values,
     orbital_derivative_fd,
 )
@@ -23,9 +21,9 @@ def test_identity_metric_gives_plain_singular_values():
     rng = np.random.default_rng(30)
     metric = MetricField.identity(3)
     a = rand_gl(rng, 3)
-    spec = metric_singular_values(metric, np.zeros(3), np.ones(3), a)
+    values = metric_sv_values(metric.evaluate(np.zeros(3)), metric.evaluate(np.ones(3)), a)
     expected = np.log2(np.linalg.svd(a, compute_uv=False))
-    assert np.allclose(spec.values, expected, atol=1e-12)
+    assert np.allclose(values, expected, atol=1e-12)
 
 
 def test_scalar_metric_formula():
@@ -35,9 +33,9 @@ def test_scalar_metric_formula():
         lambda x: np.where(x[..., :1, None] > 0, q, p) * np.ones(x.shape[:-1] + (1, 1)),
         label="two-level",
     )
-    spec = metric_singular_values(metric, np.array([-1.0]), np.array([1.0]),
-                                  np.array([[a]]))
-    assert np.allclose(spec.values, [np.log2(abs(a) * np.sqrt(q / p))])
+    values = metric_sv_values(metric.evaluate(np.array([-1.0])),
+                              metric.evaluate(np.array([1.0])), np.array([[a]]))
+    assert np.allclose(values, [np.log2(abs(a) * np.sqrt(q / p))])
 
 
 def test_metric_sv_matches_generalized_eigenproblem():
@@ -68,21 +66,18 @@ def test_three_way_equivalence_of_spectra():
 
 
 def test_singular_jacobian_sentinel():
-    metric = MetricField.identity(2)
-    spec = metric_singular_values(metric, np.zeros(2), np.zeros(2),
-                                  np.diag([2.0, 0.0]))
-    assert spec.values[0] == pytest.approx(1.0)
-    assert spec.values[1] <= LOG_ZERO
-    assert positive_sum(np.array(spec.values)) == pytest.approx(1.0)
+    values = metric_sv_values(np.eye(2), np.eye(2), np.diag([2.0, 0.0]))
+    assert values[0] == pytest.approx(1.0)
+    assert values[1] <= LOG_ZERO
+    assert positive_sum(values) == pytest.approx(1.0)
 
 
 def test_ct_spectrum_euclidean_case():
     rng = np.random.default_rng(33)
     j = rng.standard_normal((3, 3))
-    metric = MetricField.identity(3)
-    spec = ct_metric_spectrum(metric, np.zeros(3), j, np.zeros((3, 3)))
+    values = ct_spectrum_values(np.eye(3), j, np.zeros((3, 3)))
     expected = np.sort(np.linalg.eigvalsh(j + j.T))[::-1]
-    assert np.allclose(spec.values, expected, atol=1e-10)
+    assert np.allclose(values, expected, atol=1e-10)
 
 
 def test_ct_spectrum_lanford_origin():
@@ -90,9 +85,9 @@ def test_ct_spectrum_lanford_origin():
     sys_ = lanford_system(a)
     metric = lanford_metric(a)
     x = np.zeros(3)
-    spec = ct_metric_spectrum(metric, x, sys_.jacobian(x),
-                              metric.orbital_derivative(x))
-    assert np.allclose(spec.values, [2 * a, 2 * (a - 1), 2 * (a - 1)], atol=1e-12)
+    values = ct_spectrum_values(metric.evaluate(x), sys_.jacobian(x),
+                                metric.orbital_derivative(x))
+    assert np.allclose(values, [2 * a, 2 * (a - 1), 2 * (a - 1)], atol=1e-12)
 
 
 def test_ct_spectrum_determinant_residual():
@@ -110,10 +105,8 @@ def test_ct_spectrum_determinant_residual():
 
 
 def test_ct_spectrum_rejects_asymmetric_pdot():
-    metric = MetricField.identity(2)
     with pytest.raises(NumericError):
-        ct_metric_spectrum(metric, np.zeros(2), np.eye(2),
-                           np.array([[0.0, 1.0], [0.0, 0.0]]))
+        ct_spectrum_values(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_orbital_derivative_fd_constant_metric():
@@ -161,9 +154,9 @@ def test_congruence_consistency_constant_metric():
     v = rand_gl(rng, 3)
     a = rand_gl(rng, 3)
     metric = MetricField.constant(v.T @ v)
-    spec = metric_singular_values(metric, np.zeros(3), np.ones(3), a)
+    values = metric_sv_values(metric.evaluate(np.zeros(3)), metric.evaluate(np.ones(3)), a)
     expected = np.log2(np.linalg.svd(v @ a @ np.linalg.inv(v), compute_uv=False))
-    assert np.allclose(spec.values, expected, atol=1e-8)
+    assert np.allclose(values, expected, atol=1e-8)
 
 
 def test_spectra_invariant_under_metric_scaling():
@@ -182,28 +175,42 @@ def test_spectra_invariant_under_metric_scaling():
         x = rng.uniform([-0.5, -0.5, 0.0], [0.5, 0.5, 0.8])
         phi_x = x + 0.01 * sys_.rhs(x)
         jac = sys_.jacobian(x)
-        s1 = metric_singular_values(base, x, phi_x, jac).values
-        s2 = metric_singular_values(scaled, x, phi_x, jac).values
+        s1 = metric_sv_values(base.evaluate(x), base.evaluate(phi_x), jac)
+        s2 = metric_sv_values(scaled.evaluate(x), scaled.evaluate(phi_x), jac)
         assert np.allclose(s1, s2, atol=1e-10)
-        c1 = ct_metric_spectrum(base, x, jac, base.orbital_derivative(x)).values
-        c2 = ct_metric_spectrum(scaled, x, jac, scaled.orbital_derivative(x)).values
+        c1 = ct_spectrum_values(base.evaluate(x), jac, base.orbital_derivative(x))
+        c2 = ct_spectrum_values(scaled.evaluate(x), jac, scaled.orbital_derivative(x))
         assert np.allclose(c1, c2, atol=1e-10)
 
 
-def test_tabulated_metric_caches_and_rejects_analytic_pdot():
+def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
     calls = []
 
     def rule(x):
-        calls.append(tuple(x))
-        return np.eye(2) * (1.0 + x[0] ** 2)
+        calls.append(x.tolist())
+        return np.eye(2) * (1.0 + x[:, :1, None] ** 2), [None] * len(x)
 
-    metric = MetricField.tabulated(2, rule, label="memo")
-    x = np.array([0.5, 0.0])
-    metric.evaluate(x)
-    metric.evaluate(x)
-    assert len(calls) == 1
+    metric = MetricField.tabulated(2, rule, label="dedup")
+    x = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [-0.0, 0.0]])
+    p, reasons = metric.values(x)
+    # one rule call on the distinct rows, compared bit for bit (-0.0 != 0.0)
+    assert calls == [[[0.5, 0.0], [0.0, 0.0], [-0.0, 0.0]]]
+    assert reasons == [None] * 4
+    assert np.array_equal(p[0], p[2]) and np.array_equal(p[0], 1.25 * np.eye(2))
+    assert np.array_equal(metric.evaluate(x), p)
     with pytest.raises(ConfigError):
         metric.orbital_derivative(x)
+
+
+def test_metric_values_flag_rows_without_spd_value():
+    metric = MetricField.analytic(
+        1, lambda x: np.where(x[..., :1, None] > 0, 1.0, -1.0), label="sign")
+    p, reasons = metric.values(np.array([[1.0], [-1.0], [2.0]]))
+    assert reasons[0] is None and reasons[2] is None
+    assert "not positive definite" in reasons[1]
+    assert np.array_equal(p[[0, 2]], np.ones((2, 1, 1)))
+    with pytest.raises(NumericError, match="not positive definite"):
+        metric.evaluate(np.array([-1.0]))
 
 
 def test_metric_dimension_mismatch():
