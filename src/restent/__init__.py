@@ -36,10 +36,7 @@ from .errors import (
     ToolkitError,
     UnknownSystemError,
 )
-from .metrics import (
-    MetricField,
-    orbital_derivative_fd,
-)
+from .metrics import MetricField
 from .spd import (
     as_spd,
     congruence,

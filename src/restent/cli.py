@@ -300,7 +300,9 @@ def cmd_lanford(args) -> int:
           f"(resolution {report.resolution})")
     print(f"equilibrium lower est : {lower:.6f} bits/time")
     if args.with_oracle:
-        res = lyapunov_oracle(system, region, resolution=min(11, resolution))
+        cap = (min(11, resolution) if isinstance(resolution, int)
+               else [min(11, c) for c in resolution])
+        res = lyapunov_oracle(system, region, resolution=cap)
         report.oracle = res.value
         print(f"oracle at t={res.horizons[-1]:g}    : {res.value:.6f} bits/time "
               f"(aitken {res.aitken:.6f})")

@@ -3,14 +3,15 @@ and forward-invariance spot checks.
 
 States are row vectors; every rhs/jacobian rule is vectorized over leading
 axes, so whole sample grids propagate as one batch.  Continuous-time flows
-use fixed-step classical RK4; the variational matrix (the flow Jacobian) is
-integrated jointly with the state, on the same steps.  Trajectories whose norm exceeds
-the blow-up guard are frozen at their last admissible state and reported
-with the escape time.
+use the Dormand-Prince 5(4) pair, each row with a step size chosen from
+its embedded error estimate, or fixed when the caller gives a step; the
+variational matrix (the flow Jacobian) is integrated jointly with the
+state, on the same steps.  Trajectories whose norm exceeds the blow-up
+guard are frozen at their last admissible state and reported with the
+escape time.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -21,9 +22,29 @@ from .errors import BlowupError, ConfigError, UnknownSystemError
 
 Array = np.ndarray
 
-DEFAULT_STEP = 1e-3        # RK4 step for unit-scale dynamics
-RICHARDSON_TOL = 1e-9      # accepted integration error per unit time
+STEP_TOL = 1e-10           # accepted local error per adaptive step (abs and rel)
+FIRST_STEP = STEP_TOL ** 0.2   # first adaptive trial step for unit-scale dynamics
+MIN_STEP = 1e-12           # step floor, relative to max(1, horizon)
+# step controller: h <- h * clip(SAFETY * err^(-1/5), MIN_GROWTH, MAX_GROWTH); the
+# safety factor of Shampine & Reichelt's ode45 keeps rejections rare
+SAFETY, MIN_GROWTH, MAX_GROWTH = 0.8, 0.2, 5.0
 BLOWUP_NORM = 1e8
+
+# Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2).  Row s of _DP_A combines stages 0..s-1 into
+# the input of stage s; row 6 is the fifth-order solution.  _DP_E holds the
+# weights of the difference between the fifth- and fourth-order solutions.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
 @dataclass(frozen=True)
@@ -91,13 +112,16 @@ class Propagation:
     ``states`` has shape (r, m, n) when ``record_at`` was given (r record
     times) and (m, n) otherwise; ``jacobians`` mirrors it with trailing
     (n, n).  Escaped points are frozen at their last admissible state.
+    ``accepted`` and ``rejected`` count each row's integration steps (map
+    iterations in discrete time, which rejects none), shape (m,).
     """
 
     states: Array
     jacobians: Optional[Array]
     escaped: Array
     escape_times: Array
-    step: Optional[float]
+    accepted: Array
+    rejected: Array
 
 
 def _check_horizon(system: SystemModel, t) -> float:
@@ -109,71 +133,125 @@ def _check_horizon(system: SystemModel, t) -> float:
     return t
 
 
-def _freeze_escapes(prev, cur, vprev, vcur, escaped, times, now):
+def _blown(x: Array) -> Array:
+    """Rows whose state is not finite or lies outside the blow-up guard."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("...i,...i->...", cur, cur)
-    big = ~np.isfinite(sq) | (sq > BLOWUP_NORM ** 2)
-    if not big.any() and not escaped.any():
-        return cur, vcur, escaped, times
-    new = big & ~escaped
-    if new.any():
-        cur[new] = prev[new]
-        if vcur is not None:
-            vcur[new] = vprev[new]
-        times[new] = now
-        escaped = escaped | new
-    # already-escaped points stay frozen
-    old = escaped & ~new
-    if old.any():
-        cur[old] = prev[old]
-        if vcur is not None:
-            vcur[old] = vprev[old]
-    return cur, vcur, escaped, times
+        sq = np.einsum("...i,...i->...", x, x)
+    return ~np.isfinite(sq) | (sq > BLOWUP_NORM ** 2)
 
 
-def _integrate_continuous(system, x0, t, h, variational, record_at):
+def _packed_field(system: SystemModel, variational: bool):
+    """Vector field on rows (m, d): the state alone (d = n), or the state
+    followed by the flattened variational matrix (d = n + n*n)."""
+    if not variational:
+        return system.rhs
+    n = system.dim
+
+    def joint(y: Array) -> Array:
+        x = y[:, :n]
+        out = np.empty_like(y)
+        out[:, :n] = system.rhs(x)
+        out[:, n:] = (system.jacobian(x) @ y[:, n:].reshape(-1, n, n)).reshape(len(y), -1)
+        return out
+
+    return joint
+
+
+def _dp_stages(rhs, y: Array, k: Array, h: Array) -> Array:
+    """Stages 1..6 of one Dormand-Prince step from rows y, with step sizes
+    h of shape (m, 1), given k[0] = rhs(y); fills k[1:] and returns the
+    fifth-order solution, whose rhs value k[6] is the first stage of the
+    next step (FSAL)."""
+    for s in range(1, 7):
+        ys = y + h * (_DP_A[s, :s] @ k[:s].reshape(s, -1)).reshape(y.shape)
+        k[s] = rhs(ys)
+    return ys
+
+
+def _integrate_continuous(system, x0, t, step, variational, record_at):
+    """Dormand-Prince 5(4) propagation of the state (and variational matrix).
+
+    All rows step together, each with its own clock and step size, so a
+    row that needs short steps (one about to blow up, say) does not hold
+    back the others.  With ``step`` None a row's step is adapted so that its
+    embedded error estimate, a mixed absolute/relative max-norm over the
+    row, stays below ``STEP_TOL`` per step; otherwise each record interval is
+    split into equal steps of at most ``step``.  Steps land exactly on every
+    record time.  Returns (states, jacobians, escaped, escape times,
+    accepted steps per row, rejected steps per row)."""
     m, n = x0.shape
-    x = x0.copy()
-    v = np.broadcast_to(np.eye(n), (m, n, n)).copy() if variational else None
-    escaped = np.zeros(m, dtype=bool)
+    y = x0.copy()
+    if variational:
+        y = np.concatenate([y, np.broadcast_to(np.eye(n).ravel(), (m, n * n))], axis=1)
+    rhs = _packed_field(system, variational)
+    marks = np.array(record_at if record_at is not None else [t], dtype=float)
+    r = len(marks)
+    if step is not None:
+        spans = np.diff(marks, prepend=0.0)
+        fixed = spans / np.maximum(1.0, np.ceil(spans / step - 1e-12))
+    out = np.empty((r,) + y.shape)
+    nxt = np.zeros(m, dtype=int)          # index of each row's next record time
+    now = np.zeros(m)
+    h = np.full(m, FIRST_STEP)
+    grow = np.full(m, MAX_GROWTH)
+    accepted = np.zeros(m, dtype=int)
+    rejected = np.zeros(m, dtype=int)
     times = np.full(m, np.nan)
-    records = [] if record_at is not None else None
-    marks = list(record_at) if record_at is not None else [t]
-    now = 0.0
-    for mark in marks:
-        span = mark - now
-        if span < -1e-12:
-            raise ConfigError("record times must be nondecreasing")
-        nsteps = max(1, int(math.ceil(span / h - 1e-12))) if span > 1e-15 else 0
-        hs = span / nsteps if nsteps else 0.0
-        f, jf = system.rhs, system.jacobian
-        for _ in range(nsteps):
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = f(x)
-                k2 = f(x + 0.5 * hs * k1)
-                k3 = f(x + 0.5 * hs * k2)
-                k4 = f(x + hs * k3)
-                xn = x + (hs / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if v is not None:
-                    m1 = jf(x) @ v
-                    m2 = jf(x + 0.5 * hs * k1) @ (v + 0.5 * hs * m1)
-                    m3 = jf(x + 0.5 * hs * k2) @ (v + 0.5 * hs * m2)
-                    m4 = jf(x + hs * k3) @ (v + hs * m3)
-                    vn = v + (hs / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-                else:
-                    vn = None
-            now += hs
-            xn, vn, escaped, times = _freeze_escapes(x, xn, v, vn, escaped, times, now)
-            x, v = xn, vn
-        now = mark
-        if records is not None:
-            records.append((x.copy(), None if v is None else v.copy()))
-    if records is not None:
-        states = np.stack([r[0] for r in records])
-        jacs = np.stack([r[1] for r in records]) if variational else None
-    else:
-        states, jacs = x, v
-    return states, jacs, escaped, times
+    floor = MIN_STEP * max(1.0, t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k0 = rhs(y)
+        while True:
+            # record rows that sit on their next record time (repeatedly,
+            # for equal record times)
+            while True:
+                due = np.flatnonzero((nxt < r) & (now >= marks[np.minimum(nxt, r - 1)]))
+                if not len(due):
+                    break
+                out[nxt[due], due] = y[due]
+                nxt[due] += 1
+            a = np.flatnonzero((nxt < r) & np.isnan(times))
+            if not len(a):
+                break
+            left = marks[nxt[a]] - now[a]
+            ha = h[a] if step is None else fixed[nxt[a]]
+            land = left <= ha * (1.0 + 1e-9)
+            hs = np.where(land, left, ha)
+            ya = y[a]
+            k = np.empty((7,) + ya.shape)
+            k[0] = k0[a]
+            y_new = _dp_stages(rhs, ya, k, hs[:, None])
+            new = _blown(y_new[:, :n])
+            ok = np.ones(len(a), dtype=bool)
+            if step is None:
+                err = hs[:, None] * (_DP_E @ k.reshape(7, -1)).reshape(ya.shape)
+                scale = STEP_TOL * (1.0 + np.maximum(np.abs(ya), np.abs(y_new)))
+                ratio = np.max(np.abs(err) / scale, axis=1)
+                ratio[np.isnan(ratio)] = np.inf
+                # at the step floor, a row that still misses the target escapes
+                ok = (ratio <= 1.0) | (hs <= floor)
+                new |= ratio > 1.0
+                fac = np.minimum(grow[a], np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.2))
+                # a step cut short to land on a record time does not shrink
+                # the next one
+                h[a] = np.where(ok & land, np.maximum(hs * fac, ha), hs * fac)
+                grow[a] = np.where(ok, MAX_GROWTH, 1.0)
+                rejected[a[~ok]] += 1
+            done = a[ok]
+            accepted[done] += 1
+            now[done] = np.where(land[ok], marks[nxt[done]], now[done] + hs[ok])
+            gone = a[ok & new]
+            times[gone] = now[gone]
+            keep = ok & ~new
+            y[a[keep]] = y_new[keep]
+            k0[a[keep]] = k[6][keep]
+    # escaped rows hold their frozen state at the record times they missed
+    escaped = ~np.isnan(times)
+    missed = (np.arange(r)[:, None] >= nxt) & escaped
+    out[missed] = np.broadcast_to(y, out.shape)[missed]
+    res = out if record_at is not None else out[0]
+    states = res[..., :n]
+    jacs = res[..., n:].reshape(res.shape[:-1] + (n, n)) if variational else None
+    return states, jacs, escaped, times, accepted, rejected
 
 
 def _integrate_discrete(system, x0, t, variational, record_at):
@@ -191,7 +269,12 @@ def _integrate_discrete(system, x0, t, variational, record_at):
         with np.errstate(over="ignore", invalid="ignore"):
             xn = system.rhs(x)
             vn = system.jacobian(x) @ v if variational else None
-        xn, vn, escaped, times = _freeze_escapes(x, xn, v, vn, escaped, times, float(k))
+        new = _blown(xn) & ~escaped
+        escaped |= new
+        times[new] = float(k)
+        xn[escaped] = x[escaped]
+        if variational:
+            vn[escaped] = v[escaped]
         x, v = xn, vn
         if marks is not None and k in marks:
             records.append((x.copy(), None if v is None else v.copy()))
@@ -200,50 +283,17 @@ def _integrate_discrete(system, x0, t, variational, record_at):
         jacs = np.stack([r[1] for r in records]) if variational else None
     else:
         states, jacs = x, v
-    return states, jacs, escaped, times
-
-
-def select_step(system, x0, t, h0: float = DEFAULT_STEP,
-                tol: float = RICHARDSON_TOL, max_halvings: int = 10,
-                probe: float = 5.0) -> float:
-    """Pick an RK4 step by halving until the Richardson error estimate of the
-    state integration is below ``tol`` per unit time.
-
-    The estimate is formed on a prefix of length min(t, probe): the target is
-    a rate, so a short prefix prices the step without paying for two full
-    integrations of a long horizon."""
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    t = min(float(t), float(probe))
-    if t <= 0:
-        return h0
-    coarse, _, esc_c, _ = _integrate_continuous(system, x0, t, h0, False, None)
-    h = h0
-    for _ in range(max_halvings):
-        fine, _, esc_f, _ = _integrate_continuous(system, x0, t, h / 2, False, None)
-        ok = ~(esc_c | esc_f)
-        if not np.any(ok):
-            return h / 2
-        diff = float(np.max(np.linalg.norm(fine[ok] - coarse[ok], axis=-1)))
-        # Richardson: the coarse-run error is ~ diff * 16/15, the fine one
-        # ~ diff / 15; keep the largest step whose estimate meets the target.
-        budget = tol * max(t, 1.0)
-        if diff * 16.0 / 15.0 <= budget:
-            return h
-        if diff / 15.0 <= budget:
-            return h / 2
-        h /= 2
-        coarse, esc_c = fine, esc_f
-    warnings.warn(f"step selection stopped at h={h / 2:.3e} without meeting "
-                  f"the error target", RuntimeWarning, stacklevel=2)
-    return h / 2
+    return states, jacs, escaped, times, np.full(m, steps), np.zeros(m, dtype=int)
 
 
 def propagate(system: SystemModel, x0, t, step: Optional[float] = None,
               variational: bool = False, record_at: Optional[Sequence[float]] = None
               ) -> Propagation:
     """Batched propagation over horizon t, optionally with the variational
-    matrix and intermediate records.  Does not raise on blow-up; escaped
-    points are frozen and flagged."""
+    matrix and intermediate records.  Continuous-time flows use adaptive
+    Dormand-Prince 5(4) steps, or equal steps of at most ``step`` when one
+    is given.  Does not raise on blow-up; escaped points are frozen and
+    flagged."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
         raise ConfigError(f"state dimension {x0.shape[-1]} != system dimension {system.dim}")
@@ -255,17 +305,12 @@ def propagate(system: SystemModel, x0, t, step: Optional[float] = None,
         if sorted(record_at) != record_at:
             raise ConfigError("record times must be nondecreasing")
     if system.time_type == "discrete":
-        states, jacs, escaped, times = _integrate_discrete(system, x0, t, variational, record_at)
-        used = None
+        result = _integrate_discrete(system, x0, t, variational, record_at)
     else:
-        h = step if step is not None else select_step(system, x0, t)
-        if h <= 0:
+        if step is not None and not step > 0:
             raise ConfigError("integration step must be positive")
-        states, jacs, escaped, times = _integrate_continuous(
-            system, x0, t, h, variational, record_at)
-        used = h
-    return Propagation(states=states, jacobians=jacs, escaped=escaped,
-                       escape_times=times, step=used)
+        result = _integrate_continuous(system, x0, t, step, variational, record_at)
+    return Propagation(*result)
 
 
 def flow(system: SystemModel, x0, t, step: Optional[float] = None) -> Array:

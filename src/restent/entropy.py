@@ -10,13 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEP, CompactSet, SystemModel, propagate, sample_set
+from .dynamics import CompactSet, SystemModel, propagate, sample_set
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from .spd import inductive_barycenter, power, sym
@@ -68,7 +68,10 @@ class BoundReport:
             self.created = datetime.now(timezone.utc).isoformat()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Plain-data view; shares the report's lists, copying nothing."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["per_point"] = [vars(rec) for rec in self.per_point]
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "BoundReport":
@@ -78,7 +81,8 @@ class BoundReport:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+            # no indent: an indent forces the pure-Python encoder
+            fh.write(json.dumps(self.to_dict()))
             fh.write("\n")
 
     @staticmethod
@@ -371,8 +375,7 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
     nodes = np.linspace(0.0, horizon, time_samples)
 
     def rule(x: Array) -> tuple:
-        prop = propagate(system, x, horizon, step=DEFAULT_STEP, variational=True,
-                         record_at=nodes)
+        prop = propagate(system, x, horizon, variational=True, record_at=nodes)
         reasons = [None] * len(x)
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "

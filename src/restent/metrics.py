@@ -158,16 +158,3 @@ def ct_spectrum_values(p: Array, jac: Array, pdot: Array) -> Array:
     w = np.linalg.eigvalsh(sym(r @ core @ r))
     return w[..., ::-1]
 
-
-def orbital_derivative_fd(metric: MetricField, system, x, h: float = 1e-5) -> Array:
-    """One-sided finite-difference orbital derivative
-    (P(flow(x, h)) - P(x)) / h, symmetrized; batched over points.
-
-    Used only when no analytic rule is supplied; the error is O(h)."""
-    from .dynamics import flow
-
-    if system.time_type != "continuous":
-        raise ConfigError("orbital derivatives require a continuous-time system")
-    x = np.asarray(x, dtype=float)
-    ahead = flow(system, x, h, step=h)
-    return sym((metric.evaluate(ahead) - metric.evaluate(x)) / h)

@@ -189,6 +189,15 @@ def test_lanford_command(tmp_path, capsys):
     assert abs(bound - 0.961797) < 1e-4
 
 
+def test_lanford_command_with_oracle_and_resolution_list(tmp_path, capsys):
+    stem = str(tmp_path / "lanf-orc")
+    code = run(["lanford", "--resolution", "5,5,5", "--with-oracle", "--out", stem])
+    assert code == 0
+    assert "oracle at t=40" in capsys.readouterr().out
+    payload = json.load(open(f"{stem}.report.json"))
+    assert payload["oracle"] == pytest.approx(0.9618, abs=1e-3)
+
+
 def test_props_command_passes_and_writes(tmp_path, capsys):
     stem = str(tmp_path / "props")
     code = run(["props", "--seed", "42", "--instances", "4", "--dims", "1,2",

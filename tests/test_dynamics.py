@@ -8,6 +8,7 @@ from restent.cli import _build_system, build_parser
 
 from restent.errors import BlowupError, ConfigError, UnknownSystemError
 from restent.dynamics import (
+    STEP_TOL,
     CompactSet,
     auto_region,
     builtin_systems,
@@ -117,12 +118,39 @@ def test_blowup_guard_reports_escape():
     with pytest.raises(BlowupError) as err:
         flow(sys_, bad, 20.0, step=1e-3)
     assert err.value.escape_times is not None
-    # batched propagate freezes the bad point and keeps the good one
+    # batched propagate freezes the bad point and keeps the good one, with
+    # fixed and with adaptive steps
     o2 = np.array([0.0, 0.0, A_DEFAULT])
-    prop = propagate(sys_, np.stack([bad, o2]), 20.0, step=1e-3)
-    assert prop.escaped.tolist() == [True, False]
-    assert np.isfinite(prop.states).all()
-    assert np.allclose(prop.states[1], o2, atol=1e-10)
+    fixed = propagate(sys_, np.stack([bad, o2]), 20.0, step=1e-3)
+    adaptive = propagate(sys_, np.stack([bad, o2]), 20.0)
+    for prop in (fixed, adaptive):
+        assert prop.escaped.tolist() == [True, False]
+        assert np.isfinite(prop.states).all()
+        assert np.allclose(prop.states[1], o2, atol=1e-10)
+    assert abs(adaptive.escape_times[0] - fixed.escape_times[0]) < 1e-2
+
+
+def test_adaptive_state_error_within_tolerance_per_unit_time():
+    sys_ = lanford_system(A_DEFAULT)
+    pts = sample_set(lanford_region(A_DEFAULT), 11)
+    level = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 2 + (pts[:, 2] - A_DEFAULT / 2) ** 2
+    interior = pts[level - (A_DEFAULT / 2) ** 2 < -1e-3]
+    t = 5.0
+    adaptive = propagate(sys_, interior, t)
+    reference = propagate(sys_, interior, t, step=1e-3)
+    assert (reference.accepted == 5000).all() and not reference.rejected.any()
+    assert 0 < adaptive.accepted.max() < 500
+    err = np.max(np.linalg.norm(adaptive.states - reference.states, axis=-1))
+    assert err <= STEP_TOL * t
+
+
+def test_record_times_are_hit_and_must_not_decrease():
+    sys_ = linear_ode_system(np.array([[-1.0]]))
+    marks = [0.0, 0.3, 0.3, 1.0]
+    prop = propagate(sys_, np.array([1.0]), 1.0, record_at=marks)
+    assert np.allclose(prop.states[:, 0, 0], np.exp(-np.array(marks)), atol=1e-10)
+    with pytest.raises(ConfigError):
+        propagate(sys_, np.array([1.0]), 1.0, record_at=[0.5, 0.2])
 
 
 def test_sample_set_examples():

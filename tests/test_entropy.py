@@ -256,6 +256,16 @@ def test_lyapunov_oracle_excludes_blowups():
     assert np.isfinite(res.value)
 
 
+def test_lyapunov_oracle_adaptive_matches_fixed_step():
+    sys_ = lanford_system()
+    region = lanford_region()
+    horizons = (5.0, 10.0, 20.0)
+    adaptive = lyapunov_oracle(sys_, region, horizons=horizons, resolution=5)
+    fixed = lyapunov_oracle(sys_, region, horizons=horizons, resolution=5, step=1e-3)
+    assert np.allclose(adaptive.values, fixed.values, rtol=0.0, atol=1e-9)
+    assert abs(adaptive.aitken - fixed.aitken) < 1e-9
+
+
 def test_proximate_entropy_values():
     assert proximate_entropy(lanford_system(1.0), np.zeros(3)) == pytest.approx(
         1.0 / LN2, abs=1e-12)

@@ -3,14 +3,13 @@ import pytest
 import scipy.linalg
 
 from restent.errors import ConfigError, NumericError
-from restent.dynamics import lanford_system, linear_ode_system
-from restent.entropy import lanford_metric, positive_sum
+from restent.dynamics import CompactSet, lanford_region, lanford_system, linear_ode_system
+from restent.entropy import ct_bound, lanford_metric, positive_sum
 from restent.metrics import (
     LOG_ZERO,
     MetricField,
     ct_spectrum_values,
     metric_sv_values,
-    orbital_derivative_fd,
 )
 from restent.spd import sym
 
@@ -109,30 +108,49 @@ def test_ct_spectrum_rejects_asymmetric_pdot():
         ct_spectrum_values(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _fd_and_analytic_spectra(system, region, metric, resolution, pdot_step):
+    """Per-point spectra of ct_bound with Pdot from its flow finite
+    difference (the metric wrapped as a tabulated rule) and from the
+    metric's analytic rule."""
+    table = MetricField.tabulated(
+        metric.dim, lambda x: (metric.evaluate(x), [None] * len(x)))
+    fd = ct_bound(system, region, table, resolution, pdot_step=pdot_step)
+    exact = ct_bound(system, region, metric, resolution)
+    assert (fd.pdot_mode, exact.pdot_mode) == ("fd", "analytic")
+    assert not fd.excluded and not exact.excluded
+    return [np.array([rec.spectrum for rec in rep.per_point]) for rep in (fd, exact)]
+
+
 def test_orbital_derivative_fd_constant_metric():
-    sys_ = lanford_system()
     metric = MetricField.constant(np.diag([1.0, 2.0, 3.0]))
-    pd = orbital_derivative_fd(metric, sys_, np.array([0.1, 0.1, 0.3]), h=1e-5)
-    assert np.allclose(pd, np.zeros((3, 3)), atol=1e-9)
+    fd, exact = _fd_and_analytic_spectra(lanford_system(), lanford_region(), metric,
+                                         5, 1e-5)
+    assert np.allclose(fd, exact, atol=1e-9)
 
 
 def test_orbital_derivative_fd_matches_analytic_lanford():
     a = 2.0 / 3.0
-    sys_ = lanford_system(a)
-    metric = lanford_metric(a)
-    x = np.array([0.2, -0.1, 0.4])
-    h = 1e-5
-    fd = orbital_derivative_fd(metric, sys_, x, h=h)
-    exact = metric.orbital_derivative(x)
-    assert np.linalg.norm(fd - exact) < 200.0 * h
+    args = (lanford_system(a), lanford_region(a), lanford_metric(a), 5)
+    errs = []
+    for h in (1e-5, 5e-6):
+        fd, exact = _fd_and_analytic_spectra(*args, h)
+        errs.append(np.max(np.abs(fd - exact)))
+        assert errs[-1] < h
+    # first order: halving the step halves the error
+    assert 1.8 < errs[0] / errs[1] < 2.2
 
 
 def test_orbital_derivative_fd_scalar_exponential_metric():
     sys_ = linear_ode_system(np.array([[1.0]]))
     metric = MetricField.analytic(
-        1, lambda x: np.exp(x[..., 0])[..., None, None], label="exp")
-    fd = orbital_derivative_fd(metric, sys_, np.array([1.0]), h=1e-6)
-    assert abs(fd[0, 0] - np.e) < 1e-3
+        1, lambda x: np.exp(x[..., 0])[..., None, None],
+        lambda x: (x[..., 0] * np.exp(x[..., 0]))[..., None, None], label="exp")
+    box = CompactSet(bounds=((0.5, 1.5),))
+    fd, exact = _fd_and_analytic_spectra(sys_, box, metric, 3, 1e-6)
+    # P^{-1/2} (2P + Pdot) P^{-1/2} = 2 + x, since Pdot = x e^x
+    closed = 2.0 + np.array([[0.5], [1.0], [1.5]])
+    assert np.allclose(exact, closed, atol=1e-12)
+    assert np.max(np.abs(fd - closed)) < 1e-3 / np.e
 
 
 def test_horn_submultiplicativity():
