@@ -43,6 +43,7 @@ from .spd import (
     distance,
     geodesic,
     inductive_barycenter,
+    karcher_barycenter,
     log_singular_values,
     lyapunov_solve,
     majorizes_leq,

@@ -363,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file stem")
         p.add_argument("--refine", action="store_true",
                        help="double the resolution until the bound settles")
-        p.add_argument("--bar-tol", type=float, help="barycenter tolerance for auto metrics")
+        p.add_argument("--bar-tol", type=float,
+                       help="barycenter tolerance for auto metrics: a bound on "
+                            "the distance, in bits, to the true barycenter")
         p.add_argument("--time-samples", type=int,
                        help="time discretization of auto:T metrics")
         p.add_argument("--pdot-step", type=float,

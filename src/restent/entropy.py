@@ -19,15 +19,13 @@ import numpy as np
 from .dynamics import CompactSet, SystemModel, propagate, sample_set
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
-from .spd import inductive_barycenter, power, sym
+from . import spd
+from .spd import karcher_barycenter, power, sym
 
 Array = np.ndarray
 
 LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 1
-# Largest condition number of a Jacobian product whose inverse Gram matrix
-# is still representable in double precision.
-COND_LIMIT = 3e7
 
 
 # ---------------------------------------------------------------------------
@@ -295,37 +293,38 @@ def _refine_loop(compute, region, resolution, refine, refine_tol,
 # Minimizing metric sequences
 # ---------------------------------------------------------------------------
 
-def _inverse_gram_atoms(a: Array, reasons: list) -> Array:
-    """(A^T A)^{-1}, the congruence push of the identity by A^{-1}, for a
-    stack (m, k, n, n) of Jacobian products, k per sample row.  A row whose
-    product is not invertible in double precision gets the reason of its
-    first such product, unless it already has a reason."""
+def _inverse_factors(a: Array, reasons: list) -> Array:
+    """A^{-1} for a stack (m, k, n, n) of Jacobian products, k per sample
+    row: the factor of the inverse-Gram atom (A^T A)^{-1} = A^{-1} A^{-T},
+    the congruence push of the identity by A^{-1}.  A row with a
+    non-finite or numerically singular product (condition number at least
+    1/eps) gets a reason, unless it already has one."""
     finite = np.isfinite(a).all(axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
     cond[finite] = np.linalg.cond(a[finite])
-    ok = cond <= COND_LIMIT
-    for i, k in zip(*np.nonzero(~ok)):
-        if reasons[i] is not None:
-            continue
-        if np.isfinite(cond[i, k]):
-            reasons[i] = (
-                f"Jacobian product has condition number {cond[i, k]:.2e}; its "
-                "inverse Gram matrix is not representable in double precision "
-                "- shorten the metric horizon")
-        else:
+    ok = cond < 1.0 / np.finfo(float).eps
+    for i in np.unique(np.nonzero(~ok)[0]):
+        if reasons[i] is None:
             reasons[i] = ("minimizing metrics require an invertible Jacobian at "
                           "every sample point; got a numerically singular one")
-    inv = np.linalg.inv(np.where(ok[..., None, None], a, np.eye(a.shape[-1])))
-    return inv @ np.swapaxes(inv, -1, -2)
+    return np.linalg.inv(np.where(ok[..., None, None], a, np.eye(a.shape[-1])))
 
 
-def _inverted_barycenters(atoms: Array, reasons: list, tol: float) -> Array:
-    """Inverse of the unweighted barycenter of each row's atoms (m, k, n, n);
-    rows that have a reason get the identity."""
-    bars = np.broadcast_to(np.eye(atoms.shape[-1]), atoms[:, 0].shape).copy()
-    for i, why in enumerate(reasons):
-        if why is None:
-            bars[i] = inductive_barycenter(atoms[i], tol=tol)
+def _inverted_barycenters(factors: Array, reasons: list, tol: float) -> Array:
+    """Inverse of the unweighted Karcher barycenter of each row's atoms
+    F F^T, from factors (m, k, n, n), solved as one batch.  A row whose
+    barycenter does not converge gets a reason; rows with a reason get the
+    identity."""
+    bars = np.broadcast_to(np.eye(factors.shape[-1]), factors[:, 0].shape).copy()
+    rows = np.flatnonzero([r is None for r in reasons])
+    if rows.size:
+        found, residual = karcher_barycenter(factors[rows], tol=tol)
+        converged = residual < tol
+        bars[rows[converged]] = found[converged]
+        for i, res in zip(rows[~converged], residual[~converged]):
+            reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
+                          f"iterations: gradient residual {res:.3e} bits "
+                          f"(tol {tol:.1e})")
     return power(bars, -1.0)
 
 
@@ -334,7 +333,11 @@ def minimizing_metric_dt(system: SystemModel, steps: int,
     """Tabulated metric whose value at x is the inverted unweighted
     barycenter of the identity together with the inverse-Gram atoms of the
     orbit Jacobian products of length 1..steps-1.  steps=1 yields the
-    identity metric."""
+    identity metric.
+
+    ``tol`` bounds the distance, in bits, from each computed barycenter to
+    the true one; a point whose barycenter does not reach it is excluded
+    with a reason."""
     if system.time_type != "discrete":
         raise ConfigError("the step-indexed minimizing metric needs a discrete system")
     steps = int(steps)
@@ -349,8 +352,8 @@ def minimizing_metric_dt(system: SystemModel, steps: int,
             x = system.rhs(x)
             prods.append(prod)
         reasons = [None] * len(x)
-        atoms = _inverse_gram_atoms(np.stack(prods, axis=1), reasons)
-        return _inverted_barycenters(atoms, reasons, tol), reasons
+        factors = _inverse_factors(np.stack(prods, axis=1), reasons)
+        return _inverted_barycenters(factors, reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=f"auto:N={steps}",
                                  horizon=float(steps))
@@ -360,7 +363,11 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
                          time_samples: int = 64, tol: float = 1e-7) -> MetricField:
     """Tabulated metric from the time-discretized barycenter of the
     inverse-Gram atoms of the flow Jacobian, at equally spaced times in
-    [0, horizon] including both endpoints."""
+    [0, horizon] including both endpoints.
+
+    ``tol`` bounds the distance, in bits, from each computed barycenter to
+    the true one; a point whose barycenter does not reach it is excluded
+    with a reason."""
     if system.time_type != "continuous":
         raise ConfigError("the time-indexed minimizing metric needs a continuous system")
     horizon = float(horizon)
@@ -380,8 +387,8 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
                           "while building the minimizing metric")
-        atoms = _inverse_gram_atoms(np.swapaxes(prop.jacobians, 0, 1), reasons)
-        return _inverted_barycenters(atoms, reasons, tol), reasons
+        factors = _inverse_factors(np.swapaxes(prop.jacobians, 0, 1), reasons)
+        return _inverted_barycenters(factors, reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=f"auto:T={horizon:g}",
                                  horizon=horizon)

@@ -19,6 +19,7 @@ from .spd import (
     distance,
     geodesic,
     inductive_barycenter,
+    karcher_barycenter,
     log_singular_values,
     lyapunov_solve,
     power,
@@ -122,29 +123,14 @@ def _prop_geodesic_convexity(rng, n):
     return worst
 
 
-def _run_cycles(atoms, weights, cycles):
-    """Fixed number of inductive-mean cycles (no convergence test)."""
-    m = len(atoms)
-    w = np.asarray(weights, dtype=float)
-    bar = atoms[0]
-    mass = w[0]
-    k = 1
-    for _ in range(cycles * m - 1):
-        k += 1
-        j = (k - 1) % m
-        mass += w[j]
-        s = w[j] / mass if mass > 0 else 0.0
-        bar = geodesic(bar, atoms[j], s)
-    return bar
-
-
 def _prop_barycenter_equivariance(rng, n):
     # equivariance holds at every iterate, not only in the limit
     atoms = [random_spd(rng, n) for _ in range(3)]
     w = rng.dirichlet(np.ones(3))
     g = random_gl(rng, n)
-    lhs = congruence(g, _run_cycles(atoms, w, 40))
-    rhs = _run_cycles([congruence(g, a) for a in atoms], w, 40)
+    lhs = congruence(g, inductive_barycenter(atoms, weights=w, cycles=40))
+    rhs = inductive_barycenter([congruence(g, a) for a in atoms], weights=w,
+                               cycles=40)
     return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
 
 
@@ -162,9 +148,14 @@ def _prop_barycenter_perturbation(rng, n):
                                 w2 * vectorial_distance(q, q2))
 
 
+def _karcher(atoms, w, tol):
+    bar, _ = karcher_barycenter(np.linalg.cholesky(np.array(atoms)), weights=w,
+                                tol=tol)
+    return bar
+
+
 def _prop_barycenter_perturbation_iterative(rng, n):
-    # three atoms, genuinely iterative barycenters; tolerance calibrated to
-    # the O(1/k) scheme via the consecutive-cycle stopping rule
+    # three atoms, genuinely iterative barycenters
     base = random_spd(rng, n, spread=0.4)
     atoms = [sym(scipy.linalg.expm(
         scipy.linalg.logm(base) + 0.25 * sym(rng.standard_normal((n, n)))))
@@ -176,9 +167,8 @@ def _prop_barycenter_perturbation_iterative(rng, n):
     wobble = 0.2 * sym(rng.standard_normal((n, n)))
     last2 = (sym(scipy.linalg.expm(scipy.linalg.logm(last) + wobble))
              if n > 1 else last * np.exp(wobble))
-    u = inductive_barycenter(atoms, weights=w, tol=1e-7, max_cycles=20000)
-    v = inductive_barycenter(atoms[:2] + [np.asarray(last2, dtype=float)],
-                             weights=w, tol=1e-7, max_cycles=20000)
+    u = _karcher(atoms, w, 1e-7)
+    v = _karcher(atoms[:2] + [np.asarray(last2, dtype=float)], w, 1e-7)
     return _majorization_excess(vectorial_distance(u, v),
                                 w[2] * vectorial_distance(last, np.asarray(last2)))
 
@@ -186,9 +176,8 @@ def _prop_barycenter_perturbation_iterative(rng, n):
 def _prop_barycenter_permutation(rng, n):
     atoms = [random_spd(rng, n, spread=0.5) for _ in range(2)]
     w = rng.dirichlet(np.ones(2))
-    b1 = inductive_barycenter(atoms, weights=w, tol=1e-8, max_cycles=40000)
-    b2 = inductive_barycenter(atoms[::-1], weights=w[::-1], tol=1e-8,
-                              max_cycles=40000)
+    b1 = _karcher(atoms, w, 1e-8)
+    b2 = _karcher(atoms[::-1], w[::-1], 1e-8)
     return distance(b1, b2)
 
 

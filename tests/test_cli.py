@@ -30,6 +30,19 @@ def test_bound_linmap_diagonal(tmp_path, capsys):
     assert "bound: 1.000000 bits/step" in out
 
 
+def test_sweep_diagonal_long_horizon(tmp_path, capsys):
+    # the horizon-16 Jacobian products have condition number 2**30, their
+    # inverse Gram matrices 2**60
+    stem = str(tmp_path / "diag")
+    code = run(["sweep", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--horizons", "16", "--resolution", "2", "--out", stem])
+    capsys.readouterr()
+    assert code == 0
+    report = BoundReport.from_json(f"{stem}.h16.report.json")
+    assert report.bound == pytest.approx(1.0, abs=1e-9)
+    assert not report.excluded
+
+
 def test_bound_lanford_reference(tmp_path, capsys):
     stem = str(tmp_path / "lan")
     code = run(["bound", "--system", "lanford", "--a", "0.6667",

@@ -27,6 +27,7 @@ from restent.entropy import (
     proximate_entropy,
 )
 from restent.metrics import MetricField, ct_spectrum_values, metric_sv_values
+from restent import spd
 from restent.spd import sym
 
 A0 = 2.0 / 3.0
@@ -201,6 +202,17 @@ def test_minimizing_metric_dt_clipped_nonnormal_case():
     assert bounds[0] <= rep_id.bound + 1e-9
     assert all(b2 <= b1 + 0.01 for b1, b2 in zip(bounds, bounds[1:]))
     assert abs(bounds[-1] - 1.0) < 0.05
+
+
+def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
+    monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 1)
+    sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    metric = minimizing_metric_dt(sys_, 8, tol=1e-7)
+    _, reasons = metric.values(np.array([[0.1, 0.2], [-0.3, 0.4]]))
+    assert all("not converged after 1 iterations" in r for r in reasons)
+    assert all("gradient residual" in r for r in reasons)
+    with pytest.raises(NumericError, match="every sample point was excluded"):
+        dt_bound(sys_, UNIT_BOX_2, metric, resolution=2)
 
 
 def test_minimizing_metric_ct_degenerate_horizon():

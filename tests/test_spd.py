@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from restent.spd import (
     geodesic,
     inductive_barycenter,
     is_spd,
+    karcher_barycenter,
     log_singular_values,
     lyapunov_solve,
     majorizes_leq,
@@ -247,3 +250,113 @@ def test_geodesic_segment_property():
         for s in grid[i:]:
             d = vectorial_distance(geodesic(p, q, t), geodesic(p, q, s))
             assert np.allclose(d, (s - t) * xi, atol=1e-8)
+
+
+def _factors(atoms):
+    return np.linalg.cholesky(np.array(atoms))
+
+
+def test_karcher_commuting_atoms_give_geometric_mean():
+    rng = np.random.default_rng(20)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    spectra = np.exp(rng.uniform(-2.0, 2.0, size=(4, 3)))
+    atoms = [sym(q @ np.diag(s) @ q.T) for s in spectra]
+    expected = q @ np.diag(np.exp(np.mean(np.log(spectra), axis=0))) @ q.T
+    bar, residual = karcher_barycenter(_factors(atoms))
+    assert np.allclose(bar, expected, rtol=0, atol=1e-12)
+    assert residual < 1e-9
+
+
+def test_karcher_two_weighted_atoms_is_geodesic_point():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        p, q = rand_spd(rng, n), rand_spd(rng, n)
+        bar, _ = karcher_barycenter(_factors([p, q]), weights=[0.3, 0.7], tol=1e-12)
+        assert np.allclose(bar, geodesic(p, q, 0.7), rtol=0, atol=1e-10)
+
+
+def test_karcher_congruence_equivariance():
+    rng = np.random.default_rng(22)
+    atoms = [rand_spd(rng, 3) for _ in range(4)]
+    g = rand_gl(rng, 3)
+    w = rng.dirichlet(np.ones(4))
+    bar, _ = karcher_barycenter(_factors(atoms), weights=w, tol=1e-12)
+    moved, _ = karcher_barycenter(_factors([congruence(g, a) for a in atoms]),
+                                  weights=w, tol=1e-12)
+    # both are within tol of their limits, which congruence maps onto each other
+    assert distance(congruence(g, bar), moved) < 1e-10
+
+
+def test_karcher_zero_weight_atom_is_ignored():
+    rng = np.random.default_rng(23)
+    p, q, r = rand_spd(rng, 2), rand_spd(rng, 2), rand_spd(rng, 2)
+    bar, _ = karcher_barycenter(_factors([p, q]), weights=[0.0, 1.0], tol=1e-12)
+    assert np.allclose(bar, q, rtol=0, atol=1e-10)
+    bar, _ = karcher_barycenter(_factors([p, q, r]), weights=[0.5, 0.0, 0.5],
+                                tol=1e-12)
+    assert np.allclose(bar, geodesic(p, r, 0.5), rtol=0, atol=1e-10)
+
+
+def test_karcher_batch_equals_rows_one_by_one():
+    rng = np.random.default_rng(24)
+    atoms = np.array([[rand_spd(rng, 3, spread=3.0) for _ in range(16)]
+                      for _ in range(5)])
+    bars, residuals = karcher_barycenter(_factors(atoms), tol=1e-10)
+    for row, bar, residual in zip(atoms, bars, residuals):
+        alone, res = karcher_barycenter(_factors(row), tol=1e-10)
+        assert np.array_equal(alone, bar)
+        assert res == residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("k", [3, 16, 64])
+def test_karcher_residual_bounds_distance_to_barycenter(n, k):
+    # half the summed squared distance is 1-strongly geodesically convex, so
+    # the gradient norm the solver stops on bounds the distance to the limit
+    rng = np.random.default_rng(100 * n + k)
+    factors = _factors([[rand_spd(rng, n, spread=3.0) for _ in range(k)]
+                        for _ in range(3)])
+    ref, ref_residual = karcher_barycenter(factors, tol=1e-13)
+    assert np.all(ref_residual < 1e-13)
+    for tol in (1e-4, 1e-7):
+        bars, residuals = karcher_barycenter(factors, tol=tol)
+        assert np.all(residuals < tol)
+        for bar, exact in zip(bars, ref):
+            assert distance(bar, exact) <= tol
+
+
+def test_karcher_clipped_nonnormal_atoms_converge_without_warning():
+    # the 8 inverse-Gram atoms of auto:N=8 on [[2,1],[0,1/2]], condition
+    # numbers up to about 6e8
+    m = np.array([[2.0, 1.0], [0.0, 0.5]])
+    factors = np.array([np.linalg.inv(np.linalg.matrix_power(m, j)) for j in range(8)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bar, residual = karcher_barycenter(factors, tol=3e-6)
+    assert residual < 3e-6
+    assert is_spd(bar)
+
+
+def test_karcher_agrees_with_inductive_reference():
+    rng = np.random.default_rng(25)
+    atoms = [rand_spd(rng, 3, spread=0.6) for _ in range(3)]
+    reference = inductive_barycenter(atoms, tol=1e-9, max_cycles=100000)
+    # the inductive stopping rule does not bound its error; measure it as
+    # the gradient norm at the reference, which bounds its distance to the
+    # true barycenter
+    root_inv = power(reference, -0.5)
+    grad = np.zeros((3, 3))
+    for a in atoms:
+        w, u = np.linalg.eigh(sym(root_inv @ a @ root_inv))
+        grad += (u * np.log(w)) @ u.T / 3.0
+    reference_error = np.linalg.norm(grad) / np.log(2.0)
+    bar, residual = karcher_barycenter(_factors(atoms), tol=1e-12)
+    assert distance(bar, reference) <= reference_error + residual
+    assert distance(bar, reference) < 1e-5
+
+
+def test_karcher_shape_and_weight_validation():
+    with pytest.raises(NumericError):
+        karcher_barycenter(np.ones((2, 3)))
+    with pytest.raises(NumericError):
+        karcher_barycenter(np.array([np.eye(2)] * 2), weights=[0.9, 0.5])
