@@ -42,7 +42,6 @@ from .spd import (
     congruence,
     distance,
     geodesic,
-    inductive_barycenter,
     karcher_barycenter,
     log_singular_values,
     lyapunov_solve,

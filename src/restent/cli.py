@@ -41,7 +41,6 @@ from .entropy import (
 )
 from .errors import ConfigError, NumericError, ToolkitError
 from .metrics import MetricField
-from .props import run_property_suite
 
 
 class _InvarianceFailure(ToolkitError):
@@ -156,14 +155,6 @@ def _build_metric(spec, system, args):
     raise ConfigError(f"unknown metric {spec!r}")
 
 
-def _check_metric_consistency(system, metric):
-    if system.time_type == "continuous" and metric.label.startswith("auto:N"):
-        raise ConfigError("auto:N metrics are discrete-only")
-    if system.time_type == "discrete" and (
-            metric.label.startswith("auto:T") or metric.label == "lanford-exp"):
-        raise ConfigError(f"metric '{metric.label}' is continuous-only")
-
-
 def _run_spot_check(system, region, resolution, horizon, require):
     res = min(9, resolution if isinstance(resolution, int) else min(resolution))
     report = invariance_spot_check(system, region, res, horizon)
@@ -178,11 +169,9 @@ def _run_spot_check(system, region, resolution, horizon, require):
 
 def _compute_bound(system, region, metric, resolution, args):
     refine = bool(getattr(args, "refine", False))
-    pdot_step = _positive_option(args, "pdot_step", 1e-5)
     if system.time_type == "discrete":
         return dt_bound(system, region, metric, resolution, refine=refine)
-    return ct_bound(system, region, metric, resolution, pdot_step=pdot_step,
-                    refine=refine)
+    return ct_bound(system, region, metric, resolution, refine=refine)
 
 
 def _write_bound_outputs(report: BoundReport, stem: str):
@@ -194,7 +183,6 @@ def _write_bound_outputs(report: BoundReport, stem: str):
 def cmd_bound(args) -> int:
     system, region, resolution, _ = _build_system(args)
     metric = _build_metric(args.metric, system, args)
-    _check_metric_consistency(system, metric)
     if args.check_invariance:
         _run_spot_check(system, region, resolution,
                         horizon=float(args.check_horizon), require=True)
@@ -313,6 +301,8 @@ def cmd_lanford(args) -> int:
 
 
 def cmd_props(args) -> int:
+    from .props import run_property_suite   # scipy loads only for this command
+
     if args.tol is not None and float(args.tol) <= 0:
         raise ConfigError("tolerance override must be positive")
     dims = tuple(int(d) for d in str(args.dims).split(",")) if args.dims else (1, 2, 3, 5)
@@ -368,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the distance, in bits, to the true barycenter")
         p.add_argument("--time-samples", type=int,
                        help="time discretization of auto:T metrics")
-        p.add_argument("--pdot-step", type=float,
-                       help="finite-difference step for tabulated-metric bounds")
         p.add_argument("--check-invariance", action="store_true",
                        help="fail (exit 3) when grid orbits leave the set")
         p.add_argument("--check-horizon", type=float, default=5.0,

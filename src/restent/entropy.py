@@ -20,12 +20,12 @@ from .dynamics import CompactSet, SystemModel, propagate, sample_set
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
-from .spd import karcher_barycenter, power, sym
+from .spd import karcher_barycenter, power
 
 Array = np.ndarray
 
 LN2 = float(np.log(2.0))
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ class BoundReport:
     excluded: list
     oracle: Optional[float] = None
     refinements: int = 0
-    pdot_mode: Optional[str] = None
+    map_step: Optional[float] = None   # h of the time-h map, else None
     created: str = ""
     schema_version: int = SCHEMA_VERSION
 
@@ -159,30 +159,31 @@ def _double_resolution(res: list) -> list:
     return [2 * c - 1 for c in res]
 
 
-def _spectra(system: SystemModel, metric: MetricField, pts: Array,
-             pdot_step: Optional[float]) -> tuple:
+def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     """Metric spectra at every grid point, evaluated as one batch.
 
-    The metric is evaluated once, on the points stacked with their images
-    (discrete time) or with their flowed points for the finite-difference
-    Pdot (continuous time, metrics without an orbital rule).  Returns
-    ``(values, reasons)``: ``reasons[i]`` is None, or says why point i is
-    left out (its Jacobian, flowed point or metric values are unusable);
-    ``values`` holds the spectra of the other points, in grid order."""
+    A map (discrete time), or the time-h map of a flow for a metric without
+    an orbital rule (h = ``metric.step``), is measured between P(x) and P at
+    the image, with the metric evaluated once on the points stacked with
+    their images; the time-h values are scaled by 2 ln 2 / h, to the units
+    of the generator spectrum.  A metric with an orbital rule gets the
+    generator spectrum itself.  Returns ``(values, reasons)``:
+    ``reasons[i]`` is None, or says why point i is left out (its Jacobian,
+    image or metric values are unusable); ``values`` holds the spectra of
+    the other points, in grid order."""
     m = len(pts)
     reasons = [None] * m
-    jac = system.jacobian(pts)
     if system.time_type == "discrete":
-        stacked = np.concatenate([pts, system.rhs(pts)])
+        images, jac, scale = system.rhs(pts), system.jacobian(pts), 1.0
     elif metric.has_orbital:
-        stacked = pts
+        images, jac = None, system.jacobian(pts)
     else:
-        prop = propagate(system, pts, pdot_step, step=pdot_step)
+        prop = propagate(system, pts, metric.step, variational=True)
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory of '{system.name}' blew up within the "
-                          f"finite-difference step at t={prop.escape_times[i]:.6g}")
-        stacked = np.concatenate([pts, prop.states])
-    p, why = metric.values(stacked)
+                          f"map step at t={prop.escape_times[i]:.6g}")
+        images, jac, scale = prop.states, prop.jacobians, 2.0 * LN2 / metric.step
+    p, why = metric.values(pts if images is None else np.concatenate([pts, images]))
     why_ahead = why[m:] or [None] * m
     bad_jac = (~np.isfinite(jac).all(axis=(-2, -1))).tolist()
     reasons = [r or w or a or ("non-finite Jacobian" if b else None)
@@ -190,27 +191,23 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array,
     ok = np.array([r is None for r in reasons])
     if not ok.any():
         raise NumericError("every sample point was excluded; no bound available")
-    p_ok, jac_ok = p[:m][ok], jac[ok]
-    if system.time_type == "discrete":
-        return metric_sv_values(p_ok, p[m:][ok], jac_ok), reasons
-    if metric.has_orbital:
+    if images is None:
         pdot = metric.orbital_derivative(pts[ok])
-    else:
-        pdot = sym((p[m:][ok] - p_ok) / pdot_step)
-    return ct_spectrum_values(p_ok, jac_ok, pdot), reasons
+        return ct_spectrum_values(p[ok], jac[ok], pdot), reasons
+    return scale * metric_sv_values(p[:m][ok], p[m:][ok], jac[ok]), reasons
 
 
 def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-                resolution: list, pdot_step: Optional[float] = None) -> BoundReport:
+                resolution: list) -> BoundReport:
     pts = sample_set(region, resolution)
-    values, reasons = _spectra(system, metric, pts, pdot_step)
+    values, reasons = _spectra(system, metric, pts)
     locals_ = positive_sum(values)
     if system.time_type == "discrete":
-        units, pdot_mode = "bits/step", None
+        units, map_step = "bits/step", None
     else:
         locals_ = locals_ / (2.0 * LN2)
         units = "bits/time"
-        pdot_mode = "analytic" if metric.has_orbital else "fd"
+        map_step = None if metric.has_orbital else metric.step
     states = pts.tolist()
     kept = [x for x, r in zip(states, reasons) if r is None]
     records = [PointRecord(state=x, spectrum=v, local=lb)
@@ -232,7 +229,7 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
         maximizer=list(kept[best]),
         per_point=records,
         excluded=excluded,
-        pdot_mode=pdot_mode,
+        map_step=map_step,
     )
 
 
@@ -250,19 +247,31 @@ def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
 
 
 def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, pdot_step: float = 1e-5,
-             refine: bool = False, refine_tol: float = 1e-4,
+             resolution=9, refine: bool = False, refine_tol: float = 1e-4,
              max_refines: int = 3, point_budget: int = 8_000_000) -> BoundReport:
-    """Upper bound for a continuous-time system: 1/(2 ln 2) times the grid
-    max of the summed positive roots of the metric spectrum.
+    """Upper bound for a continuous-time system, in bits per unit time.
 
-    The orbital derivative Pdot comes from the metric's own rule when it has
-    one, and otherwise from a one-sided flow finite difference with step
-    ``pdot_step`` (tabulated metrics)."""
+    With an orbital rule Pdot, the bound is 1/(2 ln 2) times the grid max
+    of the summed positive eigenvalues of P^{-1/2} (P J + J^T P + Pdot)
+    P^{-1/2}.  A metric without one (the tabulated minimizing metrics)
+    carries its node spacing h = ``metric.step``, and the bound is the
+    discrete-time bound of the time-h map phi_h divided by h: the summed
+    positive log2 singular values of the flow Jacobian Phi(h, x), measured
+    between P(x) and P(phi_h x), over h.  That is an upper bound because
+    the paper's discrete-time bound holds for the map phi_h with any
+    metric, and h_res(phi_h) = h * h_res(flow).  The summed positive log
+    singular values are subadditive along a product (Horn's inequality), so
+    the time-h value at x is at most the mean of the time-h/2 values at x
+    and at phi_{h/2} x, and as h -> 0 it tends to the value with the exact
+    Pdot."""
     if system.time_type != "continuous":
         raise ConfigError("ct_bound requires a continuous-time system")
+    if not metric.has_orbital and not (metric.step or 0.0) > 0.0:
+        raise ConfigError(f"metric '{metric.label}' has neither an orbital "
+                          "derivative nor a positive time step for the "
+                          "time-step map")
     return _refine_loop(
-        lambda res: _grid_bound(system, region, metric, res, pdot_step),
+        lambda res: _grid_bound(system, region, metric, res),
         region, resolution, refine, refine_tol, max_refines, point_budget)
 
 
@@ -303,7 +312,7 @@ def _inverse_factors(a: Array, reasons: list) -> Array:
     cond = np.full(finite.shape, np.inf)
     cond[finite] = np.linalg.cond(a[finite])
     ok = cond < 1.0 / np.finfo(float).eps
-    for i in np.unique(np.nonzero(~ok)[0]):
+    for i in np.flatnonzero(~ok.all(axis=1)):
         if reasons[i] is None:
             reasons[i] = ("minimizing metrics require an invertible Jacobian at "
                           "every sample point; got a numerically singular one")
@@ -391,7 +400,7 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
         return _inverted_barycenters(factors, reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=f"auto:T={horizon:g}",
-                                 horizon=horizon)
+                                 horizon=horizon, step=horizon / (time_samples - 1))
 
 
 # ---------------------------------------------------------------------------

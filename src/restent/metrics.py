@@ -33,8 +33,9 @@ class MetricField:
     analytic rules map states (..., n) -> (..., n, n).  A tabulated rule maps
     a batch of distinct states (m, n) to ``(P, reasons)``: P has shape
     (m, n, n) and ``reasons[i]`` is None, or says why row i has no value.
-    Tabulated fields carry no orbital derivative, so continuous-time bounds
-    take a flow finite difference for them.
+    Tabulated fields carry no orbital derivative.  A tabulated field built on
+    a time grid carries its node spacing ``step``, and continuous-time bounds
+    measure it on the time-``step`` map of the flow instead.
     """
 
     dim: int
@@ -43,6 +44,7 @@ class MetricField:
     eval_rule: Callable[[Array], Array]
     orbital_rule: Optional[Callable[[Array], Array]] = None
     horizon: Optional[float] = None      # lookback of minimizing metrics
+    step: Optional[float] = None         # node spacing of a time-grid metric
 
     @staticmethod
     def constant(matrix, label: str = "constant") -> "MetricField":
@@ -72,9 +74,10 @@ class MetricField:
 
     @staticmethod
     def tabulated(dim, rule, label: str = "tabulated",
-                  horizon: Optional[float] = None) -> "MetricField":
+                  horizon: Optional[float] = None,
+                  step: Optional[float] = None) -> "MetricField":
         return MetricField(dim=dim, kind="tabulated", label=label,
-                           eval_rule=rule, horizon=horizon)
+                           eval_rule=rule, horizon=horizon, step=step)
 
     def values(self, x: Array) -> tuple:
         """P over a batch of states (m, n), without raising per row.
@@ -127,7 +130,7 @@ class MetricField:
         if self.orbital_rule is None:
             raise ConfigError(
                 f"metric '{self.label}' has no orbital derivative; "
-                "enable a flow-based finite difference instead"
+                "continuous-time bounds measure it on the time-step map instead"
             )
         return sym(np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float))
 

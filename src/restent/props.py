@@ -18,7 +18,6 @@ from .spd import (
     congruence,
     distance,
     geodesic,
-    inductive_barycenter,
     karcher_barycenter,
     log_singular_values,
     lyapunov_solve,
@@ -123,14 +122,19 @@ def _prop_geodesic_convexity(rng, n):
     return worst
 
 
+def _karcher(atoms, w, tol):
+    bar, _ = karcher_barycenter(np.linalg.cholesky(np.array(atoms)), weights=w,
+                                tol=tol)
+    return bar
+
+
 def _prop_barycenter_equivariance(rng, n):
-    # equivariance holds at every iterate, not only in the limit
+    # equivariance holds in the limit; tol 1e-11 leaves it at rounding level
     atoms = [random_spd(rng, n) for _ in range(3)]
     w = rng.dirichlet(np.ones(3))
     g = random_gl(rng, n)
-    lhs = congruence(g, inductive_barycenter(atoms, weights=w, cycles=40))
-    rhs = inductive_barycenter([congruence(g, a) for a in atoms], weights=w,
-                               cycles=40)
+    lhs = congruence(g, _karcher(atoms, w, 1e-11))
+    rhs = _karcher([congruence(g, a) for a in atoms], w, 1e-11)
     return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
 
 
@@ -146,12 +150,6 @@ def _prop_barycenter_perturbation(rng, n):
     v = geodesic(p, q2, w2)
     return _majorization_excess(vectorial_distance(u, v),
                                 w2 * vectorial_distance(q, q2))
-
-
-def _karcher(atoms, w, tol):
-    bar, _ = karcher_barycenter(np.linalg.cholesky(np.array(atoms)), weights=w,
-                                tol=tol)
-    return bar
 
 
 def _prop_barycenter_perturbation_iterative(rng, n):
@@ -181,11 +179,10 @@ def _prop_barycenter_permutation(rng, n):
     return distance(b1, b2)
 
 
-def _prop_inductive_scalar_convergence(rng, n):
-    # scalars: every full cycle lands exactly on the geometric mean
+def _prop_scalar_geometric_mean(rng, n):
+    # scalars: the barycenter is the geometric mean
     vals = np.exp(rng.uniform(-2.0, 2.0, size=4))
-    atoms = [np.array([[v]]) for v in vals]
-    bar = inductive_barycenter(atoms, tol=1e-14, max_cycles=50)
+    bar = _karcher([np.array([[v]]) for v in vals], None, 1e-14)
     target = float(np.exp(np.mean(np.log(vals))))
     worst = abs(bar[0, 0] - target)
     # commuting case reduces to the scalar one in a shared eigenbasis
@@ -193,7 +190,7 @@ def _prop_inductive_scalar_convergence(rng, n):
     spectra = np.exp(rng.uniform(-1.5, 1.5, size=(3, n)))
     mats = [sym(q @ np.diag(s) @ q.T) for s in spectra]
     expected = sym(q @ np.diag(np.exp(np.mean(np.log(spectra), axis=0))) @ q.T)
-    got = inductive_barycenter(mats, tol=1e-12, max_cycles=20000)
+    got = _karcher(mats, None, 1e-12)
     worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst
 
@@ -259,7 +256,7 @@ _SUITE = [
     ("barycenter-perturbation", _prop_barycenter_perturbation, 1e-8),
     ("barycenter-perturbation-iterative", _prop_barycenter_perturbation_iterative, 2e-3),
     ("barycenter-permutation", _prop_barycenter_permutation, 2e-3),
-    ("inductive-mean-scalar", _prop_inductive_scalar_convergence, 1e-8),
+    ("inductive-mean-scalar", _prop_scalar_geometric_mean, 1e-8),
     ("spectrum-three-way", _prop_spectrum_three_way, 1e-8),
     ("singular-value-derivative", _prop_singular_value_derivative, 1e-5),
     ("sqrt-factor-derivative", _prop_sqrt_factor_derivative, 1e-5),

@@ -6,14 +6,11 @@ small enough that accuracy beats any iterative scheme.
 
 Barycenters: ``karcher_barycenter`` solves whole batches of rows at once
 from factors of the atoms, and its tolerance bounds the distance to the true
-barycenter; ``inductive_barycenter`` (the cyclic geodesic mean) is the
-one-row reference.
+barycenter.
 
 Every function is pure and safe to call concurrently.
 """
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -149,66 +146,6 @@ def _normalized_weights(weights, m: int) -> Array:
         raise NumericError("weights must be nonnegative and sum to 1")
     w = np.clip(w, 0.0, None)
     return w / w.sum()
-
-
-def inductive_barycenter(
-    atoms,
-    weights=None,
-    max_cycles: int = 10000,
-    tol: float = 1e-9,
-    cycles: int | None = None,
-) -> Array:
-    """Weighted barycenter of SPD matrices by cyclic geodesic interpolation.
-
-    Starting from the first atom, step k moves the running mean toward atom
-    ``k mod m`` (residue 0 meaning atom m) by the fraction
-    s_k = w_{k mod m} / sum_{i<=k} w_{i mod m}.  The iteration stops when the
-    distance between consecutive full-cycle iterates drops below ``tol``;
-    exhausting ``max_cycles`` returns the last iterate with a warning carrying
-    the distance achieved.  With ``cycles`` set, exactly that many full
-    cycles run, with no convergence test.
-
-    The mean converges only as O(1/k) and its stopping rule does not bound
-    the distance to the limit, so the bounds use ``karcher_barycenter``;
-    this one is the reference the tests compare it with.
-    """
-    atoms = [np.asarray(a, dtype=float) for a in atoms]
-    m = len(atoms)
-    if m == 0:
-        raise NumericError("barycenter of an empty atom list")
-    w = _normalized_weights(weights, m)
-    if m == 1:
-        return atoms[0]
-
-    bar = atoms[0]
-    mass = w[0]          # running l(k); k = 1 consumed by the start value
-    k = 1
-    prev_cycle = bar
-    last_gap = np.inf
-    for cycle in range(max_cycles if cycles is None else cycles):
-        # First pass covers k = 2..m, later passes k = cm+1..(c+1)m, so the
-        # convergence test always compares iterates at multiples of m.
-        steps = m - 1 if cycle == 0 else m
-        for _ in range(steps):
-            k += 1
-            j = (k - 1) % m          # residue 0 -> atom m -> index m-1
-            mass += w[j]
-            s = w[j] / mass if mass > 0 else 0.0
-            bar = geodesic(bar, atoms[j], s)
-        if cycles is not None:
-            continue
-        last_gap = distance(prev_cycle, bar)
-        if last_gap < tol:
-            return bar
-        prev_cycle = bar
-    if cycles is None:
-        warnings.warn(
-            f"inductive barycenter stopped after {max_cycles} cycles; "
-            f"last full-cycle move {last_gap:.3e} (tol {tol:.1e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return bar
 
 
 def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:

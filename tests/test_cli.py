@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from restent.cli import main
 from restent.entropy import BoundReport
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(args):
@@ -109,13 +116,13 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     assert "--bar-tol must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-0.001"])
-def test_nonpositive_pdot_step_is_config_error(tmp_path, capsys, value):
-    code = run(["bound", "--system", "lanford", "--metric", "auto:1",
-                "--time-samples", "2", "--pdot-step", value, "--resolution", "2",
-                "--out", str(tmp_path / "ps")])
-    assert code == 1
-    assert "--pdot-step must be positive" in capsys.readouterr().err
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is the property suite's independent reference, not a start-up cost
+    probe = "import sys, restent.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.stdout.strip() == "False"
 
 
 def test_seed_flag_only_on_props(capsys):
@@ -229,13 +236,14 @@ def test_props_zero_tolerance_is_config_error(capsys):
 
 
 def test_props_violation_exit_code(monkeypatch, capsys):
-    from restent import cli
+    from restent import props
     from restent.props import PropertyResult
 
     def fake_suite(seed=42, instances=50, dims=(1, 2, 3, 5), names=None):
         return [PropertyResult(name="forced", instances=1, worst=1.0,
                                tolerance=1e-9)]
 
-    monkeypatch.setattr(cli, "run_property_suite", fake_suite)
+    # cmd_props imports the suite when it runs
+    monkeypatch.setattr(props, "run_property_suite", fake_suite)
     assert run(["props"]) == 4
     assert "FAIL" in capsys.readouterr().out

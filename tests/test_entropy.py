@@ -26,9 +26,8 @@ from restent.entropy import (
     positive_sum,
     proximate_entropy,
 )
-from restent.metrics import MetricField, ct_spectrum_values, metric_sv_values
+from restent.metrics import MetricField, metric_sv_values
 from restent import spd
-from restent.spd import sym
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)
@@ -123,14 +122,36 @@ def test_ct_bound_requires_matching_time_type_and_pdot():
     with pytest.raises(ConfigError):
         ct_bound(sys_, UNIT_BOX_2, MetricField.identity(2))
     ode = linear_ode_system(np.eye(2))
-    # no orbital rule: Pdot comes from the flow finite difference
-    tab = MetricField.tabulated(2, _constant_rule, label="tab")
+    # no orbital rule: the bound is taken on the time-step map
+    tab = MetricField.tabulated(2, _constant_rule, label="tab", step=0.25)
     rep = ct_bound(ode, UNIT_BOX_2, tab, resolution=3)
-    assert rep.pdot_mode == "fd"
-    assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-6)
+    assert rep.map_step == 0.25
+    assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-9)
     rep = ct_bound(ode, UNIT_BOX_2, MetricField.identity(2), resolution=3)
-    assert rep.pdot_mode == "analytic"
+    assert rep.map_step is None
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-12)
+
+
+def test_ct_bound_rejects_tabulated_metric_without_step():
+    ode = linear_ode_system(np.eye(2))
+    tab = MetricField.tabulated(2, _constant_rule, label="tab")
+    with pytest.raises(ConfigError, match="time step"):
+        ct_bound(ode, UNIT_BOX_2, tab, resolution=3)
+    # a discrete bound needs no step
+    rep = dt_bound(linear_map_system(np.eye(2)), UNIT_BOX_2, tab, resolution=3)
+    assert rep.bound == 0.0
+
+
+def test_ct_bound_excludes_rows_that_escape_within_the_map_step():
+    # e^{40 t} passes the blow-up guard before t = 0.5 unless x = 0
+    fast = linear_ode_system(np.array([[40.0]]))
+    tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
+                                label="tab", step=0.5)
+    rep = ct_bound(fast, UNIT_BOX_1, tab, resolution=3)
+    assert [e["state"] for e in rep.excluded] == [[-1.0], [1.0]]
+    assert all("blew up within the map step" in e["reason"] for e in rep.excluded)
+    assert [rec.state for rec in rep.per_point] == [[0.0]]
+    assert rep.bound == pytest.approx(40.0 / LN2, rel=1e-9)
 
 
 def test_dt_bound_wrong_time_type():
@@ -229,11 +250,11 @@ def test_minimizing_metric_ct_scalar_growth():
         # equal-weight log-mean of e^{-2 lam s} over the node grid
         value = metric.evaluate(np.array([0.1]))[0, 0]
         assert value == pytest.approx(np.exp(lam * horizon), rel=1e-6)
-        rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3, pdot_step=1e-4)
+        rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(lam / LN2, rel=1e-3)
     ode = linear_ode_system(np.array([[0.5]]))
     metric = minimizing_metric_ct(ode, 1.0, time_samples=5, tol=1e-9)
-    rep = ct_bound(ode, UNIT_BOX_1, metric, resolution=5, pdot_step=1e-4)
+    rep = ct_bound(ode, UNIT_BOX_1, metric, resolution=5)
     assert rep.bound == pytest.approx(0.5 / LN2, rel=1e-3)
 
 
@@ -244,11 +265,37 @@ def test_minimizing_metric_ct_lanford_converges_from_above():
     bounds = []
     for horizon in (1.0, 3.0):
         metric = minimizing_metric_ct(sys_, horizon, time_samples=16, tol=1e-6)
-        rep = ct_bound(sys_, region, metric, resolution=3, pdot_step=1e-3)
+        rep = ct_bound(sys_, region, metric, resolution=3)
         bounds.append(rep.bound)
         assert rep.bound >= ref - 5e-3
         assert rep.bound <= ref + 0.2
     assert bounds[1] <= bounds[0] + 5e-3
+
+
+def _nonincreasing(values, slack=1e-9):
+    return all(b <= a + slack for a, b in zip(values, values[1:]))
+
+
+def test_minimizing_metric_ct_lanford_sweep_holds_the_closed_form():
+    # the origin is a grid point, so no valid bound can fall below the
+    # closed form; longer horizons must not loosen it
+    sys_, region = lanford_system(A0), lanford_region(A0)
+    ref = lanford_closed_form(A0)
+    bounds = [ct_bound(sys_, region, minimizing_metric_ct(sys_, t, time_samples=32),
+                       resolution=5).bound
+              for t in (2.0, 4.0, 8.0, 16.0)]
+    assert all(ref - 1e-9 <= b <= ref + 1e-6 for b in bounds), bounds
+    assert _nonincreasing(bounds), bounds
+
+
+def test_minimizing_metric_ct_nonnormal_linode_sweep():
+    sys_ = linear_ode_system(np.array([[0.5, 2.0], [0.0, -0.3]]))
+    floor = proximate_entropy(sys_, [0.0, 0.0])     # 0.5 / ln 2
+    bounds = [ct_bound(sys_, UNIT_BOX_2, minimizing_metric_ct(sys_, t),
+                       resolution=3).bound
+              for t in (1.0, 2.0, 4.0, 8.0)]
+    assert all(b >= floor - 1e-9 for b in bounds), bounds
+    assert _nonincreasing(bounds), bounds
 
 
 def test_lyapunov_oracle_identity_map():
@@ -406,23 +453,27 @@ def test_bound_core_matches_per_point_loop_discrete():
 def test_bound_core_matches_per_point_loop_continuous():
     sys_ = linear_ode_system(np.array([[0.4, 1.0], [-1.0, 0.2]]))
     batches = []
+    h = 0.125
     metric = MetricField.tabulated(
         2, _counting_rule(batches, lambda row: row[0] < -0.9 and row[1] < -0.9),
-        label="counting")
-    h = 1e-4
-    rep = ct_bound(sys_, UNIT_BOX_2, metric, resolution=3, pdot_step=h)
+        label="counting", step=h)
+    rep = ct_bound(sys_, UNIT_BOX_2, metric, resolution=3)
     pts = sample_set(UNIT_BOX_2, 3)
-    # one rule call on 9 points and 9 flowed points; the equilibrium at the
-    # origin flows onto itself bit for bit, so the rule sees 17 distinct rows
+    # one rule call on 9 points and their 9 images under the time-h map; the
+    # equilibrium at the origin flows onto itself bit for bit, so the rule
+    # sees 17 distinct rows
     assert len(batches) == 1
     assert len(batches[0]) == _distinct(batches[0]) == 17
     assert rep.excluded == [{"state": [-1.0, -1.0], "reason": "outside the rule's domain"}]
-    assert rep.pdot_mode == "fd"
-    for rec, x in zip(rep.per_point, pts[1:]):
+    assert rep.map_step == h
+    # a row propagated alone matches its batched propagation only to
+    # rounding, so the loop reads its images from one batched call
+    prop = propagate(sys_, pts, h, variational=True)
+    for rec, x, image, jac in zip(rep.per_point, pts[1:], prop.states[1:],
+                                  prop.jacobians[1:]):
         p = metric.evaluate(x)
-        ahead = propagate(sys_, x, h, step=h).states[0]
-        pdot = sym((metric.evaluate(ahead) - p) / h)
-        values = ct_spectrum_values(p, sys_.jacobian(x), pdot)
+        q = metric.evaluate(image)
+        values = 2.0 * LN2 / h * metric_sv_values(p, q, jac)
         assert rec.state == x.tolist()
         assert rec.spectrum == values.tolist()
         assert rec.local == float(positive_sum(values) / (2.0 * LN2))

@@ -11,7 +11,7 @@ from restent.metrics import (
     ct_spectrum_values,
     metric_sv_values,
 )
-from restent.spd import sym
+from restent.spd import power, sym
 
 from test_spd import rand_gl, rand_spd
 
@@ -108,36 +108,53 @@ def test_ct_spectrum_rejects_asymmetric_pdot():
         ct_spectrum_values(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _fd_and_analytic_spectra(system, region, metric, resolution, pdot_step):
-    """Per-point spectra of ct_bound with Pdot from its flow finite
-    difference (the metric wrapped as a tabulated rule) and from the
-    metric's analytic rule."""
+def _map_and_analytic_spectra(system, region, metric, resolution, step):
+    """Per-point spectra of ct_bound on the time-step map (the metric
+    wrapped as a tabulated rule with that step) and with the metric's
+    analytic orbital derivative."""
     table = MetricField.tabulated(
-        metric.dim, lambda x: (metric.evaluate(x), [None] * len(x)))
-    fd = ct_bound(system, region, table, resolution, pdot_step=pdot_step)
+        metric.dim, lambda x: (metric.evaluate(x), [None] * len(x)), step=step)
+    by_map = ct_bound(system, region, table, resolution)
     exact = ct_bound(system, region, metric, resolution)
-    assert (fd.pdot_mode, exact.pdot_mode) == ("fd", "analytic")
-    assert not fd.excluded and not exact.excluded
-    return [np.array([rec.spectrum for rec in rep.per_point]) for rep in (fd, exact)]
+    assert (by_map.map_step, exact.map_step) == (step, None)
+    assert not by_map.excluded and not exact.excluded
+    return [np.array([rec.spectrum for rec in rep.per_point]) for rep in (by_map, exact)]
 
+
+def _first_order_errors(*args):
+    """Largest gap between the time-step-map and the analytic spectra for
+    steps 1e-2 and 5e-3; each must be below its step, and halving the step
+    must halve the gap."""
+    errs = []
+    for h in (1e-2, 5e-3):
+        by_map, exact = _map_and_analytic_spectra(*args, h)
+        errs.append(np.max(np.abs(by_map - exact)))
+        assert errs[-1] < h
+    assert 1.8 < errs[0] / errs[1] < 2.2
+
+
+# The tests below keep their names from the one-sided finite difference of P
+# they replaced: the time-step map is its counterpart, with a spectrum
+# 2 ln(sigma)/h that tends to the analytic one as h -> 0.
 
 def test_orbital_derivative_fd_constant_metric():
     metric = MetricField.constant(np.diag([1.0, 2.0, 3.0]))
-    fd, exact = _fd_and_analytic_spectra(lanford_system(), lanford_region(), metric,
-                                         5, 1e-5)
-    assert np.allclose(fd, exact, atol=1e-9)
+    _first_order_errors(lanford_system(), lanford_region(), metric, 5)
+    # on a linear flow the map is expm(h M): the spectrum is exact
+    m = np.array([[0.5, 2.0], [0.0, -0.3]])
+    p = np.array([[2.0, 0.3], [0.3, 1.0]])
+    h = 0.1
+    by_map, _ = _map_and_analytic_spectra(
+        linear_ode_system(m), CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0))),
+        MetricField.constant(p), 2, h)
+    closed = 2.0 / h * np.log(np.linalg.svd(
+        power(p, 0.5) @ scipy.linalg.expm(h * m) @ power(p, -0.5), compute_uv=False))
+    assert np.allclose(by_map, closed, atol=1e-8)
 
 
 def test_orbital_derivative_fd_matches_analytic_lanford():
     a = 2.0 / 3.0
-    args = (lanford_system(a), lanford_region(a), lanford_metric(a), 5)
-    errs = []
-    for h in (1e-5, 5e-6):
-        fd, exact = _fd_and_analytic_spectra(*args, h)
-        errs.append(np.max(np.abs(fd - exact)))
-        assert errs[-1] < h
-    # first order: halving the step halves the error
-    assert 1.8 < errs[0] / errs[1] < 2.2
+    _first_order_errors(lanford_system(a), lanford_region(a), lanford_metric(a), 5)
 
 
 def test_orbital_derivative_fd_scalar_exponential_metric():
@@ -146,11 +163,13 @@ def test_orbital_derivative_fd_scalar_exponential_metric():
         1, lambda x: np.exp(x[..., 0])[..., None, None],
         lambda x: (x[..., 0] * np.exp(x[..., 0]))[..., None, None], label="exp")
     box = CompactSet(bounds=((0.5, 1.5),))
-    fd, exact = _fd_and_analytic_spectra(sys_, box, metric, 3, 1e-6)
-    # P^{-1/2} (2P + Pdot) P^{-1/2} = 2 + x, since Pdot = x e^x
-    closed = 2.0 + np.array([[0.5], [1.0], [1.5]])
-    assert np.allclose(exact, closed, atol=1e-12)
-    assert np.max(np.abs(fd - closed)) < 1e-3 / np.e
+    x = np.array([[0.5], [1.0], [1.5]])
+    _first_order_errors(sys_, box, metric, 3)
+    by_map, exact = _map_and_analytic_spectra(sys_, box, metric, 3, 1e-2)
+    # P^{-1/2} (2P + Pdot) P^{-1/2} = 2 + x, since Pdot = x e^x; the time-h
+    # map x -> x e^h gives 2 ln(sigma)/h = 2 + x (e^h - 1)/h
+    assert np.allclose(exact, 2.0 + x, atol=1e-12)
+    assert np.allclose(by_map, 2.0 + x * np.expm1(1e-2) / 1e-2, atol=1e-10)
 
 
 def test_horn_submultiplicativity():

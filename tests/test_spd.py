@@ -9,7 +9,6 @@ from restent.spd import (
     congruence,
     distance,
     geodesic,
-    inductive_barycenter,
     is_spd,
     karcher_barycenter,
     log_singular_values,
@@ -19,6 +18,7 @@ from restent.spd import (
     sym,
     vectorial_distance,
 )
+from restent.spd import _normalized_weights
 
 
 def rand_spd(rng, n, spread=1.5):
@@ -32,6 +32,61 @@ def rand_gl(rng, n):
         g = rng.standard_normal((n, n))
         if np.linalg.cond(g) < 1e3:
             return g
+
+
+def inductive_barycenter(
+    atoms,
+    weights=None,
+    max_cycles: int = 10000,
+    tol: float = 1e-9,
+) -> np.ndarray:
+    """Weighted barycenter of SPD matrices by cyclic geodesic interpolation.
+
+    Starting from the first atom, step k moves the running mean toward atom
+    ``k mod m`` (residue 0 meaning atom m) by the fraction
+    s_k = w_{k mod m} / sum_{i<=k} w_{i mod m}.  The iteration stops when the
+    distance between consecutive full-cycle iterates drops below ``tol``;
+    exhausting ``max_cycles`` returns the last iterate with a warning carrying
+    the distance achieved.
+
+    The mean converges only as O(1/k) and its stopping rule does not bound
+    the distance to the limit, so the package uses ``karcher_barycenter``;
+    this one is the independent reference the tests compare it with.
+    """
+    atoms = [np.asarray(a, dtype=float) for a in atoms]
+    m = len(atoms)
+    if m == 0:
+        raise NumericError("barycenter of an empty atom list")
+    w = _normalized_weights(weights, m)
+    if m == 1:
+        return atoms[0]
+
+    bar = atoms[0]
+    mass = w[0]          # running l(k); k = 1 consumed by the start value
+    k = 1
+    prev_cycle = bar
+    last_gap = np.inf
+    for cycle in range(max_cycles):
+        # First pass covers k = 2..m, later passes k = cm+1..(c+1)m, so the
+        # convergence test always compares iterates at multiples of m.
+        steps = m - 1 if cycle == 0 else m
+        for _ in range(steps):
+            k += 1
+            j = (k - 1) % m          # residue 0 -> atom m -> index m-1
+            mass += w[j]
+            s = w[j] / mass if mass > 0 else 0.0
+            bar = geodesic(bar, atoms[j], s)
+        last_gap = distance(prev_cycle, bar)
+        if last_gap < tol:
+            return bar
+        prev_cycle = bar
+    warnings.warn(
+        f"inductive barycenter stopped after {max_cycles} cycles; "
+        f"last full-cycle move {last_gap:.3e} (tol {tol:.1e})",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return bar
 
 
 def test_as_spd_symmetrizes_and_rejects():
