@@ -6,7 +6,6 @@ from .dynamics import (
     SystemModel,
     builtin_systems,
     default_region,
-    flow,
     invariance_spot_check,
     lanford_region,
     lanford_system,
@@ -30,7 +29,6 @@ from .entropy import (
     proximate_entropy,
 )
 from .errors import (
-    BlowupError,
     ConfigError,
     NumericError,
     ToolkitError,
@@ -45,7 +43,6 @@ from .spd import (
     karcher_barycenter,
     log_singular_values,
     lyapunov_solve,
-    majorizes_leq,
     power,
     vectorial_distance,
 )

@@ -47,42 +47,67 @@ class _InvarianceFailure(ToolkitError):
     pass
 
 
-def _parse_matrix(spec: str) -> np.ndarray:
-    if spec.startswith("diag:"):
-        return np.diag([float(v) for v in spec[len("diag:"):].split(",")])
-    if spec.strip().startswith("["):
-        return np.asarray(json.loads(spec), dtype=float)
+def _numbers(parts, kind, what: str) -> list:
+    """Every entry converted by ``kind``; a malformed one is a ConfigError."""
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return np.asarray(json.load(fh), dtype=float)
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix spec {spec!r}: {exc}") from exc
+        return [kind(p) for p in parts]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {what} {parts!r}: {exc}") from exc
 
 
-def _parse_box(spec: str) -> CompactSet:
-    bounds = []
-    for axis in spec.split(","):
-        lo, _, hi = axis.partition(":")
-        bounds.append((float(lo), float(hi)))
-    return CompactSet(bounds=tuple(bounds))
+def _load_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _parse_matrix(spec) -> np.ndarray:
+    """Matrix from 'diag:2,0.5', inline JSON, a JSON file or nested lists."""
+    if isinstance(spec, str) and spec.startswith("diag:"):
+        return np.diag(_numbers(spec[len("diag:"):].split(","), float, "matrix spec"))
+    try:
+        rows = spec
+        if isinstance(spec, str):
+            rows = json.loads(spec) if spec.strip().startswith("[") else \
+                _load_json(spec, "matrix spec")
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse matrix spec {spec!r}: {exc}") from exc
+
+
+def _parse_box(spec) -> CompactSet:
+    """Box from 'lo:hi,lo:hi,...' or a list of [lo, hi] pairs."""
+    pairs = [axis.split(":") for axis in spec.split(",")] if isinstance(spec, str) else spec
+    try:
+        bounds = tuple((float(lo), float(hi)) for lo, hi in pairs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse box {spec!r}: {exc}") from exc
+    return CompactSet(bounds=bounds)
 
 
 def _parse_resolution(spec):
+    """Grid count from an int, a list or 'n' / 'n1,n2,...'."""
     if spec is None:
         return None
-    if isinstance(spec, int):
-        return spec
     if isinstance(spec, (list, tuple)):
-        return [int(v) for v in spec]
-    parts = str(spec).split(",")
-    return int(parts[0]) if len(parts) == 1 else [int(p) for p in parts]
+        return _numbers(spec, int, "resolution")
+    counts = _numbers(str(spec).split(","), int, "resolution")
+    return counts[0] if len(counts) == 1 else counts
+
+
+def _parse_horizons(spec) -> list:
+    """Horizons from '1,2,4', '[1,2,4]' or a list of numbers."""
+    if isinstance(spec, str):
+        spec = spec.strip().strip("[]").split(",")
+    return _numbers(spec, float, "horizons")
 
 
 def _build_system(args):
     cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _load_json(args.config, "config file")
     name = args.system or cfg.get("system") or cfg.get("name")
     if not name:
         raise ConfigError("no system given (use --system or a config file)")
@@ -90,20 +115,16 @@ def _build_system(args):
     if name == "lanford" and args.a is not None:
         params["a"] = float(args.a)
     if name in ("linmap", "linode"):
-        if args.matrix is not None:
-            params["matrix"] = _parse_matrix(args.matrix)
-        elif "matrix" in params:
-            params["matrix"] = np.asarray(params["matrix"], dtype=float)
-        else:
+        spec = args.matrix if args.matrix is not None else params.get("matrix")
+        if spec is None:
             raise ConfigError(f"system {name!r} needs --matrix")
+        params["matrix"] = _parse_matrix(spec)
     if name == "identity":
         params.setdefault("dim", int(args.dim or 2))
     system = make_system(name, **params)
 
-    if args.box:
-        region = _parse_box(args.box)
-    elif "box" in cfg:
-        region = CompactSet(bounds=tuple((float(lo), float(hi)) for lo, hi in cfg["box"]))
+    if args.box or "box" in cfg:
+        region = _parse_box(args.box or cfg["box"])
     else:
         region = default_region(system)
     if region.dim != system.dim:
@@ -200,8 +221,7 @@ def cmd_sweep(args) -> int:
     horizons = args.horizons or cfg.get("horizons")
     if not horizons:
         raise ConfigError("sweep needs a nonempty --horizons list")
-    horizons = [float(h) for h in str(horizons).replace("[", "").replace("]", "").split(",")] \
-        if isinstance(horizons, str) else [float(h) for h in horizons]
+    horizons = _parse_horizons(horizons)
     stem = args.out or f"sweep_{system.name}"
     rows = []
     for h in horizons:
@@ -228,9 +248,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     system, region, resolution, cfg = _build_system(args)
-    horizons = args.horizons or cfg.get("horizons") or [5.0, 10.0, 20.0, 40.0]
-    if isinstance(horizons, str):
-        horizons = [float(h) for h in horizons.split(",")]
+    horizons = _parse_horizons(args.horizons or cfg.get("horizons") or [5.0, 10.0, 20.0, 40.0])
     result = lyapunov_oracle(system, region, horizons=horizons, resolution=resolution)
     for t, v in zip(result.horizons, result.values):
         print(f"t={t:g}: {v:.6f} bits/time")
@@ -305,7 +323,7 @@ def cmd_props(args) -> int:
 
     if args.tol is not None and float(args.tol) <= 0:
         raise ConfigError("tolerance override must be positive")
-    dims = tuple(int(d) for d in str(args.dims).split(",")) if args.dims else (1, 2, 3, 5)
+    dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
     results = run_property_suite(seed=int(args.seed), instances=int(args.instances),
                                  dims=dims)
     if args.tol is not None:

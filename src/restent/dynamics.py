@@ -4,11 +4,10 @@ and forward-invariance spot checks.
 States are row vectors; every rhs/jacobian rule is vectorized over leading
 axes, so whole sample grids propagate as one batch.  Continuous-time flows
 use the Dormand-Prince 5(4) pair, each row with a step size chosen from
-its embedded error estimate, or fixed when the caller gives a step; the
-variational matrix (the flow Jacobian) is integrated jointly with the
-state, on the same steps.  Trajectories whose norm exceeds the blow-up
-guard are frozen at their last admissible state and reported with the
-escape time.
+its embedded error estimate; the variational matrix (the flow Jacobian) is
+integrated jointly with the state, on the same steps.  Trajectories whose
+norm exceeds the blow-up guard are frozen at their last admissible state
+and reported with the escape time.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, UnknownSystemError
+from .errors import ConfigError, UnknownSystemError
 
 Array = np.ndarray
 
@@ -29,6 +28,10 @@ MIN_STEP = 1e-12           # step floor, relative to max(1, horizon)
 # safety factor of Shampine & Reichelt's ode45 keeps rejections rare
 SAFETY, MIN_GROWTH, MAX_GROWTH = 0.8, 0.2, 5.0
 BLOWUP_NORM = 1e8
+# spot-check membership slack, as a fraction of each box axis (orbit drift)
+MEMBERSHIP_RTOL = 1e-6
+# auto_region shrinks its candidate region at most this many times, by 0.9
+MAX_SHRINKS = 6
 
 # Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
 # Solving ODEs I, Table II.5.2).  Row s of _DP_A combines stages 0..s-1 into
@@ -168,17 +171,16 @@ def _dp_stages(rhs, y: Array, k: Array, h: Array) -> Array:
     return ys
 
 
-def _integrate_continuous(system, x0, t, step, variational, record_at):
+def _integrate_continuous(system, x0, t, variational, record_at):
     """Dormand-Prince 5(4) propagation of the state (and variational matrix).
 
     All rows step together, each with its own clock and step size, so a
     row that needs short steps (one about to blow up, say) does not hold
-    back the others.  With ``step`` None a row's step is adapted so that its
-    embedded error estimate, a mixed absolute/relative max-norm over the
-    row, stays below ``STEP_TOL`` per step; otherwise each record interval is
-    split into equal steps of at most ``step``.  Steps land exactly on every
-    record time.  Returns (states, jacobians, escaped, escape times,
-    accepted steps per row, rejected steps per row)."""
+    back the others.  A row's step is adapted so that its embedded error
+    estimate, a mixed absolute/relative max-norm over the row, stays below
+    ``STEP_TOL`` per step.  Steps land exactly on every record time.
+    Returns (states, jacobians, escaped, escape times, accepted steps per
+    row, rejected steps per row)."""
     m, n = x0.shape
     y = x0.copy()
     if variational:
@@ -186,9 +188,6 @@ def _integrate_continuous(system, x0, t, step, variational, record_at):
     rhs = _packed_field(system, variational)
     marks = np.array(record_at if record_at is not None else [t], dtype=float)
     r = len(marks)
-    if step is not None:
-        spans = np.diff(marks, prepend=0.0)
-        fixed = spans / np.maximum(1.0, np.ceil(spans / step - 1e-12))
     out = np.empty((r,) + y.shape)
     nxt = np.zeros(m, dtype=int)          # index of each row's next record time
     now = np.zeros(m)
@@ -213,29 +212,26 @@ def _integrate_continuous(system, x0, t, step, variational, record_at):
             if not len(a):
                 break
             left = marks[nxt[a]] - now[a]
-            ha = h[a] if step is None else fixed[nxt[a]]
+            ha = h[a]
             land = left <= ha * (1.0 + 1e-9)
             hs = np.where(land, left, ha)
             ya = y[a]
             k = np.empty((7,) + ya.shape)
             k[0] = k0[a]
             y_new = _dp_stages(rhs, ya, k, hs[:, None])
-            new = _blown(y_new[:, :n])
-            ok = np.ones(len(a), dtype=bool)
-            if step is None:
-                err = hs[:, None] * (_DP_E @ k.reshape(7, -1)).reshape(ya.shape)
-                scale = STEP_TOL * (1.0 + np.maximum(np.abs(ya), np.abs(y_new)))
-                ratio = np.max(np.abs(err) / scale, axis=1)
-                ratio[np.isnan(ratio)] = np.inf
-                # at the step floor, a row that still misses the target escapes
-                ok = (ratio <= 1.0) | (hs <= floor)
-                new |= ratio > 1.0
-                fac = np.minimum(grow[a], np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.2))
-                # a step cut short to land on a record time does not shrink
-                # the next one
-                h[a] = np.where(ok & land, np.maximum(hs * fac, ha), hs * fac)
-                grow[a] = np.where(ok, MAX_GROWTH, 1.0)
-                rejected[a[~ok]] += 1
+            err = hs[:, None] * (_DP_E @ k.reshape(7, -1)).reshape(ya.shape)
+            scale = STEP_TOL * (1.0 + np.maximum(np.abs(ya), np.abs(y_new)))
+            ratio = np.max(np.abs(err) / scale, axis=1)
+            ratio[np.isnan(ratio)] = np.inf
+            # at the step floor, a row that still misses the target escapes
+            ok = (ratio <= 1.0) | (hs <= floor)
+            new = _blown(y_new[:, :n]) | (ratio > 1.0)
+            fac = np.minimum(grow[a], np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.2))
+            # a step cut short to land on a record time does not shrink the
+            # next one
+            h[a] = np.where(ok & land, np.maximum(hs * fac, ha), hs * fac)
+            grow[a] = np.where(ok, MAX_GROWTH, 1.0)
+            rejected[a[~ok]] += 1
             done = a[ok]
             accepted[done] += 1
             now[done] = np.where(land[ok], marks[nxt[done]], now[done] + hs[ok])
@@ -286,13 +282,12 @@ def _integrate_discrete(system, x0, t, variational, record_at):
     return states, jacs, escaped, times, np.full(m, steps), np.zeros(m, dtype=int)
 
 
-def propagate(system: SystemModel, x0, t, step: Optional[float] = None,
-              variational: bool = False, record_at: Optional[Sequence[float]] = None
-              ) -> Propagation:
+def propagate(system: SystemModel, x0, t, variational: bool = False,
+              record_at: Optional[Sequence[float]] = None) -> Propagation:
     """Batched propagation over horizon t, optionally with the variational
     matrix and intermediate records.  Continuous-time flows use adaptive
-    Dormand-Prince 5(4) steps, or equal steps of at most ``step`` when one
-    is given.  Does not raise on blow-up; escaped points are frozen and
+    Dormand-Prince 5(4) steps with local error at most ``STEP_TOL`` per
+    step.  Does not raise on blow-up; escaped points are frozen and
     flagged."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
@@ -307,26 +302,8 @@ def propagate(system: SystemModel, x0, t, step: Optional[float] = None,
     if system.time_type == "discrete":
         result = _integrate_discrete(system, x0, t, variational, record_at)
     else:
-        if step is not None and not step > 0:
-            raise ConfigError("integration step must be positive")
-        result = _integrate_continuous(system, x0, t, step, variational, record_at)
+        result = _integrate_continuous(system, x0, t, variational, record_at)
     return Propagation(*result)
-
-
-def flow(system: SystemModel, x0, t, step: Optional[float] = None) -> Array:
-    """State after time t.  Accepts a single state (n,) or a batch (m, n);
-    raises BlowupError if any trajectory escapes."""
-    x0 = np.asarray(x0, dtype=float)
-    single = x0.ndim == 1
-    prop = propagate(system, x0, t, step=step)
-    if np.any(prop.escaped):
-        times = prop.escape_times[prop.escaped]
-        raise BlowupError(
-            f"{int(prop.escaped.sum())} trajectorie(s) of '{system.name}' blew up; "
-            f"earliest escape at t={np.nanmin(times):.6g}",
-            escape_times=times,
-        )
-    return prop.states[0] if single else prop.states
 
 
 def sample_set(region: CompactSet, resolution) -> Array:
@@ -367,8 +344,7 @@ class InvarianceReport:
 
 
 def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
-                          horizon, step: Optional[float] = None,
-                          membership_rtol: float = 1e-6) -> InvarianceReport:
+                          horizon) -> InvarianceReport:
     """Iterate every grid point over the horizon and report which orbits
     leave the set.  Forward invariance itself is a modeling assumption; this
     is the sampled surrogate."""
@@ -379,8 +355,8 @@ def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
     else:
         n_checks = max(10, min(200, int(round(horizon / 0.05))))
         checks = np.linspace(horizon / n_checks, horizon, n_checks)
-    prop = propagate(system, pts, horizon, step=step, record_at=checks)
-    inside = region.contains(prop.states, rtol=membership_rtol)     # (r, m)
+    prop = propagate(system, pts, horizon, record_at=checks)
+    inside = region.contains(prop.states, rtol=MEMBERSHIP_RTOL)     # (r, m)
     out = ~inside
     escaped = out.any(axis=0) | prop.escaped
     first_exit = []
@@ -519,8 +495,7 @@ def default_region(system: SystemModel) -> CompactSet:
     return CompactSet(bounds=tuple((-1.0, 1.0) for _ in range(system.dim)))
 
 
-def auto_region(system: SystemModel, horizon: float = 5.0, resolution: int = 9,
-                max_shrinks: int = 6, step: Optional[float] = None):
+def auto_region(system: SystemModel, horizon: float = 5.0, resolution: int = 9):
     """Candidate region shrunk until the invariance spot check passes.
 
     Returns (region, report).  If no candidate passes, the unshrunk region is
@@ -528,11 +503,11 @@ def auto_region(system: SystemModel, horizon: float = 5.0, resolution: int = 9,
     escape routes sit on the outermost candidate already."""
     scale = 1.0
     first = None
-    for _ in range(max_shrinks + 1):
+    for _ in range(MAX_SHRINKS + 1):
         region = (lanford_region(system.params["a"], scale=scale)
                   if system.name == "lanford"
                   else _scaled_box(default_region(system), scale))
-        report = invariance_spot_check(system, region, resolution, horizon, step=step)
+        report = invariance_spot_check(system, region, resolution, horizon)
         if first is None:
             first = (region, report)
         if report.fraction == 0.0:

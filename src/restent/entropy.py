@@ -26,6 +26,15 @@ Array = np.ndarray
 
 LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 2
+# Refinement doubles the resolution until the bound moves by less than
+# REFINE_TOL, at most MAX_REFINES times, and stops before a grid would exceed
+# its point budget.
+REFINE_TOL = 1e-4
+MAX_REFINES = 3
+DT_POINT_BUDGET = 2_000_000
+CT_POINT_BUDGET = 8_000_000
+# |f(x)| accepted at an equilibrium, relative to 1 + |x|
+EQUILIBRIUM_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +82,10 @@ class BoundReport:
 
     @staticmethod
     def from_dict(d: dict) -> "BoundReport":
+        version = d.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ConfigError(f"report has schema version {version}; this "
+                              f"version of restent reads schema {SCHEMA_VERSION}")
         d = dict(d)
         d["per_point"] = [PointRecord(**p) for p in d.get("per_point", [])]
         return BoundReport(**d)
@@ -234,21 +247,18 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
 
 
 def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False, refine_tol: float = 1e-4,
-             max_refines: int = 3, point_budget: int = 2_000_000) -> BoundReport:
+             resolution=9, refine: bool = False) -> BoundReport:
     """Upper bound on the restoration entropy of a discrete-time system:
     the grid max of the summed positive log singular values of the one-step
     Jacobian, measured between the metric at x and at its image."""
     if system.time_type != "discrete":
         raise ConfigError("dt_bound requires a discrete-time system")
     return _refine_loop(lambda res: _grid_bound(system, region, metric, res),
-                        region, resolution, refine, refine_tol, max_refines,
-                        point_budget)
+                        region, resolution, refine, DT_POINT_BUDGET)
 
 
 def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False, refine_tol: float = 1e-4,
-             max_refines: int = 3, point_budget: int = 8_000_000) -> BoundReport:
+             resolution=9, refine: bool = False) -> BoundReport:
     """Upper bound for a continuous-time system, in bits per unit time.
 
     With an orbital rule Pdot, the bound is 1/(2 ln 2) times the grid max
@@ -270,19 +280,17 @@ def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
         raise ConfigError(f"metric '{metric.label}' has neither an orbital "
                           "derivative nor a positive time step for the "
                           "time-step map")
-    return _refine_loop(
-        lambda res: _grid_bound(system, region, metric, res),
-        region, resolution, refine, refine_tol, max_refines, point_budget)
+    return _refine_loop(lambda res: _grid_bound(system, region, metric, res),
+                        region, resolution, refine, CT_POINT_BUDGET)
 
 
-def _refine_loop(compute, region, resolution, refine, refine_tol,
-                 max_refines, point_budget) -> BoundReport:
+def _refine_loop(compute, region, resolution, refine, point_budget) -> BoundReport:
     res = _resolution_list(resolution, region.dim)
     report = compute(res)
     if not refine:
         return report
     done = 0
-    while done < max_refines:
+    while done < MAX_REFINES:
         nxt = _double_resolution(res)
         if np.prod(nxt, dtype=float) > point_budget:
             warnings.warn("refinement stopped by the point budget",
@@ -292,7 +300,7 @@ def _refine_loop(compute, region, resolution, refine, refine_tol,
         done += 1
         delta = abs(finer.bound - report.bound)
         res, report = nxt, finer
-        if delta < refine_tol:
+        if delta < REFINE_TOL:
             break
     report.refinements = done
     return report
@@ -409,7 +417,7 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
 
 def lyapunov_oracle(system: SystemModel, region: CompactSet,
                     horizons: Sequence[float] = (5.0, 10.0, 20.0, 40.0),
-                    resolution=11, step: Optional[float] = None) -> OracleResult:
+                    resolution=11) -> OracleResult:
     """Finite-time Lyapunov-exponent estimate of the restoration entropy:
     max over sample points of the summed positive exponents of the flow
     Jacobian, per horizon, with Aitken extrapolation of the horizon series.
@@ -419,8 +427,7 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     if not horizons or horizons[0] <= 0:
         raise ConfigError("horizons must be positive")
     pts = sample_set(region, resolution)
-    prop = propagate(system, pts, horizons[-1], step=step, variational=True,
-                     record_at=horizons)
+    prop = propagate(system, pts, horizons[-1], variational=True, record_at=horizons)
     alive = ~prop.escaped
     if not np.any(alive):
         raise NumericError("every sample point blew up before the first horizon")
@@ -454,7 +461,7 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     )
 
 
-def proximate_entropy(system: SystemModel, point, tol: float = 1e-8) -> float:
+def proximate_entropy(system: SystemModel, point) -> float:
     """Sum of the positive real parts of the linearization eigenvalues at an
     equilibrium, in bits/time.  A lower bound for the restoration entropy
     when the equilibrium is interior to the invariant set."""
@@ -462,7 +469,7 @@ def proximate_entropy(system: SystemModel, point, tol: float = 1e-8) -> float:
         raise ConfigError("proximate entropy is defined for continuous-time systems")
     point = np.asarray(point, dtype=float)
     residual = float(np.linalg.norm(system.rhs(point)))
-    if residual > tol * (1.0 + float(np.linalg.norm(point))):
+    if residual > EQUILIBRIUM_TOL * (1.0 + float(np.linalg.norm(point))):
         raise NumericError(
             f"point is not an equilibrium (|f(x)| = {residual:.3e} above tolerance)")
     eigs = np.linalg.eigvals(system.jacobian(point))

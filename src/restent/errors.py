@@ -13,13 +13,5 @@ class NumericError(ToolkitError):
     """Numeric breakdown: failed decomposition, singular input, lost definiteness."""
 
 
-class BlowupError(NumericError):
-    """A trajectory left the admissible region (norm above the blow-up guard)."""
-
-    def __init__(self, message: str, escape_times=None):
-        super().__init__(message)
-        self.escape_times = escape_times
-
-
 class UnknownSystemError(ConfigError):
     """Lookup of a system name that is not registered."""

@@ -20,6 +20,8 @@ Array = np.ndarray
 
 # Relative floor for the smallest eigenvalue accepted at construction.
 EIG_FLOOR = 1e-12
+# Largest condition number of a matrix acting by congruence.
+CONGRUENCE_COND_LIMIT = 1e12
 # Iteration cap of karcher_barycenter.  Spread atoms take small steps: the
 # 16 inverse-Gram atoms of [[2,1],[0,1/2]] need 100 iterations at tol 1e-7,
 # random atoms 10-40 at tol 1e-13.
@@ -32,9 +34,9 @@ def sym(m: Array) -> Array:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def as_spd(m, floor: float = EIG_FLOOR) -> Array:
+def as_spd(m) -> Array:
     """Canonicalize an SPD matrix: symmetrize, then reject if any eigenvalue
-    is at or below ``floor`` times the largest one."""
+    is at or below ``EIG_FLOOR`` times the largest one."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NumericError(f"expected a square matrix, got shape {m.shape}")
@@ -43,17 +45,9 @@ def as_spd(m, floor: float = EIG_FLOOR) -> Array:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigen-decomposition failed: {exc}") from exc
-    if not np.all(np.isfinite(w)) or w[-1] <= 0 or w[0] <= floor * w[-1]:
+    if not np.all(np.isfinite(w)) or w[-1] <= 0 or w[0] <= EIG_FLOOR * w[-1]:
         raise NumericError(f"matrix is not positive definite (eigenvalues {w})")
     return m
-
-
-def is_spd(m: Array, floor: float = EIG_FLOOR) -> bool:
-    try:
-        as_spd(m, floor=floor)
-    except NumericError:
-        return False
-    return True
 
 
 def _compose(u: Array, d: Array) -> Array:
@@ -73,11 +67,11 @@ def power(p: Array, t: float) -> Array:
     return sym(_compose(u, w ** t))
 
 
-def congruence(g: Array, p: Array, cond_limit: float = 1e12) -> Array:
+def congruence(g: Array, p: Array) -> Array:
     """Action g * p := g p g^T of an invertible matrix on an SPD matrix."""
     g = np.asarray(g, dtype=float)
     c = np.linalg.cond(g)
-    if not np.isfinite(c) or c > cond_limit:
+    if not np.isfinite(c) or c > CONGRUENCE_COND_LIMIT:
         raise NumericError(f"congruence action is ill-conditioned (cond={c:.3g})")
     return sym(g @ p @ g.T)
 
@@ -112,26 +106,6 @@ def vectorial_distance(p: Array, q: Array) -> Array:
 def distance(p: Array, q: Array) -> float:
     """Riemannian (trace-metric) distance, in bits."""
     return float(np.linalg.norm(vectorial_distance(p, q)))
-
-
-def majorizes_leq(x: Array, y: Array, slack: float | None = None) -> bool:
-    """Partial-sum order on nonincreasing vectors: every partial sum of x is
-    below the one of y, and the totals agree.
-
-    ``slack`` defaults to 1e-8 scaled by the larger vector norm; the order is
-    meant for floating-point outputs of eigen/SVD routines.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise NumericError(f"length mismatch: {x.shape} vs {y.shape}")
-    if slack is None:
-        slack = 1e-8 * max(1.0, np.linalg.norm(x), np.linalg.norm(y))
-    cx = np.cumsum(x)
-    cy = np.cumsum(y)
-    if np.any(cx[:-1] > cy[:-1] + slack):
-        return False
-    return bool(abs(cx[-1] - cy[-1]) <= slack)
 
 
 def _normalized_weights(weights, m: int) -> Array:

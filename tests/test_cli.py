@@ -116,6 +116,21 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     assert "--bar-tol must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--system", "linmap", "--matrix", "diag:2,x"],
+    ["bound", "--system", "linmap", "--matrix", "[1,"],
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--box", "0:1,zz"],
+    ["bound", "--system", "identity", "--resolution", "abc"],
+    ["sweep", "--system", "linmap", "--matrix", "diag:2,0.5", "--horizons", "1,b"],
+    ["oracle", "--system", "identity", "--horizons", "5,x"],
+    ["bound", "--config", "/nonexistent.json"],
+    ["props", "--dims", "1,x"],
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
+    assert "configuration error: " in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is the property suite's independent reference, not a start-up cost
     probe = "import sys, restent.cli; print('scipy' in sys.modules)"

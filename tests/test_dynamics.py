@@ -6,14 +6,13 @@ import scipy.linalg
 
 from restent.cli import _build_system, build_parser
 
-from restent.errors import BlowupError, ConfigError, UnknownSystemError
+from restent.errors import ConfigError, UnknownSystemError
 from restent.dynamics import (
     STEP_TOL,
     CompactSet,
     auto_region,
     builtin_systems,
     default_region,
-    flow,
     identity_system,
     invariance_spot_check,
     lanford_region,
@@ -28,41 +27,42 @@ from restent.dynamics import (
 A_DEFAULT = 2.0 / 3.0
 
 
+def _flow(system, x0, t):
+    return propagate(system, x0, t).states[0]
+
+
 def test_flow_zero_horizon_is_identity():
     sys_ = lanford_system()
     x0 = np.array([0.1, -0.2, 0.3])
-    assert np.allclose(flow(sys_, x0, 0.0), x0)
+    assert np.allclose(_flow(sys_, x0, 0.0), x0)
     lin = linear_map_system(np.diag([2.0, 0.5]))
-    assert np.allclose(flow(lin, np.array([1.0, 1.0]), 0), [1.0, 1.0])
+    assert np.allclose(_flow(lin, np.array([1.0, 1.0]), 0), [1.0, 1.0])
 
 
 def test_lanford_equilibria_are_fixed():
     sys_ = lanford_system(A_DEFAULT)
     o2 = np.array([0.0, 0.0, A_DEFAULT])
-    assert np.allclose(flow(sys_, o2, 5.0, step=1e-3), o2, atol=1e-12)
-    assert np.allclose(flow(sys_, np.zeros(3), 5.0, step=1e-3), np.zeros(3), atol=1e-12)
+    assert np.allclose(_flow(sys_, o2, 5.0), o2, atol=1e-12)
+    assert np.allclose(_flow(sys_, np.zeros(3), 5.0), np.zeros(3), atol=1e-12)
 
 
 def test_linear_ode_flow_matches_exponential():
     sys_ = linear_ode_system(np.array([[-1.0]]))
-    out = flow(sys_, np.array([1.0]), 1.0, step=1e-3)
+    out = _flow(sys_, np.array([1.0]), 1.0)
     assert abs(out[0] - np.exp(-1.0)) < 1e-8
-    # auto step selection hits the same value
-    out_auto = flow(sys_, np.array([1.0]), 1.0)
-    assert abs(out_auto[0] - np.exp(-1.0)) < 1e-8
 
 
 def test_discrete_flow_composition():
     m = np.array([[0.0, 1.0], [-0.5, 0.3]])
     sys_ = linear_map_system(m)
     x0 = np.array([1.0, 2.0])
-    assert np.allclose(flow(sys_, x0, 3), np.linalg.matrix_power(m, 3) @ x0)
+    assert np.allclose(_flow(sys_, x0, 3), np.linalg.matrix_power(m, 3) @ x0)
     with pytest.raises(ConfigError):
-        flow(sys_, x0, 1.5)
+        propagate(sys_, x0, 1.5)
 
 
-def _flow_jacobian(system, x0, t, step=None):
-    return propagate(system, x0, t, step=step, variational=True).jacobians[0]
+def _flow_jacobian(system, x0, t):
+    return propagate(system, x0, t, variational=True).jacobians[0]
 
 
 def test_cocycle_identity_and_linear():
@@ -73,7 +73,7 @@ def test_cocycle_identity_and_linear():
     a5 = _flow_jacobian(lin, np.array([0.3, -0.4]), 5)
     assert np.allclose(a5, np.linalg.matrix_power(m, 5))
     ode = linear_ode_system(np.array([[0.2, 1.0], [0.0, -0.4]]))
-    a_t = _flow_jacobian(ode, np.array([0.1, 0.1]), 2.0, step=1e-3)
+    a_t = _flow_jacobian(ode, np.array([0.1, 0.1]), 2.0)
     assert np.allclose(a_t, scipy.linalg.expm(2.0 * np.array([[0.2, 1.0], [0.0, -0.4]])),
                        atol=1e-8)
 
@@ -85,10 +85,10 @@ def test_cocycle_composition_property_on_lanford():
     pts = sample_set(region, 5)
     for x0 in pts[rng.choice(len(pts), size=3, replace=False)]:
         s, t = 0.7, 1.1
-        a_t = _flow_jacobian(sys_, x0, t, step=1e-3)
-        x_t = flow(sys_, x0, t, step=1e-3)
-        a_s = _flow_jacobian(sys_, x_t, s, step=1e-3)
-        a_st = _flow_jacobian(sys_, x0, s + t, step=1e-3)
+        a_t = _flow_jacobian(sys_, x0, t)
+        x_t = _flow(sys_, x0, t)
+        a_s = _flow_jacobian(sys_, x_t, s)
+        a_st = _flow_jacobian(sys_, x0, s + t)
         assert np.linalg.norm(a_st - a_s @ a_t) < 1e-6
 
 
@@ -112,33 +112,26 @@ def test_jacobian_consistency_finite_differences():
             assert np.max(np.abs(fd - jac[..., i]) / scale) < 1e-5
 
 
-def test_blowup_guard_reports_escape():
+def test_blowup_guard_reports_escape(dop853):
     sys_ = lanford_system(A_DEFAULT)
     bad = np.array([0.5, 0.5, -0.5])       # z < 0 escapes in finite time
-    with pytest.raises(BlowupError) as err:
-        flow(sys_, bad, 20.0, step=1e-3)
-    assert err.value.escape_times is not None
-    # batched propagate freezes the bad point and keeps the good one, with
-    # fixed and with adaptive steps
+    # batched propagate freezes the bad point and keeps the good one
     o2 = np.array([0.0, 0.0, A_DEFAULT])
-    fixed = propagate(sys_, np.stack([bad, o2]), 20.0, step=1e-3)
-    adaptive = propagate(sys_, np.stack([bad, o2]), 20.0)
-    for prop in (fixed, adaptive):
-        assert prop.escaped.tolist() == [True, False]
-        assert np.isfinite(prop.states).all()
-        assert np.allclose(prop.states[1], o2, atol=1e-10)
-    assert abs(adaptive.escape_times[0] - fixed.escape_times[0]) < 1e-2
+    prop = propagate(sys_, np.stack([bad, o2]), 20.0)
+    assert prop.escaped.tolist() == [True, False]
+    assert np.isfinite(prop.states).all()
+    assert np.allclose(prop.states[1], o2, atol=1e-10)
+    assert abs(prop.escape_times[0] - dop853(sys_, bad, 20.0).escape_time) < 1e-2
 
 
-def test_adaptive_state_error_within_tolerance_per_unit_time():
+def test_adaptive_state_error_within_tolerance_per_unit_time(dop853):
     sys_ = lanford_system(A_DEFAULT)
     pts = sample_set(lanford_region(A_DEFAULT), 11)
     level = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 2 + (pts[:, 2] - A_DEFAULT / 2) ** 2
     interior = pts[level - (A_DEFAULT / 2) ** 2 < -1e-3]
     t = 5.0
     adaptive = propagate(sys_, interior, t)
-    reference = propagate(sys_, interior, t, step=1e-3)
-    assert (reference.accepted == 5000).all() and not reference.rejected.any()
+    reference = dop853(sys_, interior, t)
     assert 0 < adaptive.accepted.max() < 500
     err = np.max(np.linalg.norm(adaptive.states - reference.states, axis=-1))
     assert err <= STEP_TOL * t
@@ -193,7 +186,7 @@ def test_lanford_jacobian_at_upper_equilibrium():
 def test_lanford_region_invariance_at_heteroclinic_parameter():
     sys_ = lanford_system(A_DEFAULT)
     region = lanford_region(A_DEFAULT)
-    report = invariance_spot_check(sys_, region, 7, horizon=5.0, step=1e-3)
+    report = invariance_spot_check(sys_, region, 7, horizon=5.0)
     assert report.fraction == 0.0
     # O2 is a grid point of the bounding box at odd resolutions
     pts = sample_set(region, 7)
@@ -204,14 +197,14 @@ def test_lanford_region_invariance_at_heteroclinic_parameter():
 def test_plain_box_fails_spot_check_for_lanford():
     sys_ = lanford_system(A_DEFAULT)
     box = CompactSet(bounds=((-1.2, 1.2), (-1.2, 1.2), (0.0, 1.0)))
-    report = invariance_spot_check(sys_, box, 5, horizon=2.0, step=1e-3)
+    report = invariance_spot_check(sys_, box, 5, horizon=2.0)
     assert report.fraction > 0.0
     assert report.first_exit
 
 
 def test_auto_region_returns_verified_set():
     sys_ = lanford_system(A_DEFAULT)
-    region, report = auto_region(sys_, horizon=3.0, resolution=7, step=1e-3)
+    region, report = auto_region(sys_, horizon=3.0, resolution=7)
     assert report.fraction == 0.0
     assert region.kind == "box_with_constraint"
 
@@ -236,3 +229,5 @@ def test_default_region_and_config_loading(tmp_path):
     assert region2.kind == "box" and res2 == 9
     with pytest.raises(ConfigError):
         load({"params": {}})
+    with pytest.raises(ConfigError, match="matrix spec"):
+        load({"system": "linmap", "params": {"matrix": [[1.0, 2.0], [3.0]]}})

@@ -309,20 +309,22 @@ def test_lyapunov_oracle_identity_map():
 def test_lyapunov_oracle_excludes_blowups():
     sys_ = lanford_system(A0)
     box = CompactSet(bounds=((-0.4, 0.4), (-0.4, 0.4), (-0.3, 0.5)))
-    res = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=3,
-                          step=1e-3)
+    res = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=3)
     assert res.excluded
     assert np.isfinite(res.value)
 
 
-def test_lyapunov_oracle_adaptive_matches_fixed_step():
+def test_lyapunov_oracle_matches_dop853_reference(dop853):
     sys_ = lanford_system()
     region = lanford_region()
     horizons = (5.0, 10.0, 20.0)
-    adaptive = lyapunov_oracle(sys_, region, horizons=horizons, resolution=5)
-    fixed = lyapunov_oracle(sys_, region, horizons=horizons, resolution=5, step=1e-3)
-    assert np.allclose(adaptive.values, fixed.values, rtol=0.0, atol=1e-9)
-    assert abs(adaptive.aitken - fixed.aitken) < 1e-9
+    oracle = lyapunov_oracle(sys_, region, horizons=horizons, resolution=5)
+    ref = dop853(sys_, sample_set(region, 5), horizons[-1], variational=True,
+                 record_at=horizons)
+    values = [float(np.max(positive_sum(np.log2(np.linalg.svd(jac, compute_uv=False)) / t)))
+              for jac, t in zip(ref.jacobians, horizons)]
+    assert np.allclose(oracle.values, values, rtol=0.0, atol=1e-9)
+    assert abs(oracle.aitken - aitken_accelerate(values)) < 1e-9
 
 
 def test_proximate_entropy_values():
@@ -367,7 +369,7 @@ def test_metric_change_bound_on_lanford_orbits():
     idx = rng.choice(len(pts), size=4, replace=False)
     for x in pts[idx]:
         for t in (1.0, 2.0, 4.0):
-            prop = propagate(sys_, x, t, step=1e-3, variational=True)
+            prop = propagate(sys_, x, t, variational=True)
             a_t, y = prop.jacobians[0], prop.states[0]
             p, q = metric.evaluate(x), metric.evaluate(y)
             s_metric = positive_sum(metric_sv_values(p, q, a_t))
@@ -379,7 +381,7 @@ def test_metric_change_bound_on_lanford_orbits():
 def test_refinement_loop_converges_and_reports():
     sys_ = lanford_system(0.75)
     rep = ct_bound(sys_, lanford_region(0.75), lanford_metric(0.75),
-                   resolution=5, refine=True, refine_tol=1e-4, max_refines=4)
+                   resolution=5, refine=True)
     assert rep.refinements >= 1
     assert rep.bound == pytest.approx(lanford_closed_form(0.75), abs=1e-6)
     assert rep.resolution[0] > 5
@@ -400,6 +402,15 @@ def test_report_round_trip_and_csv(tmp_path):
     assert text.splitlines()[0] == "x0,x1,s1,s2,local_bound"
     rep.to_csv(cpath)
     assert cpath.read_text() == text
+
+
+def test_report_from_dict_rejects_other_schema():
+    sys_ = linear_map_system(np.diag([2.0, 0.5]))
+    old = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
+    del old["map_step"]
+    old.update(schema_version=1, pdot_mode="analytic")
+    with pytest.raises(ConfigError, match="schema version 1.*reads schema 2"):
+        BoundReport.from_dict(old)
 
 
 def test_bound_dominates_oracle_spot():
