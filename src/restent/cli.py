@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -30,6 +29,7 @@ from .dynamics import (
 )
 from .entropy import (
     BoundReport,
+    _write_table,
     ct_bound,
     dt_bound,
     lanford_closed_form,
@@ -111,6 +111,8 @@ def _build_system(args):
     name = args.system or cfg.get("system") or cfg.get("name")
     if not name:
         raise ConfigError("no system given (use --system or a config file)")
+    if not isinstance(cfg.get("params", {}), dict):
+        raise ConfigError(f"config 'params' must be a JSON object, got {cfg['params']!r}")
     params = dict(cfg.get("params", {}))
     if name == "lanford" and args.a is not None:
         params["a"] = float(args.a)
@@ -119,9 +121,12 @@ def _build_system(args):
         if spec is None:
             raise ConfigError(f"system {name!r} needs --matrix")
         params["matrix"] = _parse_matrix(spec)
-    if name == "identity":
-        params.setdefault("dim", int(args.dim or 2))
-    system = make_system(name, **params)
+    if name == "identity" and args.dim is not None:
+        params["dim"] = int(_positive_option(args, "dim", 2))
+    try:
+        system = make_system(name, **params)
+    except (TypeError, ValueError) as exc:   # a key or value the system cannot take
+        raise ConfigError(f"bad params for system {name!r}: {exc}") from exc
 
     if args.box or "box" in cfg:
         region = _parse_box(args.box or cfg["box"])
@@ -223,22 +228,17 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a nonempty --horizons list")
     horizons = _parse_horizons(horizons)
     stem = args.out or f"sweep_{system.name}"
-    rows = []
+    bounds = []
     for h in horizons:
         spec = f"auto:{int(h)}" if system.time_type == "discrete" else f"auto:{h:g}"
         metric = _build_metric(spec, system, args)
         report = _compute_bound(system, region, metric, resolution, args)
-        rows.append((h, report.bound))
+        bounds.append(report.bound)
         hstem = f"{stem}.h{h:g}"
         report.to_json(f"{hstem}.report.json")
         report.to_csv(f"{hstem}.points.csv")
         print(f"horizon {h:g}: bound {report.bound:.6f} {report.units}")
-    with open(f"{stem}.sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["horizon", "bound"])
-        for h, b in rows:
-            writer.writerow([format(h, ".17g"), format(b, ".17g")])
-    bounds = [b for _, b in rows]
+    _write_table(f"{stem}.sweep.csv", ["horizon", "bound"], zip(horizons, bounds))
     slack = 1e-6 + 0.02 * max(1.0, abs(bounds[0]))
     monotone = all(b2 <= b1 + slack for b1, b2 in zip(bounds, bounds[1:]))
     print(f"monotone nonincreasing within tolerance: {'yes' if monotone else 'NO'}")
@@ -273,14 +273,8 @@ def cmd_oracle(args) -> int:
     with open(f"{stem}.report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
-    with open(f"{stem}.points.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        dim = system.dim
-        writer.writerow([f"x{i}" for i in range(dim)]
-                        + [f"lam{i + 1}" for i in range(dim)])
-        for prof in result.profiles:
-            writer.writerow([format(v, ".17g") for v in prof.x]
-                            + [format(v, ".17g") for v in prof.exponents])
+    header = [f"x{i}" for i in range(system.dim)] + [f"lam{i + 1}" for i in range(system.dim)]
+    _write_table(f"{stem}.points.csv", header, (p.x + p.exponents for p in result.profiles))
     print(f"wrote {stem}.report.json and {stem}.points.csv")
     return 0
 

@@ -431,6 +431,9 @@ def linear_ode_system(matrix) -> SystemModel:
 
 
 def identity_system(dim: int = 2) -> SystemModel:
+    if int(dim) < 1:
+        raise ConfigError(f"the identity system needs dimension >= 1, got {dim}")
+
     def rhs(x: Array) -> Array:
         return np.asarray(x, dtype=float).copy()
 

@@ -7,11 +7,11 @@ unit time.  Continuous-time roots stay in natural-log units until the final
 """
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ DT_POINT_BUDGET = 2_000_000
 CT_POINT_BUDGET = 8_000_000
 # |f(x)| accepted at an equilibrium, relative to 1 + |x|
 EQUILIBRIUM_TOL = 1e-8
+_CSV_BLOCK_ROWS = 4096     # rows per formatting pass of a CSV table
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +103,24 @@ class BoundReport:
             return BoundReport.from_dict(json.load(fh))
 
     def to_csv(self, path) -> None:
-        """Per-point table; floats written with 17 significant digits so the
-        file is byte-identical across runs of the same configuration."""
+        """Per-point table: coordinates, spectrum and local bound per kept point."""
         dim = len(self.maximizer)
         nsv = len(self.per_point[0].spectrum) if self.per_point else dim
         header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(nsv)] + ["local_bound"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rec in self.per_point:
-                row = [format(v, ".17g") for v in rec.state]
-                row += [format(v, ".17g") for v in rec.spectrum]
-                row.append(format(rec.local, ".17g"))
-                writer.writerow(row)
+        _write_table(path, header, (r.state + r.spectrum + [r.local] for r in self.per_point))
+
+
+def _write_table(path, header: list, rows) -> None:
+    """CSV table: the header, then each row of ``rows`` (``len(header)``
+    numbers) as ``%.17g`` values, comma-separated and ended by CRLF, the
+    bytes ``csv.writer`` would write.  One ``%`` formats a block of rows, so
+    a large table never sits in memory as one string."""
+    template = ",".join(["%.17g"] * len(header)) + "\r\n"
+    rows = iter(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            fh.write(template * len(block) % tuple(chain.from_iterable(block)))
 
 
 @dataclass

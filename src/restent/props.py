@@ -263,10 +263,6 @@ _SUITE = [
 ]
 
 
-def property_names() -> list:
-    return [name for name, _, _ in _SUITE]
-
-
 def run_property_suite(seed: int = 42, instances: int = 50,
                        dims=(1, 2, 3, 5), names=None) -> list:
     """Run the randomized property suite and return one PropertyResult per

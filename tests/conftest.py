@@ -1,4 +1,5 @@
 """Shared test fixtures."""
+import csv
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,3 +55,19 @@ def _dop853_flow(system, x0, t, variational=False, record_at=None):
 def dop853():
     """The reference propagation ``_dop853_flow``."""
     return _dop853_flow
+
+
+def _csv_table(path, header, rows):
+    """Reference CSV writer: ``csv.writer`` with every value formatted by
+    ``format(v, ".17g")``, one ``writerow`` per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") for v in row])
+
+
+@pytest.fixture
+def csv_table():
+    """The reference CSV writer ``_csv_table``."""
+    return _csv_table

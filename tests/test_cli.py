@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from restent.cli import main
-from restent.entropy import BoundReport
+from restent.dynamics import default_region, linear_map_system
+from restent.entropy import BoundReport, lyapunov_oracle
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -129,6 +131,61 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
 def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
     assert "configuration error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"system": "lanford", "params": {"b": 1}},
+    {"system": "lanford", "params": [1]},
+    {"system": "lanford", "params": {"a": "x"}},
+    {"system": "identity", "params": {"dim": 0}},
+], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim"])
+def test_bad_config_params_is_config_error(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["bound", "--config", str(path), "--out", str(tmp_path / "bad")]) == 1
+    assert "configuration error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_dim_below_one_is_config_error(tmp_path, capsys, dim):
+    code = run(["bound", "--system", "identity", "--dim", dim,
+                "--out", str(tmp_path / "dim")])
+    assert code == 1
+    assert f"--dim must be positive, got {dim}" in capsys.readouterr().err
+
+
+def test_dim_flag_overrides_config(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({"system": "identity", "params": {"dim": 2}}))
+    stem = str(tmp_path / "id3")
+    assert run(["bound", "--config", str(path), "--dim", "3", "--resolution", "2",
+                "--out", stem]) == 0
+    capsys.readouterr()
+    assert BoundReport.from_json(f"{stem}.report.json").params == {"dim": 3}
+
+
+def test_oracle_and_sweep_csv_bytes_match_csv_module(tmp_path, capsys, csv_table):
+    system = linear_map_system(np.diag([2.0, 0.5]))
+    region = default_region(system)
+    stem = str(tmp_path / "orc")
+    assert run(["oracle", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--horizons", "2,4,8", "--resolution", "3", "--out", stem]) == 0
+    result = lyapunov_oracle(system, region, horizons=(2, 4, 8), resolution=3)
+    csv_table(tmp_path / "orc.ref.csv", ["x0", "x1", "lam1", "lam2"],
+              [p.x + p.exponents for p in result.profiles])
+    assert (open(f"{stem}.points.csv", "rb").read()
+            == (tmp_path / "orc.ref.csv").read_bytes())
+
+    stem = str(tmp_path / "sw")
+    assert run(["sweep", "--system", "linmap", "--matrix", "[[2,1],[0,2]]",
+                "--horizons", "1,2,4", "--resolution", "2", "--bar-tol", "1e-5",
+                "--out", stem]) == 0
+    capsys.readouterr()
+    rows = [(h, BoundReport.from_json(f"{stem}.h{h:g}.report.json").bound)
+            for h in (1.0, 2.0, 4.0)]
+    csv_table(tmp_path / "sw.ref.csv", ["horizon", "bound"], rows)
+    assert (open(f"{stem}.sweep.csv", "rb").read()
+            == (tmp_path / "sw.ref.csv").read_bytes())
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,7 +13,9 @@ from restent.dynamics import (
     sample_set,
 )
 from restent.entropy import (
+    _CSV_BLOCK_ROWS,
     BoundReport,
+    PointRecord,
     aitken_accelerate,
     ct_bound,
     dt_bound,
@@ -26,7 +28,7 @@ from restent.entropy import (
     positive_sum,
     proximate_entropy,
 )
-from restent.metrics import MetricField, metric_sv_values
+from restent.metrics import LOG_ZERO, MetricField, metric_sv_values
 from restent import spd
 
 A0 = 2.0 / 3.0
@@ -402,6 +404,53 @@ def test_report_round_trip_and_csv(tmp_path):
     assert text.splitlines()[0] == "x0,x1,s1,s2,local_bound"
     rep.to_csv(cpath)
     assert cpath.read_text() == text
+
+
+def _points_table(rep):
+    """Header and rows of a report's per-point table, in the reference form."""
+    dim = len(rep.maximizer)
+    nsv = len(rep.per_point[0].spectrum) if rep.per_point else dim
+    header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(nsv)] + ["local_bound"]
+    return header, [r.state + r.spectrum + [r.local] for r in rep.per_point]
+
+
+EDGE_VALUES = [-0.0, 1.0, 5e-324, 1e-300, 1.0 / 3.0, 1e22, 2.0 ** 53 + 2, LOG_ZERO,
+               -1.5e-7, 123456789.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("rows", [
+    # every edge value in every column
+    [[v, -v, v, v, -v] for v in EDGE_VALUES],
+    # exactly one block, then a table that crosses two block boundaries
+    np.random.default_rng(7).standard_normal((_CSV_BLOCK_ROWS, 5)).tolist(),
+    (np.random.default_rng(8).standard_normal((2 * _CSV_BLOCK_ROWS + 3, 5))
+     * 10.0 ** np.random.default_rng(9).integers(-300, 300, (1, 5))).tolist(),
+    # no points: the header alone
+    [],
+], ids=["edge-values", "one-block", "block-boundaries", "empty"])
+def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
+    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                   MetricField.identity(2), resolution=2)
+    rep.per_point = [PointRecord(state=r[:2], spectrum=r[2:4], local=r[4]) for r in rows]
+    rep.to_csv(tmp_path / "new.csv")
+    csv_table(tmp_path / "ref.csv", *_points_table(rep))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == len(rows) + 1
+    if not rows:
+        assert new == b"x0,x1,s1,s2,local_bound\r\n"
+
+
+def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
+    rep = ct_bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
+    rep.to_json(tmp_path / "r.report.json")
+    back = BoundReport.from_json(tmp_path / "r.report.json")
+    back.to_csv(tmp_path / "back.csv")
+    rep.to_csv(tmp_path / "new.csv")
+    csv_table(tmp_path / "ref.csv", *_points_table(rep))
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == ref
+    assert (tmp_path / "back.csv").read_bytes() == ref
 
 
 def test_report_from_dict_rejects_other_schema():
