@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands
+Commands (each takes only the flags it reads; see ``build_parser``)
 --------
 bound    one bound computation for a system + metric, JSON/CSV reports
 sweep    bound per horizon with the minimizing-metric sequence
@@ -8,8 +8,11 @@ oracle   finite-time Lyapunov-exponent estimate with Aitken extrapolation
 lanford  full reproduction run for the built-in 3-D polynomial system
 props    randomized geometry/spectrum property suite
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
-3 invariance spot-check failure, 4 property violation.
+A ``--config`` file holds only the keys system, params, box and resolution,
+plus horizons for sweep and oracle; flags win over it.  Exit codes: 0
+success, 1 configuration or usage error (an unknown flag or key, or a system
+parameter the system does not take), 2 numeric failure, 3 invariance
+spot-check failure, 4 property violation.
 """
 from __future__ import annotations
 
@@ -104,34 +107,40 @@ def _parse_horizons(spec) -> list:
     return _numbers(spec, float, "horizons")
 
 
-def _build_system(args):
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_json(args.config, "config file")
-    name = args.system or cfg.get("system") or cfg.get("name")
+_CONFIG_KEYS = ("system", "params", "box", "resolution")
+
+
+def _build_system(args, keys=_CONFIG_KEYS):
+    """System, region and resolution from the flags over a config file whose
+    keys must all be in ``keys``."""
+    cfg = _load_json(args.config, "config file") if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config file must hold a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}; allowed: {list(keys)}")
+    name = args.system or cfg.get("system")
     if not name:
         raise ConfigError("no system given (use --system or a config file)")
-    if not isinstance(cfg.get("params", {}), dict):
-        raise ConfigError(f"config 'params' must be a JSON object, got {cfg['params']!r}")
-    params = dict(cfg.get("params", {}))
-    if name == "lanford" and args.a is not None:
-        params["a"] = float(args.a)
-    if name in ("linmap", "linode"):
-        spec = args.matrix if args.matrix is not None else params.get("matrix")
-        if spec is None:
-            raise ConfigError(f"system {name!r} needs --matrix")
-        params["matrix"] = _parse_matrix(spec)
-    if name == "identity" and args.dim is not None:
-        params["dim"] = int(_positive_option(args, "dim", 2))
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"config 'params' must be a JSON object, got {params!r}")
+    params = dict(params)
+    for key, value in (("a", args.a), ("matrix", args.matrix),
+                       ("dim", _positive(args.dim, "dim"))):
+        if value is not None:
+            params[key] = value
+    if "matrix" in params:
+        params["matrix"] = _parse_matrix(params["matrix"])
+    elif name in ("linmap", "linode"):
+        raise ConfigError(f"system {name!r} needs --matrix")
     try:
         system = make_system(name, **params)
     except (TypeError, ValueError) as exc:   # a key or value the system cannot take
         raise ConfigError(f"bad params for system {name!r}: {exc}") from exc
 
-    if args.box or "box" in cfg:
-        region = _parse_box(args.box or cfg["box"])
-    else:
-        region = default_region(system)
+    box = args.box or cfg.get("box")
+    region = default_region(system) if box is None else _parse_box(box)
     if region.dim != system.dim:
         raise ConfigError(f"box dimension {region.dim} != system dimension {system.dim}")
 
@@ -139,19 +148,23 @@ def _build_system(args):
     return system, region, resolution, cfg
 
 
-def _positive_option(args, name: str, default: float) -> float:
-    """A float flag that must be positive when given, else its default."""
-    value = getattr(args, name, None)
-    if value is None:
-        return default
-    if not value > 0:
-        raise ConfigError(f"--{name.replace('_', '-')} must be positive, got {value}")
-    return float(value)
+def _positive(value, flag: str):
+    """A flag value that must be positive when given."""
+    if value is not None and not value > 0:
+        raise ConfigError(f"--{flag} must be positive, got {value}")
+    return value
+
+
+def _auto_metric(system, horizon, tol, time_samples):
+    """The minimizing metric of ``horizon``: steps of a map, time of a flow."""
+    if system.time_type == "discrete":
+        return minimizing_metric_dt(system, int(horizon), tol=tol)
+    return minimizing_metric_ct(system, horizon, tol=tol, time_samples=time_samples)
 
 
 def _build_metric(spec, system, args):
     spec = spec or "identity"
-    bar_tol = _positive_option(args, "bar_tol", 1e-7)
+    tol = _positive(args.bar_tol, "bar-tol")
     if spec == "identity":
         return MetricField.identity(system.dim)
     if spec.startswith("constant:"):
@@ -162,22 +175,10 @@ def _build_metric(spec, system, args):
             raise ConfigError("the lanford-exp metric only fits the lanford system")
         return lanford_metric(system.params["a"])
     if spec.startswith("auto:"):
-        value = spec[len("auto:"):]
-        if system.time_type == "discrete":
-            try:
-                steps = int(value)
-            except ValueError as exc:
-                raise ConfigError("auto:<N> needs an integer step count for "
-                                  "discrete systems") from exc
-            return minimizing_metric_dt(system, steps, tol=bar_tol)
-        try:
-            horizon = float(value)
-        except ValueError as exc:
-            raise ConfigError("auto:<T> needs a numeric horizon for "
-                              "continuous systems") from exc
-        samples = getattr(args, "time_samples", None)
-        return minimizing_metric_ct(system, horizon, tol=bar_tol,
-                                    time_samples=64 if samples is None else samples)
+        kind = int if system.time_type == "discrete" else float
+        (horizon,) = _numbers([spec[len("auto:"):]], kind,
+                              "auto:<N> steps of a map or auto:<T> time of a flow")
+        return _auto_metric(system, horizon, tol, args.time_samples)
     raise ConfigError(f"unknown metric {spec!r}")
 
 
@@ -194,10 +195,8 @@ def _run_spot_check(system, region, resolution, horizon, require):
 
 
 def _compute_bound(system, region, metric, resolution, args):
-    refine = bool(getattr(args, "refine", False))
-    if system.time_type == "discrete":
-        return dt_bound(system, region, metric, resolution, refine=refine)
-    return ct_bound(system, region, metric, resolution, refine=refine)
+    bound = dt_bound if system.time_type == "discrete" else ct_bound
+    return bound(system, region, metric, resolution, refine=args.refine)
 
 
 def _write_bound_outputs(report: BoundReport, stem: str):
@@ -222,16 +221,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    system, region, resolution, cfg = _build_system(args)
+    system, region, resolution, cfg = _build_system(args, _CONFIG_KEYS + ("horizons",))
     horizons = args.horizons or cfg.get("horizons")
     if not horizons:
         raise ConfigError("sweep needs a nonempty --horizons list")
     horizons = _parse_horizons(horizons)
+    if system.time_type == "discrete" and not all(h.is_integer() for h in horizons):
+        raise ConfigError(f"horizons of a discrete system are step counts, got {horizons}")
+    tol = _positive(args.bar_tol, "bar-tol")
     stem = args.out or f"sweep_{system.name}"
     bounds = []
     for h in horizons:
-        spec = f"auto:{int(h)}" if system.time_type == "discrete" else f"auto:{h:g}"
-        metric = _build_metric(spec, system, args)
+        metric = _auto_metric(system, h, tol, args.time_samples)
         report = _compute_bound(system, region, metric, resolution, args)
         bounds.append(report.bound)
         hstem = f"{stem}.h{h:g}"
@@ -247,7 +248,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    system, region, resolution, cfg = _build_system(args)
+    system, region, resolution, cfg = _build_system(args, _CONFIG_KEYS + ("horizons",))
     horizons = _parse_horizons(args.horizons or cfg.get("horizons") or [5.0, 10.0, 20.0, 40.0])
     result = lyapunov_oracle(system, region, horizons=horizons, resolution=resolution)
     for t, v in zip(result.horizons, result.values):
@@ -260,8 +261,7 @@ def cmd_oracle(args) -> int:
         "schema_version": 1,
         "kind": "oracle",
         "system": system.name,
-        "params": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                   for k, v in system.params.items()},
+        "params": system.params,
         "region": region.descriptor(),
         "resolution": result.resolution,
         "horizons": result.horizons,
@@ -315,8 +315,7 @@ def cmd_lanford(args) -> int:
 def cmd_props(args) -> int:
     from .props import run_property_suite   # scipy loads only for this command
 
-    if args.tol is not None and float(args.tol) <= 0:
-        raise ConfigError("tolerance override must be positive")
+    _positive(args.tol, "tol")
     dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
     results = run_property_suite(seed=int(args.seed), instances=int(args.instances),
                                  dims=dims)
@@ -346,58 +345,60 @@ def cmd_props(args) -> int:
     return 4 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="restent",
         description="Grid-sampled upper bounds on restoration entropy via "
                     "metric-adapted singular values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("bound", "compute one entropy bound"),
+        ("sweep", "bound per horizon with auto metrics"),
+        ("oracle", "finite-time Lyapunov-exponent estimate"),
+        ("lanford", "reproduction run for the built-in 3-D system"),
+        ("props", "randomized property suite"))}
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file mirroring the flags")
-        p.add_argument("--system", help="built-in system name")
-        p.add_argument("--a", type=float, help="lanford parameter")
-        p.add_argument("--matrix", help="matrix spec: diag:2,0.5 | inline JSON | file")
-        p.add_argument("--dim", type=int, help="dimension for the identity system")
-        p.add_argument("--box", help="sampling box lo:hi,lo:hi,...")
-        p.add_argument("--resolution", help="grid points per axis (int or list)")
-        p.add_argument("--out", help="output file stem")
-        p.add_argument("--refine", action="store_true",
-                       help="double the resolution until the bound settles")
-        p.add_argument("--bar-tol", type=float,
-                       help="barycenter tolerance for auto metrics: a bound on "
-                            "the distance, in bits, to the true barycenter")
-        p.add_argument("--time-samples", type=int,
-                       help="time discretization of auto:T metrics")
-        p.add_argument("--check-invariance", action="store_true",
-                       help="fail (exit 3) when grid orbits leave the set")
-        p.add_argument("--check-horizon", type=float, default=5.0,
-                       help="horizon of the invariance spot check")
+    def flag(names, *args, **kwargs):   # each command takes the flags it reads
+        for name in names.split():
+            commands[name].add_argument(*args, **kwargs)
 
-    pb = sub.add_parser("bound", help="compute one entropy bound")
-    common(pb)
-    pb.add_argument("--metric", help="identity | constant:<spec> | lanford-exp | auto:N | auto:T")
-
-    ps = sub.add_parser("sweep", help="bound per horizon with auto metrics")
-    common(ps)
-    ps.add_argument("--horizons", help="comma-separated horizon list")
-
-    po = sub.add_parser("oracle", help="finite-time Lyapunov-exponent estimate")
-    common(po)
-    po.add_argument("--horizons", help="comma-separated horizon list")
-
-    pl = sub.add_parser("lanford", help="reproduction run for the built-in 3-D system")
-    common(pl)
-    pl.add_argument("--with-oracle", action="store_true",
-                    help="also run the Lyapunov oracle for comparison")
-
-    pp = sub.add_parser("props", help="randomized property suite")
-    pp.add_argument("--seed", type=int, default=42)
-    pp.add_argument("--instances", type=int, default=50)
-    pp.add_argument("--dims", help="comma-separated dimensions (default 1,2,3,5)")
-    pp.add_argument("--tol", type=float, help="override every property tolerance")
-    pp.add_argument("--out", help="output file stem")
+    system = "bound sweep oracle"
+    flag(system, "--config", help="JSON config file with keys system, params, box, "
+                                  "resolution (and horizons where --horizons is taken)")
+    flag(system, "--system", help="built-in system name")
+    flag(system + " lanford", "--a", type=float, help="lanford parameter")
+    flag(system, "--matrix", help="matrix spec: diag:2,0.5 | inline JSON | file")
+    flag(system, "--dim", type=int, help="dimension for the identity system")
+    flag(system, "--box", help="sampling box lo:hi,lo:hi,...")
+    flag(system + " lanford", "--resolution", help="grid points per axis (int or list)")
+    flag(system + " lanford props", "--out", help="output file stem")
+    flag("bound sweep", "--refine", action="store_true",
+         help="double the resolution until the bound settles")
+    flag("bound sweep", "--bar-tol", type=float, default=1e-7,
+         help="barycenter tolerance for auto metrics: a bound on the distance, "
+              "in bits, to the true barycenter")
+    flag("bound sweep", "--time-samples", type=int, default=64,
+         help="time discretization of auto:T metrics")
+    flag("bound", "--check-invariance", action="store_true",
+         help="fail (exit 3) when grid orbits leave the set")
+    flag("bound lanford", "--check-horizon", type=float, default=5.0,
+         help="horizon of the invariance spot check")
+    flag("bound", "--metric", help="identity | constant:<spec> | lanford-exp | auto:N | auto:T")
+    flag("sweep oracle", "--horizons", help="comma-separated horizon list")
+    flag("lanford", "--with-oracle", action="store_true",
+         help="also run the Lyapunov oracle for comparison")
+    flag("props", "--seed", type=int, default=42)
+    flag("props", "--instances", type=int, default=50)
+    flag("props", "--dims", help="comma-separated dimensions (default 1,2,3,5)")
+    flag("props", "--tol", type=float, help="override every property tolerance")
     return parser
 
 
@@ -411,9 +412,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -335,7 +335,6 @@ class InvarianceReport:
     n_points: int
     n_escaped: int
     horizon: float
-    resolution: tuple
     first_exit: list          # (point index, exit time) pairs
 
     @property
@@ -364,9 +363,8 @@ def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
         col = out[:, idx]
         t_exit = checks[int(np.argmax(col))] if col.any() else prop.escape_times[idx]
         first_exit.append((int(idx), float(t_exit)))
-    res = tuple([int(resolution)] * region.dim) if np.isscalar(resolution) else tuple(resolution)
     return InvarianceReport(n_points=len(pts), n_escaped=int(escaped.sum()),
-                            horizon=horizon, resolution=res, first_exit=first_exit)
+                            horizon=horizon, first_exit=first_exit)
 
 
 # ---------------------------------------------------------------------------

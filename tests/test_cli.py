@@ -127,6 +127,10 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     ["oracle", "--system", "identity", "--horizons", "5,x"],
     ["bound", "--config", "/nonexistent.json"],
     ["props", "--dims", "1,x"],
+    # --a, --matrix and --dim on a system that does not take them
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--a", "0.7"],
+    ["bound", "--system", "lanford", "--matrix", "diag:1,1,1"],
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--dim", "5"],
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
@@ -138,7 +142,11 @@ def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     {"system": "lanford", "params": [1]},
     {"system": "lanford", "params": {"a": "x"}},
     {"system": "identity", "params": {"dim": 0}},
-], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim"])
+    [1],
+    {"name": "identity"},
+    {"system": "identity", "horizons": [1]},
+], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim", "config-not-an-object",
+        "name-alias-key", "horizons-key-on-bound"])
 def test_bad_config_params_is_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -199,9 +207,94 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_seed_flag_only_on_props(capsys):
     for command in ("bound", "sweep", "oracle"):
-        with pytest.raises(SystemExit):
-            run([command, "--system", "identity", "--seed", "1"])
+        assert run([command, "--system", "identity", "--seed", "1"]) == 1
+        assert ("configuration error: restent: unrecognized arguments: --seed 1"
+                in capsys.readouterr().err)
+
+
+def test_help_exits_zero(capsys):
+    for command in ("bound", "sweep", "oracle", "lanford", "props"):
+        with pytest.raises(SystemExit) as done:
+            run([command, "--help"])
+        assert done.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+
+_BASE = {
+    "sweep": ["sweep", "--system", "linmap", "--matrix", "diag:2,0.5",
+              "--horizons", "1", "--resolution", "2"],
+    "oracle": ["oracle", "--system", "linmap", "--matrix", "diag:2,0.5",
+               "--horizons", "2", "--resolution", "2"],
+    "lanford": ["lanford", "--resolution", "3"],
+}
+
+
+# every (command, flag) pair that the command accepted without reading it
+@pytest.mark.parametrize("command,flag", [
+    ("sweep", ["--check-invariance"]),
+    ("sweep", ["--check-horizon", "1"]),
+    ("oracle", ["--refine"]),
+    ("oracle", ["--bar-tol", "5"]),
+    ("oracle", ["--time-samples", "8"]),
+    ("oracle", ["--check-invariance"]),
+    ("oracle", ["--check-horizon", "1"]),
+    ("lanford", ["--config", "run.json"]),
+    ("lanford", ["--system", "linmap"]),
+    ("lanford", ["--matrix", "diag:2,0.5"]),
+    ("lanford", ["--dim", "5"]),
+    ("lanford", ["--box", "0:1,0:1,0:1"]),
+    ("lanford", ["--refine"]),
+    ("lanford", ["--bar-tol", "5"]),
+    ("lanford", ["--time-samples", "8"]),
+    ("lanford", ["--check-invariance"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
+    assert run(_BASE[command] + flag + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: restent: unrecognized arguments: {flag[0]}" in err
+
+
+def test_config_horizons_on_sweep(tmp_path, capsys):
+    path = tmp_path / "sw.json"
+    path.write_text(json.dumps({"system": "linmap", "params": {"matrix": "diag:2,0.5"},
+                                "resolution": 2, "horizons": [1, 2]}))
+    stem = str(tmp_path / "sw")
+    assert run(["sweep", "--config", str(path), "--out", stem]) == 0
     capsys.readouterr()
+    assert open(f"{stem}.sweep.csv").read().splitlines()[1:] == ["1,1", "2,1"]
+
+
+def test_sweep_non_integer_horizon_of_a_map_is_config_error(tmp_path, capsys):
+    stem = str(tmp_path / "frac")
+    assert run(["sweep", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--horizons", "2.5", "--resolution", "2", "--out", stem]) == 1
+    assert "step counts" in capsys.readouterr().err
+    assert not os.path.exists(f"{stem}.sweep.csv")
+
+
+def test_bound_refine_doubles_resolution(tmp_path, capsys):
+    stem = str(tmp_path / "ref")
+    assert run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--resolution", "3", "--refine", "--out", stem]) == 0
+    capsys.readouterr()
+    report = BoundReport.from_json(f"{stem}.report.json")
+    assert report.refinements >= 1
+    c = 3
+    for _ in range(report.refinements):
+        c = 2 * c - 1
+    assert report.resolution == [c, c]
+    assert report.bound == pytest.approx(1.0)
+
+
+def test_bound_constant_metric(tmp_path, capsys):
+    stem = str(tmp_path / "const")
+    assert run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--metric", "constant:diag:1,4", "--resolution", "3",
+                "--out", stem]) == 0
+    assert "bound: 1.000000 bits/step" in capsys.readouterr().out
+    report = BoundReport.from_json(f"{stem}.report.json")
+    assert report.metric == "constant"
+    assert report.bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exit_code_numeric_failure(tmp_path, capsys):
