@@ -317,6 +317,8 @@ def cmd_props(args) -> int:
 
     _positive(args.tol, "tol")
     dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
+    for d in dims:
+        _positive(d, "dims")
     results = run_property_suite(seed=int(args.seed), instances=int(args.instances),
                                  dims=dims)
     if args.tol is not None:

@@ -400,6 +400,15 @@ def test_props_zero_tolerance_is_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dims", ["0", "2,-1"])
+def test_props_dims_below_one_is_config_error(tmp_path, capsys, dims):
+    code = run(["props", "--dims", dims, "--instances", "1",
+                "--out", str(tmp_path / "props")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--dims must be positive" in err
+
+
 def test_props_violation_exit_code(monkeypatch, capsys):
     from restent import props
     from restent.props import PropertyResult

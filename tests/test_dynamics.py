@@ -3,13 +3,16 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate._ivp import dop853_coefficients
 
 from restent.cli import _build_system, build_parser
 
 from restent.errors import ConfigError, UnknownSystemError
+from restent import dynamics
 from restent.dynamics import (
     STEP_TOL,
     CompactSet,
+    SystemModel,
     auto_region,
     builtin_systems,
     default_region,
@@ -124,17 +127,67 @@ def test_blowup_guard_reports_escape(dop853):
     assert abs(prop.escape_times[0] - dop853(sys_, bad, 20.0).escape_time) < 1e-2
 
 
-def test_adaptive_state_error_within_tolerance_per_unit_time(dop853):
-    sys_ = lanford_system(A_DEFAULT)
+def _interior_lanford_rows():
+    """The resolution-11 lanford grid points off the separatrix surface."""
     pts = sample_set(lanford_region(A_DEFAULT), 11)
     level = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / 2 + (pts[:, 2] - A_DEFAULT / 2) ** 2
-    interior = pts[level - (A_DEFAULT / 2) ** 2 < -1e-3]
+    return pts[level - (A_DEFAULT / 2) ** 2 < -1e-3]
+
+
+def test_adaptive_state_error_within_tolerance_per_unit_time(dop853):
+    sys_ = lanford_system(A_DEFAULT)
+    interior = _interior_lanford_rows()
     t = 5.0
     adaptive = propagate(sys_, interior, t)
     reference = dop853(sys_, interior, t)
     assert 0 < adaptive.accepted.max() < 500
     err = np.max(np.linalg.norm(adaptive.states - reference.states, axis=-1))
     assert err <= STEP_TOL * t
+
+
+def test_adaptive_global_error_within_tolerance_at_long_horizon(dop853):
+    # the per-step tolerance also bounds the global error to t = 40, in the
+    # state and in the flow Jacobian relative to 1 + |entry|
+    sys_ = lanford_system(A_DEFAULT)
+    interior = _interior_lanford_rows()
+    assert len(interior) == 485
+    t = 40.0
+    adaptive = propagate(sys_, interior, t, variational=True)
+    reference = dop853(sys_, interior, t, variational=True)
+    state_err = np.max(np.abs(adaptive.states - reference.states))
+    jac_err = np.max(np.abs(adaptive.jacobians - reference.jacobians)
+                     / (1.0 + np.abs(reference.jacobians)))
+    assert state_err <= STEP_TOL * t
+    assert jac_err <= STEP_TOL * t
+
+
+def test_nonfinite_error_estimate_rejects_the_step():
+    # xdot = x/2 with a Jacobian that is NaN past x = 1.5: the row from 1.0
+    # reaches 1.5 at t = 2 ln 1.5 and must escape there, frozen and finite,
+    # instead of carrying NaN on; the row from 0.1 stays below 1.5
+    def jac(x):
+        return np.where(x[..., None] > 1.5, np.nan, 0.5)
+
+    sys_ = SystemModel(name="nan-jacobian", time_type="continuous", dim=1,
+                       rhs=lambda x: x / 2, jacobian=jac)
+    prop = propagate(sys_, [[0.1], [1.0]], 2.0, variational=True)
+    assert prop.escaped.tolist() == [False, True]
+    assert abs(prop.escape_times[1] - 2 * np.log(1.5)) < 1e-9
+    assert np.isfinite(prop.states).all() and np.isfinite(prop.jacobians).all()
+    assert prop.states[0, 0] == pytest.approx(0.1 * np.e, rel=1e-10)
+    assert prop.jacobians[0, 0, 0] == pytest.approx(np.e, rel=1e-10)
+
+
+def test_dop853_tableau_matches_the_reference_coefficients():
+    ref = dop853_coefficients
+    np.testing.assert_array_equal(dynamics._A, ref.A[:12, :12])
+    np.testing.assert_array_equal(dynamics._B, ref.B)
+    # the reference carries a thirteenth (FSAL) weight, zero in both estimates
+    np.testing.assert_array_equal(dynamics._E5, ref.E5[:12])
+    np.testing.assert_array_equal(dynamics._E3, ref.E3[:12])
+    assert ref.E5[12] == 0 and ref.E3[12] == 0
+    assert np.max(np.abs(dynamics._A.sum(axis=1) - ref.C[:12])) <= 1e-15
+    assert abs(dynamics._B.sum() - 1.0) <= 1e-15
 
 
 def test_record_times_are_hit_and_must_not_decrease():

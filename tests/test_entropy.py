@@ -290,6 +290,18 @@ def test_minimizing_metric_ct_lanford_sweep_holds_the_closed_form():
     assert _nonincreasing(bounds), bounds
 
 
+def test_minimizing_metric_ct_lanford_sweep_is_tight_and_nonincreasing():
+    # the time-h map bound sits on the closed form at every horizon, and a
+    # longer horizon does not raise it beyond rounding
+    sys_, region = lanford_system(A0), lanford_region(A0)
+    ref = lanford_closed_form(A0)
+    bounds = [ct_bound(sys_, region, minimizing_metric_ct(sys_, t, time_samples=32),
+                       resolution=5).bound
+              for t in (2.0, 4.0, 8.0, 16.0)]
+    assert all(abs(b - ref) <= 1e-12 for b in bounds), [b - ref for b in bounds]
+    assert _nonincreasing(bounds, slack=1e-12), [b - ref for b in bounds]
+
+
 def test_minimizing_metric_ct_nonnormal_linode_sweep():
     sys_ = linear_ode_system(np.array([[0.5, 2.0], [0.0, -0.3]]))
     floor = proximate_entropy(sys_, [0.0, 0.0])     # 0.5 / ln 2
