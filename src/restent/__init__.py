@@ -19,12 +19,13 @@ from .entropy import (
     BoundReport,
     LyapunovProfile,
     OracleResult,
+    bound,
     ct_bound,
     dt_bound,
     lanford_closed_form,
     lanford_metric,
     lyapunov_oracle,
-    minimizing_metric_ct,
+    minimizing_metric,
     minimizing_metric_dt,
     proximate_entropy,
 )

@@ -33,13 +33,11 @@ from .dynamics import (
 from .entropy import (
     BoundReport,
     _write_table,
-    ct_bound,
-    dt_bound,
+    bound,
     lanford_closed_form,
     lanford_metric,
     lyapunov_oracle,
-    minimizing_metric_ct,
-    minimizing_metric_dt,
+    minimizing_metric,
     proximate_entropy,
 )
 from .errors import ConfigError, NumericError, ToolkitError
@@ -155,16 +153,23 @@ def _positive(value, flag: str):
     return value
 
 
-def _auto_metric(system, horizon, tol, time_samples):
-    """The minimizing metric of ``horizon``: steps of a map, time of a flow."""
-    if system.time_type == "discrete":
-        return minimizing_metric_dt(system, int(horizon), tol=tol)
-    return minimizing_metric_ct(system, horizon, tol=tol, time_samples=time_samples)
+def _auto_options(system, args) -> dict:
+    """The ``minimizing_metric`` options given as flags; its own defaults
+    stand for the others.  A map's metric has one node per step, so
+    --time-samples on a map is refused."""
+    if system.time_type == "discrete" and args.time_samples is not None:
+        raise ConfigError("--time-samples applies to flows only; a map's auto:N "
+                          "metric has one node per step")
+    options = {"tol": _positive(args.bar_tol, "bar-tol"),
+               "time_samples": args.time_samples}
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _build_metric(spec, system, args):
     spec = spec or "identity"
-    tol = _positive(args.bar_tol, "bar-tol")
+    if not spec.startswith("auto:") and (args.bar_tol, args.time_samples) != (None, None):
+        raise ConfigError(f"--bar-tol and --time-samples apply to auto: metrics "
+                          f"only, not to {spec!r}")
     if spec == "identity":
         return MetricField.identity(system.dim)
     if spec.startswith("constant:"):
@@ -175,10 +180,9 @@ def _build_metric(spec, system, args):
             raise ConfigError("the lanford-exp metric only fits the lanford system")
         return lanford_metric(system.params["a"])
     if spec.startswith("auto:"):
-        kind = int if system.time_type == "discrete" else float
-        (horizon,) = _numbers([spec[len("auto:"):]], kind,
+        (horizon,) = _numbers([spec[len("auto:"):]], float,
                               "auto:<N> steps of a map or auto:<T> time of a flow")
-        return _auto_metric(system, horizon, tol, args.time_samples)
+        return minimizing_metric(system, horizon, **_auto_options(system, args))
     raise ConfigError(f"unknown metric {spec!r}")
 
 
@@ -194,11 +198,6 @@ def _run_spot_check(system, region, resolution, horizon, require):
     return report
 
 
-def _compute_bound(system, region, metric, resolution, args):
-    bound = dt_bound if system.time_type == "discrete" else ct_bound
-    return bound(system, region, metric, resolution, refine=args.refine)
-
-
 def _write_bound_outputs(report: BoundReport, stem: str):
     report.to_json(f"{stem}.report.json")
     report.to_csv(f"{stem}.points.csv")
@@ -211,7 +210,7 @@ def cmd_bound(args) -> int:
     if args.check_invariance:
         _run_spot_check(system, region, resolution,
                         horizon=float(args.check_horizon), require=True)
-    report = _compute_bound(system, region, metric, resolution, args)
+    report = bound(system, region, metric, resolution, refine=args.refine)
     print(f"bound: {report.bound:.6f} {report.units}")
     print(f"maximizer: {np.array(report.maximizer)}")
     if report.excluded:
@@ -228,12 +227,12 @@ def cmd_sweep(args) -> int:
     horizons = _parse_horizons(horizons)
     if system.time_type == "discrete" and not all(h.is_integer() for h in horizons):
         raise ConfigError(f"horizons of a discrete system are step counts, got {horizons}")
-    tol = _positive(args.bar_tol, "bar-tol")
+    options = _auto_options(system, args)
     stem = args.out or f"sweep_{system.name}"
     bounds = []
     for h in horizons:
-        metric = _auto_metric(system, h, tol, args.time_samples)
-        report = _compute_bound(system, region, metric, resolution, args)
+        metric = minimizing_metric(system, h, **options)
+        report = bound(system, region, metric, resolution, refine=args.refine)
         bounds.append(report.bound)
         hstem = f"{stem}.h{h:g}"
         report.to_json(f"{hstem}.report.json")
@@ -292,7 +291,7 @@ def cmd_lanford(args) -> int:
         print("note: for a != 2/3 no compact forward-invariant set with interior "
               "exists; the bound is still valid for any invariant subset")
     metric = lanford_metric(a)
-    report = ct_bound(system, region, metric, resolution, refine=True)
+    report = bound(system, region, metric, resolution, refine=True)
     o2 = np.array([0.0, 0.0, a])
     lower = proximate_entropy(system, o2)
     print(f"closed-form reference : {reference:.6f} bits/time")
@@ -384,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     flag(system + " lanford props", "--out", help="output file stem")
     flag("bound sweep", "--refine", action="store_true",
          help="double the resolution until the bound settles")
-    flag("bound sweep", "--bar-tol", type=float, default=1e-7,
+    flag("bound sweep", "--bar-tol", type=float,
          help="barycenter tolerance for auto metrics: a bound on the distance, "
               "in bits, to the true barycenter")
-    flag("bound sweep", "--time-samples", type=int, default=64,
-         help="time discretization of auto:T metrics")
+    flag("bound sweep", "--time-samples", type=int,
+         help="time discretization of a flow's auto:T metrics")
     flag("bound", "--check-invariance", action="store_true",
          help="fail (exit 3) when grid orbits leave the set")
     flag("bound lanford", "--check-horizon", type=float, default=5.0,

@@ -26,9 +26,9 @@ Array = np.ndarray
 
 LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 2
-# Refinement doubles the resolution until the bound moves by less than
-# REFINE_TOL, at most MAX_REFINES times, and stops before a grid would exceed
-# its point budget.
+# Refinement doubles the resolution (c -> 2c - 1 per axis) until the bound
+# moves by less than REFINE_TOL, at most MAX_REFINES times, and stops before a
+# grid would exceed the point budget of its time type.
 REFINE_TOL = 1e-4
 MAX_REFINES = 3
 DT_POINT_BUDGET = 2_000_000
@@ -174,34 +174,30 @@ def _resolution_list(resolution, dim) -> list:
     return [int(c) for c in resolution]
 
 
-def _double_resolution(res: list) -> list:
-    return [2 * c - 1 for c in res]
-
-
 def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     """Metric spectra at every grid point, evaluated as one batch.
 
-    A map (discrete time), or the time-h map of a flow for a metric without
-    an orbital rule (h = ``metric.step``), is measured between P(x) and P at
-    the image, with the metric evaluated once on the points stacked with
-    their images; the time-h values are scaled by 2 ln 2 / h, to the units
-    of the generator spectrum.  A metric with an orbital rule gets the
-    generator spectrum itself.  Returns ``(values, reasons)``:
-    ``reasons[i]`` is None, or says why point i is left out (its Jacobian,
-    image or metric values are unusable); ``values`` holds the spectra of
-    the other points, in grid order."""
+    A flow with an orbital rule gets the generator spectrum.  Everything
+    else is measured on the time-h map (h = 1 for a map, ``metric.step`` for
+    a flow), between P(x) and P at the image, with the metric evaluated once
+    on the points stacked with their images; a flow's values are scaled by
+    2 ln 2 / h, to the units of the generator spectrum.  Returns
+    ``(values, reasons)``: ``reasons[i]`` is None, or says why point i is
+    left out (its orbit blew up within the step, or its Jacobian or metric
+    values are unusable); ``values`` holds the spectra of the other points,
+    in grid order."""
     m = len(pts)
     reasons = [None] * m
-    if system.time_type == "discrete":
-        images, jac, scale = system.rhs(pts), system.jacobian(pts), 1.0
-    elif metric.has_orbital:
+    discrete = system.time_type == "discrete"
+    if not discrete and metric.has_orbital:
         images, jac = None, system.jacobian(pts)
     else:
-        prop = propagate(system, pts, metric.step, variational=True)
+        h = 1.0 if discrete else metric.step
+        prop = propagate(system, pts, h, variational=True)
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory of '{system.name}' blew up within the "
                           f"map step at t={prop.escape_times[i]:.6g}")
-        images, jac, scale = prop.states, prop.jacobians, 2.0 * LN2 / metric.step
+        images, jac = prop.states, prop.jacobians
     p, why = metric.values(pts if images is None else np.concatenate([pts, images]))
     why_ahead = why[m:] or [None] * m
     bad_jac = (~np.isfinite(jac).all(axis=(-2, -1))).tolist()
@@ -213,6 +209,7 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     if images is None:
         pdot = metric.orbital_derivative(pts[ok])
         return ct_spectrum_values(p[ok], jac[ok], pdot), reasons
+    scale = 1.0 if discrete else 2.0 * LN2 / h
     return scale * metric_sv_values(p[:m][ok], p[m:][ok], jac[ok]), reasons
 
 
@@ -252,57 +249,41 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
     )
 
 
-def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False) -> BoundReport:
-    """Upper bound on the restoration entropy of a discrete-time system:
-    the grid max of the summed positive log singular values of the one-step
-    Jacobian, measured between the metric at x and at its image."""
-    if system.time_type != "discrete":
-        raise ConfigError("dt_bound requires a discrete-time system")
-    return _refine_loop(lambda res: _grid_bound(system, region, metric, res),
-                        region, resolution, refine, DT_POINT_BUDGET)
+def bound(system: SystemModel, region: CompactSet, metric: MetricField,
+          resolution=9, refine: bool = False) -> BoundReport:
+    """Upper bound on the restoration entropy over the sampled set, in
+    bits/step for a map and bits per unit time for a flow.
 
-
-def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False) -> BoundReport:
-    """Upper bound for a continuous-time system, in bits per unit time.
-
-    With an orbital rule Pdot, the bound is 1/(2 ln 2) times the grid max
-    of the summed positive eigenvalues of P^{-1/2} (P J + J^T P + Pdot)
-    P^{-1/2}.  A metric without one (the tabulated minimizing metrics)
-    carries its node spacing h = ``metric.step``, and the bound is the
-    discrete-time bound of the time-h map phi_h divided by h: the summed
-    positive log2 singular values of the flow Jacobian Phi(h, x), measured
-    between P(x) and P(phi_h x), over h.  That is an upper bound because
-    the paper's discrete-time bound holds for the map phi_h with any
-    metric, and h_res(phi_h) = h * h_res(flow).  The summed positive log
-    singular values are subadditive along a product (Horn's inequality), so
-    the time-h value at x is at most the mean of the time-h/2 values at x
-    and at phi_{h/2} x, and as h -> 0 it tends to the value with the exact
-    Pdot."""
-    if system.time_type != "continuous":
-        raise ConfigError("ct_bound requires a continuous-time system")
-    if not metric.has_orbital and not (metric.step or 0.0) > 0.0:
+    For a map it is the grid max of the summed positive log2 singular values
+    of the one-step Jacobian, measured between P(x) and P at the image.  For
+    a flow and a metric with an orbital rule Pdot, it is 1/(2 ln 2) times
+    the grid max of the summed positive eigenvalues of
+    P^{-1/2} (P J + J^T P + Pdot) P^{-1/2}.  A flow's metric without one
+    (the tabulated minimizing metrics) carries its node spacing
+    h = ``metric.step``, and the bound is the map bound of the time-h map
+    phi_h divided by h.  That is an upper bound because the paper's
+    discrete-time bound holds for the map phi_h with any metric, and
+    h_res(phi_h) = h * h_res(flow).  The summed positive log singular values
+    are subadditive along a product (Horn's inequality), so the time-h value
+    at x is at most the mean of the time-h/2 values at x and at
+    phi_{h/2} x, and as h -> 0 it tends to the value with the exact Pdot.
+    ``refine`` refines the grid as ``REFINE_TOL`` describes."""
+    discrete = system.time_type == "discrete"
+    if not discrete and not metric.has_orbital and not (metric.step or 0.0) > 0.0:
         raise ConfigError(f"metric '{metric.label}' has neither an orbital "
                           "derivative nor a positive time step for the "
                           "time-step map")
-    return _refine_loop(lambda res: _grid_bound(system, region, metric, res),
-                        region, resolution, refine, CT_POINT_BUDGET)
-
-
-def _refine_loop(compute, region, resolution, refine, point_budget) -> BoundReport:
     res = _resolution_list(resolution, region.dim)
-    report = compute(res)
-    if not refine:
-        return report
+    report = _grid_bound(system, region, metric, res)
+    budget = DT_POINT_BUDGET if discrete else CT_POINT_BUDGET
     done = 0
-    while done < MAX_REFINES:
-        nxt = _double_resolution(res)
-        if np.prod(nxt, dtype=float) > point_budget:
+    while refine and done < MAX_REFINES:
+        nxt = [2 * c - 1 for c in res]
+        if np.prod(nxt, dtype=float) > budget:
             warnings.warn("refinement stopped by the point budget",
                           RuntimeWarning, stacklevel=2)
             break
-        finer = compute(nxt)
+        finer = _grid_bound(system, region, metric, nxt)
         done += 1
         delta = abs(finer.bound - report.bound)
         res, report = nxt, finer
@@ -310,6 +291,22 @@ def _refine_loop(compute, region, resolution, refine, point_budget) -> BoundRepo
             break
     report.refinements = done
     return report
+
+
+def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
+             resolution=9, refine: bool = False) -> BoundReport:
+    """``bound`` of a discrete-time system."""
+    if system.time_type != "discrete":
+        raise ConfigError("dt_bound requires a discrete-time system")
+    return bound(system, region, metric, resolution, refine)
+
+
+def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
+             resolution=9, refine: bool = False) -> BoundReport:
+    """``bound`` of a continuous-time system."""
+    if system.time_type != "continuous":
+        raise ConfigError("ct_bound requires a continuous-time system")
+    return bound(system, region, metric, resolution, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -351,61 +348,41 @@ def _inverted_barycenters(factors: Array, reasons: list, tol: float) -> Array:
     return power(bars, -1.0)
 
 
-def minimizing_metric_dt(system: SystemModel, steps: int,
-                         tol: float = 1e-7) -> MetricField:
-    """Tabulated metric whose value at x is the inverted unweighted
-    barycenter of the identity together with the inverse-Gram atoms of the
-    orbit Jacobian products of length 1..steps-1.  steps=1 yields the
-    identity metric.
+def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
+                      tol: float = 1e-7) -> MetricField:
+    """Tabulated metric whose value at x is the inverted unweighted Karcher
+    barycenter of the inverse-Gram atoms of the Jacobian products along the
+    orbit of x, one per node: for a map, the steps 0..N-1 (``horizon`` = N,
+    an integer at least 1); for a flow, ``time_samples`` equally spaced
+    times in [0, T] including both endpoints (``horizon`` = T > 0).  The
+    node at 0 gives the identity atom, so N = 1, or one time sample, yields
+    the identity metric.  A map's metric does not read ``time_samples``.  A
+    flow's metric carries its node spacing as ``step``, the h of the time-h
+    map its bound is measured on.
 
     ``tol`` bounds the distance, in bits, from each computed barycenter to
-    the true one; a point whose barycenter does not reach it is excluded
-    with a reason."""
-    if system.time_type != "discrete":
-        raise ConfigError("the step-indexed minimizing metric needs a discrete system")
-    steps = int(steps)
-    if steps < 1:
-        raise ConfigError("steps must be at least 1")
-
-    def rule(x: Array) -> tuple:
-        prod = np.broadcast_to(np.eye(system.dim), (len(x), system.dim, system.dim))
-        prods = [prod]
-        for _ in range(steps - 1):
-            prod = system.jacobian(x) @ prod
-            x = system.rhs(x)
-            prods.append(prod)
-        reasons = [None] * len(x)
-        factors = _inverse_factors(np.stack(prods, axis=1), reasons)
-        return _inverted_barycenters(factors, reasons, tol), reasons
-
-    return MetricField.tabulated(system.dim, rule, label=f"auto:N={steps}",
-                                 horizon=float(steps))
-
-
-def minimizing_metric_ct(system: SystemModel, horizon: float,
-                         time_samples: int = 64, tol: float = 1e-7) -> MetricField:
-    """Tabulated metric from the time-discretized barycenter of the
-    inverse-Gram atoms of the flow Jacobian, at equally spaced times in
-    [0, horizon] including both endpoints.
-
-    ``tol`` bounds the distance, in bits, from each computed barycenter to
-    the true one; a point whose barycenter does not reach it is excluded
-    with a reason."""
-    if system.time_type != "continuous":
-        raise ConfigError("the time-indexed minimizing metric needs a continuous system")
+    the true one; a point whose barycenter does not reach it, or whose
+    orbit escapes before the last node, is excluded with a reason."""
     horizon = float(horizon)
-    time_samples = int(time_samples)
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if time_samples < 1:
-        raise ConfigError("time_samples must be at least 1")
-    if time_samples == 1:
-        # single atom at s = 0: the barycenter is the identity everywhere
-        return MetricField.constant(np.eye(system.dim), label=f"auto:T={horizon:g}")
-    nodes = np.linspace(0.0, horizon, time_samples)
+    if system.time_type == "discrete":
+        if not horizon.is_integer() or horizon < 1:
+            raise ConfigError(f"steps must be a whole number of at least 1, got {horizon:g}")
+        nodes, label, step = np.arange(horizon), f"auto:N={int(horizon)}", None
+    else:
+        time_samples = int(time_samples)
+        if not 0.0 < horizon < np.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")
+        if time_samples < 1:
+            raise ConfigError("time_samples must be at least 1")
+        label = f"auto:T={horizon:g}"
+        if time_samples == 1:
+            # single atom at s = 0: the barycenter is the identity everywhere
+            return MetricField.constant(np.eye(system.dim), label=label)
+        nodes = np.linspace(0.0, horizon, time_samples)
+        step = horizon / (time_samples - 1)
 
     def rule(x: Array) -> tuple:
-        prop = propagate(system, x, horizon, variational=True, record_at=nodes)
+        prop = propagate(system, x, nodes[-1], variational=True, record_at=nodes)
         reasons = [None] * len(x)
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
@@ -413,8 +390,15 @@ def minimizing_metric_ct(system: SystemModel, horizon: float,
         factors = _inverse_factors(np.swapaxes(prop.jacobians, 0, 1), reasons)
         return _inverted_barycenters(factors, reasons, tol), reasons
 
-    return MetricField.tabulated(system.dim, rule, label=f"auto:T={horizon:g}",
-                                 horizon=horizon, step=horizon / (time_samples - 1))
+    return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
+
+
+def minimizing_metric_dt(system: SystemModel, steps: int,
+                         tol: float = 1e-7) -> MetricField:
+    """``minimizing_metric`` of a discrete-time system over ``steps`` steps."""
+    if system.time_type != "discrete":
+        raise ConfigError("the step-indexed minimizing metric needs a discrete system")
+    return minimizing_metric(system, steps, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +412,12 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     max over sample points of the summed positive exponents of the flow
     Jacobian, per horizon, with Aitken extrapolation of the horizon series.
 
-    Blown-up samples are flagged and excluded."""
+    Blown-up samples are flagged and excluded.  On lanford at resolution
+    11, the 30 rows near the separatrix surface (level at least -1e-3)
+    shadow the heteroclinic connection: their states at t = 40 differ from
+    a scipy DOP853 reference (rtol 1e-13) by 4.9e-2, so their exponents
+    depend on the integrator, and QR renormalisation would not make them
+    reproducible."""
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise ConfigError("horizons must be positive")

@@ -33,9 +33,9 @@ class MetricField:
     analytic rules map states (..., n) -> (..., n, n).  A tabulated rule maps
     a batch of distinct states (m, n) to ``(P, reasons)``: P has shape
     (m, n, n) and ``reasons[i]`` is None, or says why row i has no value.
-    Tabulated fields carry no orbital derivative.  A tabulated field built on
-    a time grid carries its node spacing ``step``, and continuous-time bounds
-    measure it on the time-``step`` map of the flow instead.
+    Tabulated fields carry no orbital derivative, so every tabulated metric
+    is measured on the time-h map: h = 1 for a map, and for a flow the node
+    spacing ``step`` that a tabulated field built on a time grid carries.
     """
 
     dim: int

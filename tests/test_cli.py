@@ -109,6 +109,50 @@ def test_zero_time_samples_is_config_error(tmp_path, capsys):
     assert "time_samples must be at least 1" in capsys.readouterr().err
 
 
+# --bar-tol and --time-samples next to a metric that does not read them
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--metric", "auto:4",
+      "--time-samples", "3"], "--time-samples applies to flows only"),
+    (["sweep", "--system", "linmap", "--matrix", "diag:2,0.5", "--horizons", "1,2",
+      "--time-samples", "3"], "--time-samples applies to flows only"),
+    (["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--metric", "identity",
+      "--bar-tol", "1e-5"], "apply to auto: metrics only"),
+    (["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--metric", "identity",
+      "--time-samples", "8"], "apply to auto: metrics only"),
+    (["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--bar-tol", "1e-5"],
+     "apply to auto: metrics only"),
+    (["bound", "--system", "lanford", "--metric", "lanford-exp", "--time-samples", "8"],
+     "apply to auto: metrics only"),
+    (["bound", "--system", "linode", "--matrix", "diag:1,-1", "--metric",
+      "constant:diag:1,2", "--bar-tol", "1e-5"], "apply to auto: metrics only"),
+], ids=["map-auto-time-samples", "map-sweep-time-samples", "identity-bar-tol",
+        "identity-time-samples", "default-metric-bar-tol", "lanford-exp-time-samples",
+        "flow-constant-bar-tol"])
+def test_unread_auto_metric_option_is_config_error(tmp_path, capsys, argv, message):
+    stem = str(tmp_path / "unread")
+    assert run(argv + ["--resolution", "2", "--out", stem]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("spec", ["auto:0", "auto:-1", "auto:inf", "auto:nan"])
+def test_flow_auto_horizon_must_be_positive_and_finite(tmp_path, capsys, spec):
+    assert run(["bound", "--system", "linode", "--matrix", "diag:0.5,-0.3",
+                "--metric", spec, "--resolution", "2", "--out", str(tmp_path / "h")]) == 1
+    assert "horizon must be positive and finite" in capsys.readouterr().err
+
+
+def test_time_samples_set_the_map_step_of_a_flow_metric(tmp_path, capsys):
+    stem = str(tmp_path / "ts")
+    assert run(["bound", "--system", "linode", "--matrix", "diag:0.5,-0.3",
+                "--metric", "auto:2", "--time-samples", "5", "--bar-tol", "1e-9",
+                "--resolution", "2", "--out", stem]) == 0
+    capsys.readouterr()
+    report = BoundReport.from_json(f"{stem}.report.json")
+    assert (report.metric, report.metric_horizon, report.map_step) == ("auto:T=2", 2.0, 0.5)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     code = run(["bound", "--system", "linmap", "--matrix", "[[2,1],[0,2]]",

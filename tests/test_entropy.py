@@ -14,6 +14,8 @@ from restent.dynamics import (
 )
 from restent.entropy import (
     _CSV_BLOCK_ROWS,
+    _inverse_factors,
+    _inverted_barycenters,
     BoundReport,
     PointRecord,
     aitken_accelerate,
@@ -23,7 +25,7 @@ from restent.entropy import (
     lanford_metric,
     lyapunov_oracle,
     metric_change_constant,
-    minimizing_metric_ct,
+    minimizing_metric,
     minimizing_metric_dt,
     positive_sum,
     proximate_entropy,
@@ -238,9 +240,67 @@ def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
         dt_bound(sys_, UNIT_BOX_2, metric, resolution=2)
 
 
+def _orbit_loop_metric(system, steps, x, tol=1e-7):
+    """Reference minimizing metric of a map at the rows of x, as ``(P,
+    reasons)``: the Jacobian products of lengths 0..steps-1 accumulated along
+    each orbit one map step at a time, then inverted and averaged like the
+    library's."""
+    prod = np.broadcast_to(np.eye(system.dim), (len(x), system.dim, system.dim))
+    prods = [prod]
+    for _ in range(steps - 1):
+        prod = system.jacobian(x) @ prod
+        x = system.rhs(x)
+        prods.append(prod)
+    reasons = [None] * len(x)
+    factors = _inverse_factors(np.stack(prods, axis=1), reasons)
+    return _inverted_barycenters(factors, reasons, tol), reasons
+
+
+@pytest.mark.parametrize("steps", [1, 2, 8])
+def test_minimizing_metric_of_a_map_matches_the_orbit_loop(steps):
+    sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    x = sample_set(UNIT_BOX_2, 5)
+    metric = minimizing_metric(sys_, steps)
+    assert (metric.label, metric.horizon, metric.step) == (f"auto:N={steps}", steps, None)
+    p, reasons = metric.eval_rule(x)
+    ref, ref_reasons = _orbit_loop_metric(sys_, steps, x)
+    assert reasons == ref_reasons == [None] * len(x)
+    np.testing.assert_array_equal(p, ref)
+
+
+@pytest.mark.parametrize("steps", [0, 2.5])
+def test_minimizing_metric_of_a_map_needs_a_whole_positive_step_count(steps):
+    with pytest.raises(ConfigError, match="steps must be a whole number"):
+        minimizing_metric(linear_map_system(np.diag([2.0, 0.5])), steps)
+
+
+def test_map_bound_excludes_rows_that_blow_up_within_the_step():
+    # the images of the x0 = +-1e8 columns pass the blow-up guard; those of
+    # x0 = +-5e7 reach its norm 1e8 but do not exceed it
+    sys_ = linear_map_system(np.diag([2.0, 0.5]))
+    box = CompactSet(bounds=((-1e8, 1e8), (-1.0, 1.0)))
+    rep = dt_bound(sys_, box, MetricField.identity(2), resolution=5)
+    assert rep.bound == 1.0
+    assert len(rep.excluded) == 10
+    assert all(abs(e["state"][0]) == 1e8 for e in rep.excluded)
+    assert {e["reason"] for e in rep.excluded} == {
+        "trajectory of 'linmap' blew up within the map step at t=1"}
+    assert len(rep.per_point) == 15
+
+
+def test_minimizing_metric_of_a_map_excludes_orbits_that_blow_up():
+    jordan = linear_map_system(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    _, reasons = minimizing_metric(jordan, 30).values(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert reasons == ["trajectory escaped at t=23 while building the minimizing metric",
+                       None]
+    # the benchmark's Jordan sweep stays clear of the guard
+    _, reasons = minimizing_metric(jordan, 16).values(sample_set(UNIT_BOX_2, 2))
+    assert reasons == [None] * 4
+
+
 def test_minimizing_metric_ct_degenerate_horizon():
     sys_ = linear_ode_system(np.array([[0.7]]))
-    metric = minimizing_metric_ct(sys_, 1.0, time_samples=1)
+    metric = minimizing_metric(sys_, 1.0, time_samples=1)
     assert np.allclose(metric.evaluate(np.array([0.4])), np.eye(1))
 
 
@@ -248,14 +308,14 @@ def test_minimizing_metric_ct_scalar_growth():
     lam = 0.9
     sys_ = linear_ode_system(np.array([[lam]]))
     for horizon in (0.5, 1.5):
-        metric = minimizing_metric_ct(sys_, horizon, time_samples=9, tol=1e-10)
+        metric = minimizing_metric(sys_, horizon, time_samples=9, tol=1e-10)
         # equal-weight log-mean of e^{-2 lam s} over the node grid
         value = metric.evaluate(np.array([0.1]))[0, 0]
         assert value == pytest.approx(np.exp(lam * horizon), rel=1e-6)
         rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(lam / LN2, rel=1e-3)
     ode = linear_ode_system(np.array([[0.5]]))
-    metric = minimizing_metric_ct(ode, 1.0, time_samples=5, tol=1e-9)
+    metric = minimizing_metric(ode, 1.0, time_samples=5, tol=1e-9)
     rep = ct_bound(ode, UNIT_BOX_1, metric, resolution=5)
     assert rep.bound == pytest.approx(0.5 / LN2, rel=1e-3)
 
@@ -266,7 +326,7 @@ def test_minimizing_metric_ct_lanford_converges_from_above():
     ref = lanford_closed_form(A0)
     bounds = []
     for horizon in (1.0, 3.0):
-        metric = minimizing_metric_ct(sys_, horizon, time_samples=16, tol=1e-6)
+        metric = minimizing_metric(sys_, horizon, time_samples=16, tol=1e-6)
         rep = ct_bound(sys_, region, metric, resolution=3)
         bounds.append(rep.bound)
         assert rep.bound >= ref - 5e-3
@@ -283,7 +343,7 @@ def test_minimizing_metric_ct_lanford_sweep_holds_the_closed_form():
     # closed form; longer horizons must not loosen it
     sys_, region = lanford_system(A0), lanford_region(A0)
     ref = lanford_closed_form(A0)
-    bounds = [ct_bound(sys_, region, minimizing_metric_ct(sys_, t, time_samples=32),
+    bounds = [ct_bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
                        resolution=5).bound
               for t in (2.0, 4.0, 8.0, 16.0)]
     assert all(ref - 1e-9 <= b <= ref + 1e-6 for b in bounds), bounds
@@ -295,7 +355,7 @@ def test_minimizing_metric_ct_lanford_sweep_is_tight_and_nonincreasing():
     # longer horizon does not raise it beyond rounding
     sys_, region = lanford_system(A0), lanford_region(A0)
     ref = lanford_closed_form(A0)
-    bounds = [ct_bound(sys_, region, minimizing_metric_ct(sys_, t, time_samples=32),
+    bounds = [ct_bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
                        resolution=5).bound
               for t in (2.0, 4.0, 8.0, 16.0)]
     assert all(abs(b - ref) <= 1e-12 for b in bounds), [b - ref for b in bounds]
@@ -305,7 +365,7 @@ def test_minimizing_metric_ct_lanford_sweep_is_tight_and_nonincreasing():
 def test_minimizing_metric_ct_nonnormal_linode_sweep():
     sys_ = linear_ode_system(np.array([[0.5, 2.0], [0.0, -0.3]]))
     floor = proximate_entropy(sys_, [0.0, 0.0])     # 0.5 / ln 2
-    bounds = [ct_bound(sys_, UNIT_BOX_2, minimizing_metric_ct(sys_, t),
+    bounds = [ct_bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, t),
                        resolution=3).bound
               for t in (1.0, 2.0, 4.0, 8.0)]
     assert all(b >= floor - 1e-9 for b in bounds), bounds
