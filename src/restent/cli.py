@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import props
 from .dynamics import (
     CompactSet,
     default_region,
@@ -312,14 +313,12 @@ def cmd_lanford(args) -> int:
 
 
 def cmd_props(args) -> int:
-    from .props import run_property_suite   # scipy loads only for this command
-
     _positive(args.tol, "tol")
     dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
     for d in dims:
         _positive(d, "dims")
-    results = run_property_suite(seed=int(args.seed), instances=int(args.instances),
-                                 dims=dims)
+    results = props.run_property_suite(seed=int(args.seed), instances=int(args.instances),
+                                       dims=dims)
     if args.tol is not None:
         for r in results:
             r.tolerance = float(args.tol)

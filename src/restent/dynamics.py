@@ -155,8 +155,8 @@ class Propagation:
 
 def _check_horizon(system: SystemModel, t) -> float:
     t = float(t)
-    if t < 0:
-        raise ConfigError("horizons must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ConfigError(f"horizons must be finite and nonnegative, got {t}")
     if system.time_type == "discrete" and abs(t - round(t)) > 1e-12:
         raise ConfigError(f"discrete horizon must be an integer, got {t}")
     return t
@@ -331,7 +331,7 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     t = _check_horizon(system, t)
     if record_at is not None:
         record_at = [float(r) for r in record_at]
-        if any(r < 0 or r > t + 1e-9 for r in record_at):
+        if any(not 0.0 <= r <= t + 1e-9 for r in record_at):
             raise ConfigError("record times must lie within [0, horizon]")
         if sorted(record_at) != record_at:
             raise ConfigError("record times must be nondecreasing")

@@ -171,6 +171,7 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     ["oracle", "--system", "identity", "--horizons", "5,x"],
     ["bound", "--config", "/nonexistent.json"],
     ["props", "--dims", "1,x"],
+    ["props", "--seed", "-1"],
     # --a, --matrix and --dim on a system that does not take them
     ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--a", "0.7"],
     ["bound", "--system", "lanford", "--matrix", "diag:1,1,1"],
@@ -178,6 +179,25 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
+    assert "configuration error: " in capsys.readouterr().err
+
+
+# a NaN horizon or record time once made propagation loop forever
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--system", "lanford", "--resolution", "3", "--horizons", "nan"],
+    ["oracle", "--system", "lanford", "--resolution", "3", "--horizons", "5,nan"],
+    ["oracle", "--system", "lanford", "--resolution", "3", "--horizons", "nan,5"],
+    ["oracle", "--system", "lanford", "--resolution", "3", "--horizons", "inf"],
+    ["bound", "--system", "lanford", "--metric", "lanford-exp", "--resolution", "3",
+     "--check-invariance", "--check-horizon", "nan"],
+    ["bound", "--system", "lanford", "--metric", "lanford-exp", "--resolution", "3",
+     "--check-invariance", "--check-horizon", "inf"],
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--resolution", "3",
+     "--check-invariance", "--check-horizon", "inf"],
+    ["lanford", "--resolution", "3", "--check-horizon", "nan"],
+])
+def test_nonfinite_horizon_is_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "h")]) == 1
     assert "configuration error: " in capsys.readouterr().err
 
 
@@ -241,8 +261,10 @@ def test_oracle_and_sweep_csv_bytes_match_csv_module(tmp_path, capsys, csv_table
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is the property suite's independent reference, not a start-up cost
-    probe = "import sys, restent.cli; print('scipy' in sys.modules)"
+    # the runtime is numpy only; scipy is a reference for the tests alone
+    probe = ("import sys, restent, restent.cli, restent.props; "
+             "restent.props.run_property_suite(instances=4); "
+             "print('scipy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": SRC})
@@ -461,7 +483,7 @@ def test_props_violation_exit_code(monkeypatch, capsys):
         return [PropertyResult(name="forced", instances=1, worst=1.0,
                                tolerance=1e-9)]
 
-    # cmd_props imports the suite when it runs
+    # cmd_props looks the suite up on the props module at call time
     monkeypatch.setattr(props, "run_property_suite", fake_suite)
     assert run(["props"]) == 4
     assert "FAIL" in capsys.readouterr().out

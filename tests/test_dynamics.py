@@ -199,6 +199,15 @@ def test_record_times_are_hit_and_must_not_decrease():
         propagate(sys_, np.array([1.0]), 1.0, record_at=[0.5, 0.2])
 
 
+@pytest.mark.parametrize("system,t,marks", [
+    (lanford_system(), 5.0, [np.nan, 5.0]),
+    (linear_map_system(np.eye(3)), np.inf, None),
+], ids=["nan-record-time", "inf-steps"])
+def test_nonfinite_horizon_or_record_time_is_config_error(system, t, marks):
+    with pytest.raises(ConfigError):
+        propagate(system, np.zeros((1, 3)), t, record_at=marks)
+
+
 def test_sample_set_examples():
     one_d = CompactSet(bounds=((0.0, 1.0),))
     assert np.allclose(sample_set(one_d, 3).ravel(), [0.0, 0.5, 1.0])
