@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .entropy import (
     BoundReport,
-    LyapunovProfile,
     OracleResult,
     bound,
     ct_bound,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -27,12 +26,12 @@ from . import props
 from .dynamics import (
     CompactSet,
     default_region,
+    grid_counts,
     invariance_spot_check,
     lanford_region,
     make_system,
 )
 from .entropy import (
-    BoundReport,
     _write_table,
     bound,
     lanford_closed_form,
@@ -40,6 +39,7 @@ from .entropy import (
     lyapunov_oracle,
     minimizing_metric,
     proximate_entropy,
+    write_report,
 )
 from .errors import ConfigError, NumericError, ToolkitError
 from .metrics import MetricField
@@ -110,8 +110,8 @@ _CONFIG_KEYS = ("system", "params", "box", "resolution")
 
 
 def _build_system(args, keys=_CONFIG_KEYS):
-    """System, region and resolution from the flags over a config file whose
-    keys must all be in ``keys``."""
+    """System, region, per-axis grid counts and config from the flags over a
+    config file whose keys must all be in ``keys``."""
     cfg = _load_json(args.config, "config file") if args.config else {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"a config file must hold a JSON object, got {cfg!r}")
@@ -144,7 +144,7 @@ def _build_system(args, keys=_CONFIG_KEYS):
         raise ConfigError(f"box dimension {region.dim} != system dimension {system.dim}")
 
     resolution = _parse_resolution(args.resolution or cfg.get("resolution")) or 9
-    return system, region, resolution, cfg
+    return system, region, grid_counts(resolution, region.dim), cfg
 
 
 def _positive(value, flag: str):
@@ -188,8 +188,7 @@ def _build_metric(spec, system, args):
 
 
 def _run_spot_check(system, region, resolution, horizon, require):
-    res = min(9, resolution if isinstance(resolution, int) else min(resolution))
-    report = invariance_spot_check(system, region, res, horizon)
+    report = invariance_spot_check(system, region, min(9, *resolution), horizon)
     print(f"invariance spot check: {report.n_escaped}/{report.n_points} "
           f"escaped within t={report.horizon:g} (fraction {report.fraction:.4f})")
     if require and report.fraction > 0.0:
@@ -199,10 +198,8 @@ def _run_spot_check(system, region, resolution, horizon, require):
     return report
 
 
-def _write_bound_outputs(report: BoundReport, stem: str):
-    report.to_json(f"{stem}.report.json")
-    report.to_csv(f"{stem}.points.csv")
-    print(f"wrote {stem}.report.json and {stem}.points.csv")
+def _wrote(paths):
+    print("wrote " + " and ".join(paths))
 
 
 def cmd_bound(args) -> int:
@@ -216,7 +213,7 @@ def cmd_bound(args) -> int:
     print(f"maximizer: {np.array(report.maximizer)}")
     if report.excluded:
         print(f"excluded {len(report.excluded)} sample point(s); see report")
-    _write_bound_outputs(report, args.out or f"bound_{system.name}")
+    _wrote(report.write(args.out or f"bound_{system.name}"))
     return 0
 
 
@@ -235,9 +232,7 @@ def cmd_sweep(args) -> int:
         metric = minimizing_metric(system, h, **options)
         report = bound(system, region, metric, resolution, refine=args.refine)
         bounds.append(report.bound)
-        hstem = f"{stem}.h{h:g}"
-        report.to_json(f"{hstem}.report.json")
-        report.to_csv(f"{hstem}.points.csv")
+        report.write(f"{stem}.h{h:g}")
         print(f"horizon {h:g}: bound {report.bound:.6f} {report.units}")
     _write_table(f"{stem}.sweep.csv", ["horizon", "bound"], zip(horizons, bounds))
     slack = 1e-6 + 0.02 * max(1.0, abs(bounds[0]))
@@ -257,25 +252,13 @@ def cmd_oracle(args) -> int:
     if result.excluded:
         print(f"excluded {len(result.excluded)} blown-up sample point(s)")
     stem = args.out or f"oracle_{system.name}"
-    payload = {
-        "schema_version": 1,
-        "kind": "oracle",
-        "system": system.name,
-        "params": system.params,
-        "region": region.descriptor(),
-        "resolution": result.resolution,
-        "horizons": result.horizons,
-        "values": result.values,
-        "aitken": result.aitken,
-        "excluded": result.excluded,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(f"{stem}.report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    payload = {"system": system.name, "params": system.params,
+               "region": region.descriptor(), "resolution": result.resolution,
+               "horizons": result.horizons, "values": result.values,
+               "aitken": result.aitken, "excluded": result.excluded}
     header = [f"x{i}" for i in range(system.dim)] + [f"lam{i + 1}" for i in range(system.dim)]
-    _write_table(f"{stem}.points.csv", header, (p.x + p.exponents for p in result.profiles))
-    print(f"wrote {stem}.report.json and {stem}.points.csv")
+    _wrote(write_report(stem, "oracle", payload, header,
+                        (x + lam for x, lam in zip(result.states, result.exponents))))
     return 0
 
 
@@ -283,7 +266,7 @@ def cmd_lanford(args) -> int:
     a = float(args.a if args.a is not None else 2.0 / 3.0)
     system = make_system("lanford", a=a)
     region = lanford_region(a)
-    resolution = _parse_resolution(args.resolution) or 21
+    resolution = grid_counts(_parse_resolution(args.resolution) or 21, region.dim)
     reference = lanford_closed_form(a)
     heteroclinic = abs(a - 2.0 / 3.0) < 1e-9
     _run_spot_check(system, region, resolution, horizon=float(args.check_horizon),
@@ -300,15 +283,13 @@ def cmd_lanford(args) -> int:
           f"(resolution {report.resolution})")
     print(f"equilibrium lower est : {lower:.6f} bits/time")
     if args.with_oracle:
-        cap = (min(11, resolution) if isinstance(resolution, int)
-               else [min(11, c) for c in resolution])
-        res = lyapunov_oracle(system, region, resolution=cap)
-        report.oracle = res.value
-        print(f"oracle at t={res.horizons[-1]:g}    : {res.value:.6f} bits/time "
+        res = lyapunov_oracle(system, region, resolution=[min(11, c) for c in resolution])
+        report.oracle = res.values[-1]
+        print(f"oracle at t={res.horizons[-1]:g}    : {report.oracle:.6f} bits/time "
               f"(aitken {res.aitken:.6f})")
     gap = abs(report.bound - reference)
     print(f"bound-vs-reference gap: {gap:.2e}")
-    _write_bound_outputs(report, args.out or "lanford")
+    _wrote(report.write(args.out or "lanford"))
     return 0
 
 
@@ -330,18 +311,13 @@ def cmd_props(args) -> int:
               f"({r.instances} instances)")
     print(f"seed {args.seed}: {len(results) - failures}/{len(results)} properties passed")
     if args.out:
-        payload = {
-            "schema_version": 1,
-            "kind": "props",
+        write_report(args.out, "props", {
             "seed": int(args.seed),
             "instances": int(args.instances),
             "results": [{"name": r.name, "worst": r.worst,
                          "tolerance": r.tolerance, "passed": r.passed}
                         for r in results],
-        }
-        with open(f"{args.out}.report.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        })
     return 4 if failures else 0
 
 

@@ -153,12 +153,12 @@ class Propagation:
     rejected: Array
 
 
-def _check_horizon(system: SystemModel, t) -> float:
+def _check_horizon(system: SystemModel, t, what: str = "horizon") -> float:
     t = float(t)
     if not 0.0 <= t < np.inf:
-        raise ConfigError(f"horizons must be finite and nonnegative, got {t}")
+        raise ConfigError(f"{what}s must be finite and nonnegative, got {t}")
     if system.time_type == "discrete" and abs(t - round(t)) > 1e-12:
-        raise ConfigError(f"discrete horizon must be an integer, got {t}")
+        raise ConfigError(f"a discrete {what} must be an integer, got {t}")
     return t
 
 
@@ -290,10 +290,10 @@ def _integrate_discrete(system, x0, t, variational, record_at):
     v = np.broadcast_to(np.eye(n), (m, n, n)).copy() if variational else None
     escaped = np.zeros(m, dtype=bool)
     times = np.full(m, np.nan)
-    marks = set(int(round(r)) for r in record_at) if record_at is not None else None
-    records = []
-    if marks is not None and 0 in marks:
-        records.append((x.copy(), None if v is None else v.copy()))
+    marks = [] if record_at is None else [int(round(r)) for r in record_at]
+    records = {}       # step -> (states, Jacobians) at that step
+    if 0 in marks:
+        records[0] = (x.copy(), None if v is None else v.copy())
     for k in range(1, steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             xn = system.rhs(x)
@@ -305,11 +305,11 @@ def _integrate_discrete(system, x0, t, variational, record_at):
         if variational:
             vn[escaped] = v[escaped]
         x, v = xn, vn
-        if marks is not None and k in marks:
-            records.append((x.copy(), None if v is None else v.copy()))
+        if k in marks:
+            records[k] = (x.copy(), None if v is None else v.copy())
     if record_at is not None:
-        states = np.stack([r[0] for r in records])
-        jacs = np.stack([r[1] for r in records]) if variational else None
+        states = np.stack([records[k][0] for k in marks])
+        jacs = np.stack([records[k][1] for k in marks]) if variational else None
     else:
         states, jacs = x, v
     return states, jacs, escaped, times, np.full(m, steps), np.zeros(m, dtype=int)
@@ -323,15 +323,16 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     ``STEP_TOL`` per step.  That bounds each step, not the returned state:
     on the interior lanford rows at t = 40 the measured global error is
     4e-11 in the state and 1.2e-9 in the flow Jacobian (relative to
-    1 + |entry|), both below ``STEP_TOL * t``.  Does not raise on blow-up;
-    escaped points are frozen and flagged."""
+    1 + |entry|), both below ``STEP_TOL * t``.  Each record time gets its
+    own record, repeats included; a map's record times are whole steps.
+    Does not raise on blow-up; escaped points are frozen and flagged."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
         raise ConfigError(f"state dimension {x0.shape[-1]} != system dimension {system.dim}")
     t = _check_horizon(system, t)
     if record_at is not None:
-        record_at = [float(r) for r in record_at]
-        if any(not 0.0 <= r <= t + 1e-9 for r in record_at):
+        record_at = [_check_horizon(system, r, "record time") for r in record_at]
+        if any(r > t + 1e-9 for r in record_at):
             raise ConfigError("record times must lie within [0, horizon]")
         if sorted(record_at) != record_at:
             raise ConfigError("record times must be nondecreasing")
@@ -342,18 +343,24 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     return Propagation(*result)
 
 
+def grid_counts(resolution, dim: int) -> list:
+    """Per-axis grid counts from a single count or one count per axis, each
+    at least 2."""
+    if np.isscalar(resolution):
+        counts = [int(resolution)] * dim
+    else:
+        counts = [int(c) for c in resolution]
+        if len(counts) != dim:
+            raise ConfigError(f"expected {dim} resolution entries, got {len(counts)}")
+    if any(c < 2 for c in counts):
+        raise ConfigError("resolution must be at least 2 per axis")
+    return counts
+
+
 def sample_set(region: CompactSet, resolution) -> Array:
     """Uniform grid over the box in row-major order, filtered by the
     constraint.  ``resolution`` is a per-axis count or a single count."""
-    n = region.dim
-    if np.isscalar(resolution):
-        counts = [int(resolution)] * n
-    else:
-        counts = [int(c) for c in resolution]
-        if len(counts) != n:
-            raise ConfigError(f"expected {n} resolution entries, got {len(counts)}")
-    if any(c < 2 for c in counts):
-        raise ConfigError("resolution must be at least 2 per axis")
+    counts = grid_counts(resolution, region.dim)
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)

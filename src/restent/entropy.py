@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import CompactSet, SystemModel, propagate, sample_set
+from .dynamics import CompactSet, SystemModel, grid_counts, propagate, sample_set
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
@@ -70,10 +70,11 @@ class BoundReport:
     map_step: Optional[float] = None   # h of the time-h map, else None
     created: str = ""
     schema_version: int = SCHEMA_VERSION
+    kind: str = "bound"     # absent from schema-2 reports written before it
 
     def __post_init__(self):
         if not self.created:
-            self.created = datetime.now(timezone.utc).isoformat()
+            self.created = _now()
 
     def to_dict(self) -> dict:
         """Plain-data view; shares the report's lists, copying nothing."""
@@ -83,19 +84,17 @@ class BoundReport:
 
     @staticmethod
     def from_dict(d: dict) -> "BoundReport":
-        version = d.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"report has schema version {version}; this "
-                              f"version of restent reads schema {SCHEMA_VERSION}")
+        version, kind = d.get("schema_version"), d.get("kind", "bound")
+        if (version, kind) != (SCHEMA_VERSION, "bound"):
+            raise ConfigError(f"report has schema version {version}, kind {kind!r}; "
+                              f"this version of restent reads schema {SCHEMA_VERSION}, "
+                              "kind 'bound'")
         d = dict(d)
         d["per_point"] = [PointRecord(**p) for p in d.get("per_point", [])]
         return BoundReport(**d)
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            # no indent: an indent forces the pure-Python encoder
-            fh.write(json.dumps(self.to_dict()))
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     @staticmethod
     def from_json(path) -> "BoundReport":
@@ -108,6 +107,40 @@ class BoundReport:
         nsv = len(self.per_point[0].spectrum) if self.per_point else dim
         header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(nsv)] + ["local_bound"]
         _write_table(path, header, (r.state + r.spectrum + [r.local] for r in self.per_point))
+
+    def write(self, stem) -> tuple:
+        """The two files ``write_report`` names, from ``to_json`` and
+        ``to_csv``; returns their paths."""
+        paths = f"{stem}.report.json", f"{stem}.points.csv"
+        self.to_json(paths[0])
+        self.to_csv(paths[1])
+        return paths
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        # no indent: an indent forces the pure-Python encoder
+        fh.write(json.dumps(payload))
+        fh.write("\n")
+
+
+def write_report(stem, kind: str, payload: dict, header=None, rows=()) -> tuple:
+    """The one report shape: ``{stem}.report.json`` holds ``payload`` with
+    the ``SCHEMA_VERSION``, ``kind`` and ``created`` stamps every report
+    carries (a ``BoundReport`` carries them as fields), and given a
+    ``header``, ``{stem}.points.csv`` holds ``rows`` as ``_write_table``
+    writes them.  Returns the paths written."""
+    paths = (f"{stem}.report.json",)
+    _write_json(paths[0], {"schema_version": SCHEMA_VERSION, "kind": kind,
+                           "created": _now(), **payload})
+    if header is not None:
+        paths += (f"{stem}.points.csv",)
+        _write_table(paths[1], header, rows)
+    return paths
 
 
 def _write_table(path, header: list, rows) -> None:
@@ -124,26 +157,14 @@ def _write_table(path, header: list, rows) -> None:
 
 
 @dataclass
-class LyapunovProfile:
-    """Finite-time Lyapunov exponents (bits/time) at one sample point."""
-
-    x: list
-    t: float
-    exponents: list
-
-
-@dataclass
 class OracleResult:
     horizons: list
     values: list               # max over surviving points, per horizon
     aitken: float
-    profiles: list             # LyapunovProfile at the final horizon
+    states: list               # surviving sample points
+    exponents: list            # their exponents (bits/time) at the final horizon
     excluded: list             # (point index, escape time)
     resolution: list
-
-    @property
-    def value(self) -> float:
-        return self.values[-1]
 
 
 def aitken_accelerate(seq: Sequence[float]) -> float:
@@ -166,12 +187,6 @@ def aitken_accelerate(seq: Sequence[float]) -> float:
 def positive_sum(values: Array) -> Array:
     """Sum of positive parts along the last axis."""
     return np.sum(np.maximum(0.0, np.asarray(values, dtype=float)), axis=-1)
-
-
-def _resolution_list(resolution, dim) -> list:
-    if np.isscalar(resolution):
-        return [int(resolution)] * dim
-    return [int(c) for c in resolution]
 
 
 def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
@@ -273,7 +288,7 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
         raise ConfigError(f"metric '{metric.label}' has neither an orbital "
                           "derivative nor a positive time step for the "
                           "time-step map")
-    res = _resolution_list(resolution, region.dim)
+    res = grid_counts(resolution, region.dim)
     report = _grid_bound(system, region, metric, res)
     budget = DT_POINT_BUDGET if discrete else CT_POINT_BUDGET
     done = 0
@@ -427,7 +442,6 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     if not np.any(alive):
         raise NumericError("every sample point blew up before the first horizon")
     values = []
-    final_exps = None
     for k, t in enumerate(horizons):
         jac = prop.jacobians[k]
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -438,21 +452,15 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
         sums = positive_sum(np.where(np.isfinite(lam), lam, 0.0))
         sums = np.where(esc_t, -np.inf, sums)
         values.append(float(np.max(sums)))
-        if k == len(horizons) - 1:
-            final_exps = lam
-    profiles = [
-        LyapunovProfile(x=[float(v) for v in pts[i]], t=horizons[-1],
-                        exponents=[float(v) for v in final_exps[i]])
-        for i in range(len(pts)) if alive[i]
-    ]
     excluded = [(int(i), float(prop.escape_times[i])) for i in np.nonzero(prop.escaped)[0]]
     return OracleResult(
         horizons=list(horizons),
         values=values,
         aitken=aitken_accelerate(values),
-        profiles=profiles,
+        states=pts[alive].tolist(),
+        exponents=lam[alive].tolist(),     # lam of the last horizon
         excluded=excluded,
-        resolution=_resolution_list(resolution, region.dim),
+        resolution=grid_counts(resolution, region.dim),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from restent.cli import main
 from restent.dynamics import default_region, linear_map_system
-from restent.entropy import BoundReport, lyapunov_oracle
+from restent.entropy import SCHEMA_VERSION, BoundReport, lyapunov_oracle
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -244,7 +244,7 @@ def test_oracle_and_sweep_csv_bytes_match_csv_module(tmp_path, capsys, csv_table
                 "--horizons", "2,4,8", "--resolution", "3", "--out", stem]) == 0
     result = lyapunov_oracle(system, region, horizons=(2, 4, 8), resolution=3)
     csv_table(tmp_path / "orc.ref.csv", ["x0", "x1", "lam1", "lam2"],
-              [p.x + p.exponents for p in result.profiles])
+              [x + lam for x, lam in zip(result.states, result.exponents)])
     assert (open(f"{stem}.points.csv", "rb").read()
             == (tmp_path / "orc.ref.csv").read_bytes())
 
@@ -459,6 +459,24 @@ def test_props_command_passes_and_writes(tmp_path, capsys):
     payload = json.load(open(f"{stem}.report.json"))
     assert payload["seed"] == 42
     assert all(r["passed"] for r in payload["results"])
+
+
+@pytest.mark.parametrize("argv,report", [
+    (["bound", "--system", "identity", "--dim", "2"], "{}.report.json"),
+    (["sweep", "--system", "linmap", "--matrix", "diag:2,0.5", "--horizons", "1,2",
+      "--resolution", "2"], "{}.h2.report.json"),
+    (["oracle", "--system", "linmap", "--matrix", "diag:2,0.5", "--horizons", "2,4",
+      "--resolution", "2"], "{}.report.json"),
+    (["props", "--instances", "2", "--dims", "1"], "{}.report.json"),
+], ids=["bound", "sweep", "oracle", "props"])
+def test_every_report_has_one_shape(tmp_path, capsys, argv, report):
+    stem = str(tmp_path / argv[0])
+    assert run(argv + ["--out", stem]) == 0
+    capsys.readouterr()
+    payload = json.load(open(report.format(stem)))
+    assert payload["schema_version"] == SCHEMA_VERSION
+    assert payload["kind"] == ("bound" if argv[0] == "sweep" else argv[0])
+    assert payload["created"]
 
 
 def test_props_zero_tolerance_is_config_error(capsys):

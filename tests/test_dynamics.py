@@ -199,6 +199,15 @@ def test_record_times_are_hit_and_must_not_decrease():
         propagate(sys_, np.array([1.0]), 1.0, record_at=[0.5, 0.2])
 
 
+def test_map_records_once_per_requested_time_and_refuses_fractions():
+    sys_ = linear_map_system(np.array([[2.0]]))
+    prop = propagate(sys_, np.array([1.0]), 2, variational=True, record_at=[1, 1, 2])
+    assert prop.states[:, 0, 0].tolist() == [2.0, 2.0, 4.0]
+    assert prop.jacobians[:, 0, 0, 0].tolist() == [2.0, 2.0, 4.0]
+    with pytest.raises(ConfigError, match="record time must be an integer"):
+        propagate(sys_, np.array([1.0]), 3, record_at=[0.4, 2.6])
+
+
 @pytest.mark.parametrize("system,t,marks", [
     (lanford_system(), 5.0, [np.nan, 5.0]),
     (linear_map_system(np.eye(3)), np.inf, None),
@@ -285,10 +294,10 @@ def test_default_region_and_config_loading(tmp_path):
     sys_, region, res, _ = load(cfg)
     assert sys_.params["a"] == 0.75
     assert region.bounds[2] == (0.0, 1.5)
-    assert res == 9
+    assert res == [9, 9, 9]
     sys2, region2, res2, _ = load({"system": "identity", "params": {"dim": 2}})
     assert sys2.name == "identity" and sys2.dim == 2
-    assert region2.kind == "box" and res2 == 9
+    assert region2.kind == "box" and res2 == [9, 9]
     with pytest.raises(ConfigError):
         load({"params": {}})
     with pytest.raises(ConfigError, match="matrix spec"):

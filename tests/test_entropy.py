@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def test_dt_bound_matches_oracle_for_diagonal_map():
     rep = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     oracle = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(3, 7), resolution=3)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
-    assert oracle.value == pytest.approx(1.0, abs=1e-12)
+    assert oracle.values[-1] == pytest.approx(1.0, abs=1e-12)
     # positive parts of the exponent profile sum to the same value at any t
     assert oracle.values[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -184,7 +186,7 @@ def test_lyapunov_oracle_discrete_blowup_masked():
     res = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(10, 25), resolution=3)
     # every point except the origin exceeds the norm guard by t=25
     assert len(res.excluded) == 8
-    assert res.value == pytest.approx(2.0 * np.log2(3.0), abs=1e-12)
+    assert res.values[-1] == pytest.approx(2.0 * np.log2(3.0), abs=1e-12)
 
 
 def test_minimizing_metric_dt_first_step_is_identity():
@@ -377,7 +379,7 @@ def test_lyapunov_oracle_identity_map():
     res = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(2, 4, 8), resolution=3)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in res.values)
     assert res.aitken == pytest.approx(0.0, abs=1e-12)
-    assert res.profiles and len(res.profiles[0].exponents) == 2
+    assert res.states and len(res.exponents[0]) == 2
 
 
 def test_lyapunov_oracle_excludes_blowups():
@@ -385,7 +387,7 @@ def test_lyapunov_oracle_excludes_blowups():
     box = CompactSet(bounds=((-0.4, 0.4), (-0.4, 0.4), (-0.3, 0.5)))
     res = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=3)
     assert res.excluded
-    assert np.isfinite(res.value)
+    assert np.isfinite(res.values[-1])
 
 
 def test_lyapunov_oracle_matches_dop853_reference(dop853):
@@ -532,6 +534,21 @@ def test_report_from_dict_rejects_other_schema():
     old.update(schema_version=1, pdot_mode="analytic")
     with pytest.raises(ConfigError, match="schema version 1.*reads schema 2"):
         BoundReport.from_dict(old)
+    other = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
+    other["kind"] = "oracle"
+    with pytest.raises(ConfigError, match="kind 'oracle'.*kind 'bound'"):
+        BoundReport.from_dict(other)
+
+
+def test_report_from_json_reads_schema_2_without_kind(tmp_path):
+    # a schema-2 report written before reports carried their kind
+    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                   MetricField.identity(2), resolution=3)
+    old = rep.to_dict()
+    del old["kind"]
+    path = tmp_path / "old.report.json"
+    path.write_text(json.dumps(old))
+    assert BoundReport.from_json(path) == rep
 
 
 def test_bound_dominates_oracle_spot():
