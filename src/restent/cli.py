@@ -25,6 +25,7 @@ import numpy as np
 from . import props
 from .dynamics import (
     CompactSet,
+    _whole_count,
     default_region,
     grid_counts,
     invariance_spot_check,
@@ -90,11 +91,11 @@ def _parse_box(spec) -> CompactSet:
 
 
 def _parse_resolution(spec):
-    """Grid count from an int, a list or 'n' / 'n1,n2,...'."""
+    """Grid count from an int, a list of whole numbers or 'n' / 'n1,n2,...'."""
     if spec is None:
         return None
     if isinstance(spec, (list, tuple)):
-        return _numbers(spec, int, "resolution")
+        return _numbers(spec, _whole_count, "resolution")
     counts = _numbers(str(spec).split(","), int, "resolution")
     return counts[0] if len(counts) == 1 else counts
 
@@ -234,7 +235,7 @@ def cmd_sweep(args) -> int:
         bounds.append(report.bound)
         report.write(f"{stem}.h{h:g}")
         print(f"horizon {h:g}: bound {report.bound:.6f} {report.units}")
-    _write_table(f"{stem}.sweep.csv", ["horizon", "bound"], zip(horizons, bounds))
+    _write_table(f"{stem}.sweep.csv", ["horizon", "bound"], np.column_stack([horizons, bounds]))
     slack = 1e-6 + 0.02 * max(1.0, abs(bounds[0]))
     monotone = all(b2 <= b1 + slack for b1, b2 in zip(bounds, bounds[1:]))
     print(f"monotone nonincreasing within tolerance: {'yes' if monotone else 'NO'}")
@@ -258,7 +259,7 @@ def cmd_oracle(args) -> int:
                "aitken": result.aitken, "excluded": result.excluded}
     header = [f"x{i}" for i in range(system.dim)] + [f"lam{i + 1}" for i in range(system.dim)]
     _wrote(write_report(stem, "oracle", payload, header,
-                        (x + lam for x, lam in zip(result.states, result.exponents))))
+                        np.hstack([result.states, result.exponents])))
     return 0
 
 

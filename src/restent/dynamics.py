@@ -343,15 +343,25 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     return Propagation(*result)
 
 
+def _whole_count(value) -> int:
+    """``value`` as an int when it is a whole number (3, 3.0 or "3"); a
+    fraction is a ValueError, not a count rounded down."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
+
+
 def grid_counts(resolution, dim: int) -> list:
     """Per-axis grid counts from a single count or one count per axis, each
-    at least 2."""
-    if np.isscalar(resolution):
-        counts = [int(resolution)] * dim
-    else:
-        counts = [int(c) for c in resolution]
-        if len(counts) != dim:
-            raise ConfigError(f"expected {dim} resolution entries, got {len(counts)}")
+    a whole number of at least 2."""
+    counts = [resolution] * dim if np.isscalar(resolution) else list(resolution)
+    if len(counts) != dim:
+        raise ConfigError(f"expected {dim} resolution entries, got {len(counts)}")
+    try:
+        counts = [_whole_count(c) for c in counts]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"resolution must be whole numbers: {exc}") from exc
     if any(c < 2 for c in counts):
         raise ConfigError("resolution must be at least 2 per axis")
     return counts

@@ -90,6 +90,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "bound: 1.000000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("resolution", [[2.5, 3], 2.5, [3, 3.5]])
+def test_fractional_config_resolution_exits_1(tmp_path, capsys, resolution):
+    cfg = {"system": "linmap", "params": {"matrix": [[2.0, 0.0], [0.0, 0.5]]},
+           "resolution": resolution}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["bound", "--config", str(path), "--metric", "identity",
+                "--out", str(tmp_path / "frac")]) == 1
+    assert "configuration error: " in capsys.readouterr().err
+    assert not (tmp_path / "frac.report.json").exists()
+
+
 def test_exit_code_config_error(capsys):
     assert run(["bound", "--system", "nope"]) == 1
     assert run(["bound", "--system", "linmap"]) == 1          # missing matrix

@@ -16,6 +16,7 @@ from restent.dynamics import (
     auto_region,
     builtin_systems,
     default_region,
+    grid_counts,
     identity_system,
     invariance_spot_check,
     lanford_region,
@@ -230,6 +231,18 @@ def test_sample_set_examples():
     tiny = CompactSet(bounds=((0.0, 1.0),), constraint=lambda x: x[..., 0] > 5.0)
     with pytest.raises(ConfigError):
         sample_set(tiny, 3)
+
+
+@pytest.mark.parametrize("resolution", [3.7, 2.5, [2.5, 3], [3, np.nan], [3, np.inf], [3, "x"]])
+def test_grid_counts_refuse_fractions(resolution):
+    with pytest.raises(ConfigError):
+        grid_counts(resolution, 2)
+
+
+def test_grid_counts_take_whole_numbers():
+    assert grid_counts(3, 2) == [3, 3]
+    assert grid_counts(3.0, 1) == [3]
+    assert grid_counts([np.int64(4), 5.0], 2) == [4, 5]
 
 
 def test_builtin_registry():

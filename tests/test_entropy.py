@@ -515,6 +515,31 @@ def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
         assert new == b"x0,x1,s1,s2,local_bound\r\n"
 
 
+@pytest.mark.parametrize("rows", [
+    # every edge value in every column
+    [[v, -v, v, v, -v] for v in EDGE_VALUES],
+    # exactly one block, then a table that crosses two block boundaries
+    np.random.default_rng(7).standard_normal((_CSV_BLOCK_ROWS, 5)).tolist(),
+    (np.random.default_rng(8).standard_normal((2 * _CSV_BLOCK_ROWS + 3, 5))
+     * 10.0 ** np.random.default_rng(9).integers(-300, 300, (1, 5))).tolist(),
+    # no points
+    [],
+], ids=["edge-values", "one-block", "block-boundaries", "empty"])
+def test_report_json_bytes_match_json_module(tmp_path, rows):
+    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                   MetricField.identity(2), resolution=2)
+    rep.per_point = [PointRecord(state=r[:2], spectrum=r[2:4], local=r[4]) for r in rows]
+    rep.to_json(tmp_path / "r.report.json")
+    new = (tmp_path / "r.report.json").read_text(encoding="utf-8")
+    assert new == json.dumps(rep.to_dict()) + "\n"
+    back = BoundReport.from_json(tmp_path / "r.report.json")
+    assert json.dumps(back.to_dict()) + "\n" == new
+    # NaN != NaN, so the rows are compared apart from the other fields
+    assert np.array_equal(back._table(), rep._table(), equal_nan=True)
+    back.per_point, rep.per_point = [], []
+    assert back == rep
+
+
 def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
     rep = ct_bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
     rep.to_json(tmp_path / "r.report.json")
