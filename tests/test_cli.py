@@ -90,18 +90,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "bound: 1.000000" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("resolution", [[2.5, 3], 2.5, [3, 3.5]])
-def test_fractional_config_resolution_exits_1(tmp_path, capsys, resolution):
-    cfg = {"system": "linmap", "params": {"matrix": [[2.0, 0.0], [0.0, 0.5]]},
-           "resolution": resolution}
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    assert run(["bound", "--config", str(path), "--metric", "identity",
-                "--out", str(tmp_path / "frac")]) == 1
-    assert "configuration error: " in capsys.readouterr().err
-    assert not (tmp_path / "frac.report.json").exists()
-
-
 def test_exit_code_config_error(capsys):
     assert run(["bound", "--system", "nope"]) == 1
     assert run(["bound", "--system", "linmap"]) == 1          # missing matrix
@@ -221,8 +209,9 @@ def test_nonfinite_horizon_is_config_error(tmp_path, capsys, argv):
     [1],
     {"name": "identity"},
     {"system": "identity", "horizons": [1]},
+    {"system": "identity", "params": {"dim": 2}, "resolution": [2.5, 3]},
 ], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim", "config-not-an-object",
-        "name-alias-key", "horizons-key-on-bound"])
+        "name-alias-key", "horizons-key-on-bound", "fractional-resolution"])
 def test_bad_config_params_is_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
