@@ -25,7 +25,6 @@ import numpy as np
 from . import props
 from .dynamics import (
     CompactSet,
-    _whole_count,
     default_region,
     grid_counts,
     invariance_spot_check,
@@ -91,13 +90,12 @@ def _parse_box(spec) -> CompactSet:
 
 
 def _parse_resolution(spec):
-    """Grid count from an int, a list of whole numbers or 'n' / 'n1,n2,...'."""
-    if spec is None:
-        return None
-    if isinstance(spec, (list, tuple)):
-        return _numbers(spec, _whole_count, "resolution")
-    counts = _numbers(str(spec).split(","), int, "resolution")
-    return counts[0] if len(counts) == 1 else counts
+    """The entries of 'n' / 'n1,n2,...'; any other spec as it is.
+    ``grid_counts`` makes the entries whole numbers or refuses them."""
+    if not isinstance(spec, str):
+        return spec
+    parts = spec.split(",")
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _parse_horizons(spec) -> list:
@@ -144,7 +142,7 @@ def _build_system(args, keys=_CONFIG_KEYS):
     if region.dim != system.dim:
         raise ConfigError(f"box dimension {region.dim} != system dimension {system.dim}")
 
-    resolution = _parse_resolution(args.resolution or cfg.get("resolution")) or 9
+    resolution = _parse_resolution(args.resolution or cfg.get("resolution", 9))
     return system, region, grid_counts(resolution, region.dim), cfg
 
 
@@ -248,12 +246,12 @@ def cmd_oracle(args) -> int:
     horizons = _parse_horizons(args.horizons or cfg.get("horizons") or [5.0, 10.0, 20.0, 40.0])
     result = lyapunov_oracle(system, region, horizons=horizons, resolution=resolution)
     for t, v in zip(result.horizons, result.values):
-        print(f"t={t:g}: {v:.6f} bits/time")
+        print(f"t={t:g}: {v:.6f} {result.units}")
     print(f"aitken extrapolation: {result.aitken:.6f}")
     if result.excluded:
         print(f"excluded {len(result.excluded)} blown-up sample point(s)")
     stem = args.out or f"oracle_{system.name}"
-    payload = {"system": system.name, "params": system.params,
+    payload = {"system": system.name, "params": system.params, "units": result.units,
                "region": region.descriptor(), "resolution": result.resolution,
                "horizons": result.horizons, "values": result.values,
                "aitken": result.aitken, "excluded": result.excluded}
@@ -267,7 +265,7 @@ def cmd_lanford(args) -> int:
     a = float(args.a if args.a is not None else 2.0 / 3.0)
     system = make_system("lanford", a=a)
     region = lanford_region(a)
-    resolution = grid_counts(_parse_resolution(args.resolution) or 21, region.dim)
+    resolution = grid_counts(_parse_resolution(args.resolution or 21), region.dim)
     reference = lanford_closed_form(a)
     heteroclinic = abs(a - 2.0 / 3.0) < 1e-9
     _run_spot_check(system, region, resolution, horizon=float(args.check_horizon),

@@ -25,6 +25,7 @@ Array = np.ndarray
 
 LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 2
+UNITS = {"discrete": "bits/step", "continuous": "bits/time"}   # by time type
 # Refinement doubles the resolution (c -> 2c - 1 per axis) until the bound
 # moves by less than REFINE_TOL, at most MAX_REFINES times, and stops before a
 # grid would exceed the point budget of its time type.
@@ -44,15 +45,12 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PointRecord:
-    state: list
-    spectrum: list
-    local: float
-
-
-@dataclass
 class BoundReport:
-    """Evaluated entropy bound over a sampled compact set."""
+    """Evaluated entropy bound over a sampled compact set.
+
+    ``per_point`` is the float table of ``points.csv``: one row per kept
+    grid point, in grid order, holding its state, its spectrum (``dim``
+    values for a map and for a flow) and its local bound."""
 
     system: str
     params: dict
@@ -64,7 +62,7 @@ class BoundReport:
     resolution: list
     bound: float
     maximizer: list
-    per_point: list
+    per_point: Array           # (kept points, 2 dim + 1)
     excluded: list
     oracle: Optional[float] = None
     refinements: int = 0
@@ -77,10 +75,19 @@ class BoundReport:
         if not self.created:
             self.created = _now()
 
+    def __eq__(self, other) -> bool:
+        """Every field by value, the table as ``to_dict`` spells it."""
+        if not isinstance(other, BoundReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
     def to_dict(self) -> dict:
-        """Plain-data view; shares the report's lists, copying nothing."""
+        """Plain-data view: the per-point rows as the JSON report's dicts;
+        the other fields are the report's own, not copies."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["per_point"] = [vars(rec) for rec in self.per_point]
+        dim = len(self.maximizer)
+        d["per_point"] = [{"state": r[:dim], "spectrum": r[dim:-1], "local": r[-1]}
+                          for r in np.asarray(self.per_point, dtype=float).tolist()]
         return d
 
     @staticmethod
@@ -91,27 +98,26 @@ class BoundReport:
                               f"this version of restent reads schema {SCHEMA_VERSION}, "
                               "kind 'bound'")
         d = dict(d)
-        d["per_point"] = [PointRecord(**p) for p in d.get("per_point", [])]
+        rows = d.get("per_point", [])
+        d["per_point"] = np.array([p["state"] + p["spectrum"] + [p["local"]] for p in rows],
+                                  dtype=float).reshape(len(rows), 2 * len(d["maximizer"]) + 1)
         return BoundReport(**d)
 
-    def to_json(self, path, table: Optional[Array] = None) -> None:
-        """Exactly the bytes of ``json.dumps(self.to_dict())`` and a newline,
-        for per-point values that are floats, as ``bound`` makes them.  The
-        fields around ``per_point`` go through ``json.dumps``; the rows are
-        written in blocks, each distinct number spelled once as json spells
-        it (``float.__repr__``, ``NaN``, ``Infinity``, ``-Infinity``).
-        ``table`` is ``_table()``, when the caller has it."""
+    def to_json(self, path) -> None:
+        """Exactly the bytes of ``json.dumps(self.to_dict())`` and a newline.
+        The fields around ``per_point`` go through ``json.dumps``; the rows
+        are written in blocks, each distinct number spelled once as json
+        spells it (``float.__repr__``, ``NaN``, ``Infinity``,
+        ``-Infinity``)."""
         names = [f.name for f in fields(self)]
         cut = names.index("per_point")
         head, tail = (json.dumps({k: getattr(self, k) for k in part})
                       for part in (names[:cut], names[cut + 1:]))
-        dim, nsv = self._widths()
-        items = [", ".join(["%s"] * n) for n in (dim, nsv)]
-        row = '{"state": [%s], "spectrum": [%s], "local": %%s}' % tuple(items)
+        items = ", ".join(["%s"] * len(self.maximizer))
+        row = '{"state": [%s], "spectrum": [%s], "local": %%s}' % (items, items)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head[:-1] + ', "per_point": [')
-            _write_rows(fh, self._table() if table is None else table,
-                        _json_float, row, ", ")
+            _write_rows(fh, self.per_point, _json_float, row, ", ")
             fh.write("], " + tail[1:] + "\n")
 
     @staticmethod
@@ -119,31 +125,19 @@ class BoundReport:
         with open(path, "r", encoding="utf-8") as fh:
             return BoundReport.from_dict(json.load(fh))
 
-    def to_csv(self, path, table: Optional[Array] = None) -> None:
-        """Per-point table: coordinates, spectrum and local bound per kept
-        point.  ``table`` is ``_table()``, when the caller has it."""
-        dim, nsv = self._widths()
-        header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(nsv)] + ["local_bound"]
-        _write_table(path, header, self._table() if table is None else table)
-
-    def _widths(self) -> tuple:
-        """Lengths of a per-point state and spectrum."""
+    def to_csv(self, path) -> None:
+        """The per-point table, headed by its column names."""
         dim = len(self.maximizer)
-        return dim, len(self.per_point[0].spectrum) if self.per_point else dim
-
-    def _table(self) -> Array:
-        """The per-point rows as one float array: state, spectrum, local."""
-        dim, nsv = self._widths()
-        rows = [r.state + r.spectrum + [r.local] for r in self.per_point]
-        return np.array(rows, dtype=float).reshape(len(rows), dim + nsv + 1)
+        header = ([f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(dim)]
+                  + ["local_bound"])
+        _write_table(path, header, self.per_point)
 
     def write(self, stem) -> tuple:
         """The two files ``write_report`` names, from ``to_json`` and
-        ``to_csv`` over one ``_table()``; returns their paths."""
+        ``to_csv``; returns their paths."""
         paths = f"{stem}.report.json", f"{stem}.points.csv"
-        table = self._table()
-        self.to_json(paths[0], table)
-        self.to_csv(paths[1], table)
+        self.to_json(paths[0])
+        self.to_csv(paths[1])
         return paths
 
 
@@ -221,10 +215,11 @@ class OracleResult:
     horizons: list
     values: list               # max over surviving points, per horizon
     aitken: float
-    states: list               # surviving sample points
-    exponents: list            # their exponents (bits/time) at the final horizon
+    states: Array              # surviving sample points, (m, dim)
+    exponents: Array           # their exponents at the final horizon, (m, dim)
     excluded: list             # (point index, escape time)
     resolution: list
+    units: str                 # of values and exponents: bits/step or bits/time
 
 
 def aitken_accelerate(seq: Sequence[float]) -> float:
@@ -293,33 +288,28 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
     pts = sample_set(region, resolution)
     values, reasons = _spectra(system, metric, pts)
     locals_ = positive_sum(values)
-    if system.time_type == "discrete":
-        units, map_step = "bits/step", None
-    else:
+    map_step = None
+    if system.time_type == "continuous":
         locals_ = locals_ / (2.0 * LN2)
-        units = "bits/time"
         map_step = None if metric.has_orbital else metric.step
-    states = pts.tolist()
-    kept = [x for x, r in zip(states, reasons) if r is None]
-    records = [PointRecord(state=x, spectrum=v, local=lb)
-               for x, v, lb in zip(kept, values.tolist(), locals_.tolist())]
-    excluded = [{"state": x, "reason": r}
-                for x, r in zip(states, reasons) if r is not None]
-    best = int(np.argmax(locals_))
+    kept = np.array([r is None for r in reasons])
+    table = np.column_stack([pts[kept], values, locals_])
+    best = table[np.argmax(locals_)]
     return BoundReport(
         system=system.name,
         params={k: (v if not isinstance(v, np.ndarray) else v.tolist())
                 for k, v in system.params.items()},
         time_type=system.time_type,
-        units=units,
+        units=UNITS[system.time_type],
         region=region.descriptor(),
         metric=metric.label,
         metric_horizon=metric.horizon,
         resolution=list(resolution),
-        bound=float(locals_[best]),
-        maximizer=list(kept[best]),
-        per_point=records,
-        excluded=excluded,
+        bound=float(best[-1]),
+        maximizer=best[:region.dim].tolist(),
+        per_point=table,
+        excluded=[{"state": pts[i].tolist(), "reason": reasons[i]}
+                  for i in np.flatnonzero(~kept)],
         map_step=map_step,
     )
 
@@ -484,8 +474,10 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
                     horizons: Sequence[float] = (5.0, 10.0, 20.0, 40.0),
                     resolution=11) -> OracleResult:
     """Finite-time Lyapunov-exponent estimate of the restoration entropy:
-    max over sample points of the summed positive exponents of the flow
-    Jacobian, per horizon, with Aitken extrapolation of the horizon series.
+    max over sample points of the summed positive exponents of the
+    Jacobian of the time-t map, per horizon, with Aitken extrapolation of
+    the horizon series.  A map's horizons are step counts and its values
+    are in bits/step; a flow's are in bits per unit time.
 
     Blown-up samples are flagged and excluded.  On lanford at resolution
     11, the 30 rows near the separatrix surface (level at least -1e-3)
@@ -517,10 +509,11 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
         horizons=list(horizons),
         values=values,
         aitken=aitken_accelerate(values),
-        states=pts[alive].tolist(),
-        exponents=lam[alive].tolist(),     # lam of the last horizon
+        states=pts[alive],
+        exponents=lam[alive],     # lam of the last horizon
         excluded=excluded,
         resolution=grid_counts(resolution, region.dim),
+        units=UNITS[system.time_type],
     )
 
 

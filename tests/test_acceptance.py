@@ -69,13 +69,13 @@ def test_criterion_1_lanford_reproduction():
                           refine=True)
         reference = lanford_closed_form(a)
         assert report.bound == pytest.approx(reference, abs=1e-3)
-        for rec in report.per_point:
-            x, y, z = rec.state
+        for row in report.per_point:
+            x, y, z = row[:3]
             shift = 2.0 * (a * z - z * z - x * x - y * y) / a
             lam1 = 2.0 * (a - 2.0 * z) + shift
             lam23 = 2.0 * (a - 1.0 + z) + shift
             expected = np.sort([lam1, lam23, lam23])[::-1]
-            assert np.allclose(rec.spectrum, expected, atol=1e-8)
+            assert np.allclose(row[3:6], expected, atol=1e-8)
         print(f"criterion 1 PASS (a={a:.4g}): bound {report.bound:.6f} vs "
               f"reference {reference:.6f}, spectra match closed forms")
 

@@ -32,11 +32,13 @@ def test_bound_identity_system(tmp_path, capsys):
 
 def test_bound_linmap_diagonal(tmp_path, capsys):
     stem = str(tmp_path / "lin")
-    code = run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
-                "--metric", "identity", "--resolution", "3", "--out", stem])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "bound: 1.000000 bits/step" in out
+    # a whole number spelt as a float is a grid count as well
+    for resolution in ("3", "3.0", "3,3.0"):
+        code = run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
+                    "--metric", "identity", "--resolution", resolution, "--out", stem])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bound: 1.000000 bits/step" in out
 
 
 def test_sweep_diagonal_long_horizon(tmp_path, capsys):
@@ -176,6 +178,10 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--a", "0.7"],
     ["bound", "--system", "lanford", "--matrix", "diag:1,1,1"],
     ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--dim", "5"],
+    # grid counts that are not whole numbers of at least 2
+    ["bound", "--system", "identity", "--resolution", "2.5"],
+    ["bound", "--system", "identity", "--resolution", "nan"],
+    ["bound", "--system", "identity", "--resolution", "1"],
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
@@ -210,8 +216,10 @@ def test_nonfinite_horizon_is_config_error(tmp_path, capsys, argv):
     {"name": "identity"},
     {"system": "identity", "horizons": [1]},
     {"system": "identity", "params": {"dim": 2}, "resolution": [2.5, 3]},
+    {"system": "identity", "params": {"dim": 2}, "resolution": 0},
 ], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim", "config-not-an-object",
-        "name-alias-key", "horizons-key-on-bound", "fractional-resolution"])
+        "name-alias-key", "horizons-key-on-bound", "fractional-resolution",
+        "zero-resolution"])
 def test_bad_config_params_is_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -245,7 +253,7 @@ def test_oracle_and_sweep_csv_bytes_match_csv_module(tmp_path, capsys, csv_table
                 "--horizons", "2,4,8", "--resolution", "3", "--out", stem]) == 0
     result = lyapunov_oracle(system, region, horizons=(2, 4, 8), resolution=3)
     csv_table(tmp_path / "orc.ref.csv", ["x0", "x1", "lam1", "lam2"],
-              [x + lam for x, lam in zip(result.states, result.exponents)])
+              np.hstack([result.states, result.exponents]))
     assert (open(f"{stem}.points.csv", "rb").read()
             == (tmp_path / "orc.ref.csv").read_bytes())
 
@@ -429,6 +437,19 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.load(open(f"{stem}.report.json"))
     assert payload["kind"] == "oracle"
     assert payload["values"][-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv,units", [
+    (["--system", "linmap", "--matrix", "diag:2,0.5"], "bits/step"),
+    (["--system", "lanford"], "bits/time"),
+], ids=["map", "lanford"])
+def test_oracle_prints_and_reports_the_units_of_its_time_type(tmp_path, capsys, argv, units):
+    stem = str(tmp_path / "orc")
+    assert run(["oracle", *argv, "--resolution", "3", "--horizons", "2,4",
+                "--out", stem]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("t=")]
+    assert len(lines) == 2 and all(l.endswith(f" {units}") for l in lines)
+    assert json.load(open(f"{stem}.report.json"))["units"] == units
 
 
 def test_lanford_command(tmp_path, capsys):

@@ -19,7 +19,6 @@ from restent.entropy import (
     _inverse_factors,
     _inverted_barycenters,
     BoundReport,
-    PointRecord,
     aitken_accelerate,
     ct_bound,
     dt_bound,
@@ -90,7 +89,7 @@ def test_ct_bound_scalar_cases():
     decay = linear_ode_system(np.array([[-1.0]]))
     rep = ct_bound(decay, UNIT_BOX_1, MetricField.identity(1), resolution=3)
     assert rep.bound == pytest.approx(0.0, abs=1e-12)
-    assert rep.per_point[0].spectrum[0] == pytest.approx(-2.0)
+    assert rep.per_point[0, 1] == pytest.approx(-2.0)
     grow = linear_ode_system(np.array([[1.0]]))
     rep = ct_bound(grow, UNIT_BOX_1, MetricField.identity(1), resolution=3)
     assert rep.bound == pytest.approx(1.0 / LN2, abs=1e-12)
@@ -110,13 +109,13 @@ def test_ct_bound_lanford_lambda_closed_forms():
     sys_ = lanford_system(a)
     region = lanford_region(a)
     rep = ct_bound(sys_, region, lanford_metric(a), resolution=9)
-    for rec in rep.per_point:
-        x, y, z = rec.state
+    for row in rep.per_point:
+        x, y, z = row[:3]
         g = 2.0 * (a * z - z * z - x * x - y * y) / a
         lam1 = 2.0 * (a - 2.0 * z) + g
         lam23 = 2.0 * (a - 1.0 + z) + g
         expected = np.sort([lam1, lam23, lam23])[::-1]
-        assert np.allclose(rec.spectrum, expected, atol=1e-8)
+        assert np.allclose(row[3:6], expected, atol=1e-8)
 
 
 def _constant_rule(x):
@@ -156,8 +155,32 @@ def test_ct_bound_excludes_rows_that_escape_within_the_map_step():
     rep = ct_bound(fast, UNIT_BOX_1, tab, resolution=3)
     assert [e["state"] for e in rep.excluded] == [[-1.0], [1.0]]
     assert all("blew up within the map step" in e["reason"] for e in rep.excluded)
-    assert [rec.state for rec in rep.per_point] == [[0.0]]
+    assert rep.per_point[:, :1].tolist() == [[0.0]]
     assert rep.bound == pytest.approx(40.0 / LN2, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", ["map", "flow-with-exclusion"])
+def test_per_point_is_the_float_table_of_the_kept_grid_points(case):
+    if case == "map":
+        region = UNIT_BOX_2
+        rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), region,
+                       MetricField.identity(2), resolution=3)
+    else:
+        # as above: the orbits from -1 and +1 blow up within the map step
+        region = UNIT_BOX_1
+        tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
+                                    label="tab", step=0.5)
+        rep = ct_bound(linear_ode_system(np.array([[40.0]])), region, tab, resolution=3)
+        assert rep.excluded
+    dim, grid = region.dim, sample_set(region, 3).tolist()
+    table = rep.per_point
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    assert table.shape == (len(grid) - len(rep.excluded), 2 * dim + 1)
+    excluded = [e["state"] for e in rep.excluded]
+    assert table[:, :dim].tolist() == [x for x in grid if x not in excluded]
+    assert rep.bound == table[:, -1].max()
+    assert rep.maximizer == table[np.argmax(table[:, -1]), :dim].tolist()
+    assert len(table) + len(rep.excluded) == len(grid)
 
 
 def test_dt_bound_wrong_time_type():
@@ -379,7 +402,7 @@ def test_lyapunov_oracle_identity_map():
     res = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(2, 4, 8), resolution=3)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in res.values)
     assert res.aitken == pytest.approx(0.0, abs=1e-12)
-    assert res.states and len(res.exponents[0]) == 2
+    assert len(res.states) and len(res.exponents[0]) == 2
 
 
 def test_lyapunov_oracle_excludes_blowups():
@@ -466,8 +489,8 @@ def test_refinement_loop_converges_and_reports():
 def test_report_round_trip_and_csv(tmp_path):
     sys_ = linear_map_system(np.diag([2.0, 0.5]))
     rep = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
-    assert rep.bound == max(r.local for r in rep.per_point)
-    assert all(r.local >= 0.0 for r in rep.per_point)
+    assert rep.bound == max(rep.per_point[:, -1])
+    assert all(rep.per_point[:, -1] >= 0.0)
     jpath = tmp_path / "r.report.json"
     cpath = tmp_path / "r.points.csv"
     rep.to_json(jpath)
@@ -483,9 +506,8 @@ def test_report_round_trip_and_csv(tmp_path):
 def _points_table(rep):
     """Header and rows of a report's per-point table, in the reference form."""
     dim = len(rep.maximizer)
-    nsv = len(rep.per_point[0].spectrum) if rep.per_point else dim
-    header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(nsv)] + ["local_bound"]
-    return header, [r.state + r.spectrum + [r.local] for r in rep.per_point]
+    header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(dim)] + ["local_bound"]
+    return header, rep.per_point.tolist()
 
 
 EDGE_VALUES = [-0.0, 1.0, 5e-324, 1e-300, 1.0 / 3.0, 1e22, 2.0 ** 53 + 2, LOG_ZERO,
@@ -510,7 +532,7 @@ TABLE_IDS = ["edge-values", "one-block", "block-boundaries", "empty"]
 def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
     rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
                    MetricField.identity(2), resolution=2)
-    rep.per_point = [PointRecord(state=r[:2], spectrum=r[2:4], local=r[4]) for r in rows]
+    rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
     rep.to_csv(tmp_path / "new.csv")
     csv_table(tmp_path / "ref.csv", *_points_table(rep))
     new = (tmp_path / "new.csv").read_bytes()
@@ -524,7 +546,7 @@ def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
 def test_report_json_bytes_match_json_module(tmp_path, rows):
     rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
                    MetricField.identity(2), resolution=2)
-    rep.per_point = [PointRecord(state=r[:2], spectrum=r[2:4], local=r[4]) for r in rows]
+    rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
     rep.to_json(tmp_path / "r.report.json")
     new = (tmp_path / "r.report.json").read_text(encoding="utf-8")
     # the report is one line of up to a megabyte, too long for a diff on failure
@@ -533,7 +555,7 @@ def test_report_json_bytes_match_json_module(tmp_path, rows):
     back = BoundReport.from_json(tmp_path / "r.report.json")
     assert json.dumps(back.to_dict()) + "\n" == new
     # NaN != NaN, so the rows are compared apart from the other fields
-    assert np.array_equal(back._table(), rep._table(), equal_nan=True)
+    assert np.array_equal(back.per_point, rep.per_point, equal_nan=True)
     back.per_point, rep.per_point = [], []
     assert back == rep
 
@@ -613,13 +635,13 @@ def test_bound_core_matches_per_point_loop_discrete():
     assert len(batches[0]) == _distinct(batches[0]) == 17
     # the image (3, 0.5) of (1, 1) is undefined: that point is excluded
     assert rep.excluded == [{"state": [1.0, 1.0], "reason": "outside the rule's domain"}]
-    assert [r.state for r in rep.per_point] == pts[:-1].tolist()
-    for rec, x in zip(rep.per_point, pts[:-1]):
+    assert rep.per_point[:, :2].tolist() == pts[:-1].tolist()
+    for row, x in zip(rep.per_point, pts[:-1]):
         p = metric.evaluate(x)
         q = metric.evaluate(sys_.rhs(x))
         values = metric_sv_values(p, q, sys_.jacobian(x))
-        assert rec.spectrum == values.tolist()
-        assert rec.local == float(positive_sum(values))
+        assert row[2:4].tolist() == values.tolist()
+        assert row[-1] == float(positive_sum(values))
 
 
 def test_bound_core_matches_per_point_loop_continuous():
@@ -641,11 +663,11 @@ def test_bound_core_matches_per_point_loop_continuous():
     # a row propagated alone matches its batched propagation only to
     # rounding, so the loop reads its images from one batched call
     prop = propagate(sys_, pts, h, variational=True)
-    for rec, x, image, jac in zip(rep.per_point, pts[1:], prop.states[1:],
+    for row, x, image, jac in zip(rep.per_point, pts[1:], prop.states[1:],
                                   prop.jacobians[1:]):
         p = metric.evaluate(x)
         q = metric.evaluate(image)
         values = 2.0 * LN2 / h * metric_sv_values(p, q, jac)
-        assert rec.state == x.tolist()
-        assert rec.spectrum == values.tolist()
-        assert rec.local == float(positive_sum(values) / (2.0 * LN2))
+        assert row[:2].tolist() == x.tolist()
+        assert row[2:4].tolist() == values.tolist()
+        assert row[-1] == float(positive_sum(values) / (2.0 * LN2))

@@ -118,7 +118,7 @@ def _map_and_analytic_spectra(system, region, metric, resolution, step):
     exact = ct_bound(system, region, metric, resolution)
     assert (by_map.map_step, exact.map_step) == (step, None)
     assert not by_map.excluded and not exact.excluded
-    return [np.array([rec.spectrum for rec in rep.per_point]) for rep in (by_map, exact)]
+    return [rep.per_point[:, metric.dim:-1] for rep in (by_map, exact)]
 
 
 def _first_order_errors(*args):
