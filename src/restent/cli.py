@@ -12,12 +12,14 @@ A ``--config`` file holds only the keys system, params, box and resolution,
 plus horizons for sweep and oracle; flags win over it.  Exit codes: 0
 success, 1 configuration or usage error (an unknown flag or key, or a system
 parameter the system does not take), 2 numeric failure, 3 invariance
-spot-check failure, 4 property violation.
+spot-check failure, 4 property violation, 141 (128 + SIGPIPE) standard
+output closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,7 @@ from .dynamics import (
     make_system,
 )
 from .entropy import (
+    _json_params,
     _write_table,
     bound,
     lanford_closed_form,
@@ -251,7 +254,7 @@ def cmd_oracle(args) -> int:
     if result.excluded:
         print(f"excluded {len(result.excluded)} blown-up sample point(s)")
     stem = args.out or f"oracle_{system.name}"
-    payload = {"system": system.name, "params": system.params, "units": result.units,
+    payload = {"system": system.name, "params": _json_params(system), "units": result.units,
                "region": region.descriptor(), "resolution": result.resolution,
                "horizons": result.horizons, "values": result.values,
                "aitken": result.aitken, "excluded": result.excluded}
@@ -389,7 +392,20 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()        # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Later writes, the interpreter's last flush among them, go to
+        # devnull; a stdout without a descriptor (in process) is left alone.
+        try:
+            stdout = sys.stdout.fileno()
+        except OSError:
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout)
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

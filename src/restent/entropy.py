@@ -167,6 +167,11 @@ def write_report(stem, kind: str, payload: dict, header=None, table=()) -> tuple
     return paths
 
 
+def _json_params(system: SystemModel) -> dict:    # arrays as nested lists
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in system.params.items()}
+
+
 def _write_table(path, header: list, table) -> None:
     """CSV table: the header, then each row of the float array ``table``
     (``len(header)`` columns) as ``%.17g`` values, comma-separated and ended
@@ -297,8 +302,7 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
     best = table[np.argmax(locals_)]
     return BoundReport(
         system=system.name,
-        params={k: (v if not isinstance(v, np.ndarray) else v.tolist())
-                for k, v in system.params.items()},
+        params=_json_params(system),
         time_type=system.time_type,
         units=UNITS[system.time_type],
         region=region.descriptor(),

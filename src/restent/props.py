@@ -45,7 +45,7 @@ class PropertyResult:
 def random_spd(rng, n, spread=1.2):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     w = np.exp(rng.uniform(-spread, spread, size=n))
-    return sym(q @ np.diag(w) @ q.T)
+    return sym((q * w) @ q.T)
 
 
 def random_gl(rng, n):
@@ -104,9 +104,10 @@ def _prop_geodesic_segment(rng, n):
     xi = vectorial_distance(p, q)
     worst = 0.0
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    points = [geodesic(p, q, t) for t in grid]
     for i, t in enumerate(grid):
-        for s in grid[i:]:
-            d = vectorial_distance(geodesic(p, q, t), geodesic(p, q, s))
+        for s, point in zip(grid[i:], points[i:]):
+            d = vectorial_distance(points[i], point)
             worst = max(worst, float(np.max(np.abs(d - (s - t) * xi))))
     return worst
 
@@ -129,10 +130,10 @@ def _prop_geodesic_equivariance(rng, n):
 def _prop_geodesic_convexity(rng, n):
     p, q, r, o = (random_spd(rng, n) for _ in range(4))
     worst = 0.0
+    d_pr, d_qo = vectorial_distance(p, r), vectorial_distance(q, o)
     for t in (0.0, 0.5, 1.0):
         lhs = vectorial_distance(geodesic(p, q, t), geodesic(r, o, t))
-        rhs = (1 - t) * vectorial_distance(p, r) + t * vectorial_distance(q, o)
-        worst = max(worst, _majorization_excess(lhs, rhs))
+        worst = max(worst, _majorization_excess(lhs, (1 - t) * d_pr + t * d_qo))
     return worst
 
 
@@ -147,8 +148,8 @@ def _prop_barycenter_equivariance(rng, n):
     atoms = [random_spd(rng, n) for _ in range(3)]
     w = rng.dirichlet(np.ones(3))
     g = random_gl(rng, n)
-    lhs = congruence(g, _karcher(atoms, w, 1e-11))
-    rhs = _karcher([congruence(g, a) for a in atoms], w, 1e-11)
+    bar, rhs = _karcher([atoms, [congruence(g, a) for a in atoms]], w, 1e-11)
+    lhs = congruence(g, bar)
     return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
 
 
@@ -175,8 +176,7 @@ def _prop_barycenter_perturbation_iterative(rng, n):
     w = np.array([0.3, 0.3, 0.4])
     wobble = 0.2 * sym(rng.standard_normal((n, n)))
     last2 = _sym_fn(_sym_fn(atoms[2], np.log) + wobble, np.exp)
-    u = _karcher(atoms, w, 1e-7)
-    v = _karcher(atoms[:2] + [last2], w, 1e-7)
+    u, v = _karcher([atoms, atoms[:2] + [last2]], w, 1e-7)
     return _majorization_excess(vectorial_distance(u, v),
                                 w[2] * vectorial_distance(atoms[2], last2))
 

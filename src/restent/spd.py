@@ -1,8 +1,8 @@
 """Trace-metric geometry on symmetric positive definite matrices.
 
-All singular-value and distance logarithms are base 2 (bits).  Matrix powers
-go through a full symmetric eigen-decomposition; the dimensions here are
-small enough that accuracy beats any iterative scheme.
+All singular-value and distance logarithms are base 2 (bits).  Geodesics and
+distances take one SVD of the quotient of the end points' Cholesky factors:
+forming no matrix root and no Gram matrix, they square no condition number.
 
 Barycenters: ``karcher_barycenter`` solves whole batches of rows at once
 from factors of the atoms, and its tolerance bounds the distance to the true
@@ -76,12 +76,24 @@ def congruence(g: Array, p: Array) -> Array:
     return sym(g @ p @ g.T)
 
 
+def _cholesky(p: Array, q: Array) -> tuple:
+    """L_p and B = L_p^{-1} L_q of Cholesky factors; NumericError unless PD."""
+    try:
+        factors = np.linalg.cholesky(np.array([p, q], dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Cholesky factorization failed: {exc}") from exc
+    if not np.isfinite(factors).all():
+        raise NumericError("non-finite matrix has no Cholesky factor")
+    return factors[0], np.linalg.solve(*factors)
+
+
 def geodesic(p: Array, q: Array, t: float) -> Array:
-    """Point p #_t q = p^{1/2} (p^{-1/2} q p^{-1/2})^t p^{1/2} on the
-    distance-minimizing curve from p to q."""
-    s = power(p, 0.5)
-    si = power(p, -0.5)
-    return sym(s @ power(sym(si @ q @ si), t) @ s)
+    """Point p #_t q = L (L^{-1} q L^{-T})^t L^T (any L L^T = p; Bhatia, Positive
+    Definite Matrices, 2007, ch. 4-6) of the minimizing curve from p to q: with
+    Cholesky factors and B = L_p^{-1} L_q = U S V^T, it is (L_p U) S^{2t} (L_p U)^T."""
+    lp, b = _cholesky(p, q)
+    u, s, _ = np.linalg.svd(b)
+    return sym(_compose(lp @ u, s ** (2.0 * t)))
 
 
 def log_singular_values(g: Array) -> Array:
@@ -98,9 +110,10 @@ def log_singular_values(g: Array) -> Array:
 
 
 def vectorial_distance(p: Array, q: Array) -> Array:
-    """Vector of doubled log singular values of p^{-1/2} q^{1/2},
-    nonincreasing.  Its Euclidean norm is the trace-metric distance."""
-    return 2.0 * log_singular_values(power(p, -0.5) @ power(q, 0.5))
+    """Doubled log singular values of p^{-1/2} q^{1/2}, nonincreasing, whose norm
+    is the trace-metric distance: those of the invertible B = L_p^{-1} L_q of
+    Cholesky factors, as the two differ by orthogonal factors (Bhatia 2007)."""
+    return 2.0 * np.log2(np.linalg.svd(_cholesky(p, q)[1], compute_uv=False))
 
 
 def distance(p: Array, q: Array) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -439,6 +440,23 @@ def test_oracle_command(tmp_path, capsys):
     assert payload["values"][-1] == pytest.approx(1.0)
 
 
+def test_array_params_load_back_from_bound_and_oracle_reports(tmp_path, capsys, monkeypatch):
+    # the built-in systems store lists; a system built elsewhere may not
+    matrix = np.diag([2.0, 0.5])
+
+    def with_array_params(name, **params):
+        return dataclasses.replace(linear_map_system(matrix), params={"matrix": matrix})
+
+    monkeypatch.setattr("restent.cli.make_system", with_array_params)
+    system = ["--system", "linmap", "--matrix", "diag:2,0.5", "--resolution", "3"]
+    assert run(["bound", *system, "--out", str(tmp_path / "b")]) == 0
+    assert run(["oracle", *system, "--horizons", "2,4", "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    for stem in ("b", "o"):
+        payload = json.load(open(tmp_path / f"{stem}.report.json"))
+        assert payload["params"] == {"matrix": [[2.0, 0.0], [0.0, 0.5]]}
+
+
 @pytest.mark.parametrize("argv,units", [
     (["--system", "linmap", "--matrix", "diag:2,0.5"], "bits/step"),
     (["--system", "lanford"], "bits/time"),
@@ -499,6 +517,21 @@ def test_every_report_has_one_shape(tmp_path, capsys, argv, report):
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["kind"] == ("bound" if argv[0] == "sweep" else argv[0])
     assert payload["created"]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "restent.cli", "props",
+                               "--instances", "4"], stdout=write_end,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": SRC})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_props_zero_tolerance_is_config_error(capsys):

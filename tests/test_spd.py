@@ -184,6 +184,43 @@ def test_vectorial_distance_basics():
     assert distance(p, p) < 1e-10
 
 
+def _congruent_pair(rng, n):
+    """p = g diag(a) g^T and q = g diag(b) g^T with cond(g) < 10 and the
+    entries of a and b in e^{+-9}: p #_t q = g diag(a^{1-t} b^t) g^T and the
+    vectorial distance is the sorted log2(b / a), exactly."""
+    while True:
+        g = rng.standard_normal((n, n))
+        if np.linalg.cond(g) < 10:
+            break
+    a, b = np.exp(rng.uniform(-9.0, 9.0, size=(2, n)))
+    return g, a, b, g @ np.diag(a) @ g.T, g @ np.diag(b) @ g.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_geodesic_and_distance_of_spread_congruent_pairs(n):
+    # a route through p^{-1/2} q p^{-1/2} loses about five digits here
+    rng = np.random.default_rng(100 + n)
+    for _ in range(50):
+        g, a, b, p, q = _congruent_pair(rng, n)
+        for t in (0.3, 0.7):
+            exact = g @ np.diag(a ** (1 - t) * b ** t) @ g.T
+            err = np.max(np.abs(geodesic(p, q, t) - exact)) / np.max(np.abs(exact))
+            assert err < 1e-8
+        expected = np.sort(np.log2(b / a))[::-1]
+        assert np.max(np.abs(vectorial_distance(p, q) - expected)) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                 np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])])
+def test_geodesic_and_distance_reject_a_non_pd_end_point(bad):
+    good = np.eye(2)
+    for p, q in ((bad, good), (good, bad)):
+        with pytest.raises(NumericError):
+            geodesic(p, q, 0.5)
+        with pytest.raises(NumericError):
+            vectorial_distance(p, q)
+
+
 def test_majorization_order():
     # the excess is <= 0 exactly when x is majorized by y
     assert _majorization_excess(np.array([1.0, -1.0]), np.array([1.0, -1.0])) == 0.0
