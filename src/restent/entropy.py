@@ -383,20 +383,22 @@ def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
 # ---------------------------------------------------------------------------
 
 def _inverse_factors(a: Array, reasons: list) -> Array:
-    """A^{-1} for a stack (m, k, n, n) of Jacobian products, k per sample
-    row: the factor of the inverse-Gram atom (A^T A)^{-1} = A^{-1} A^{-T},
-    the congruence push of the identity by A^{-1}.  A row with a
-    non-finite or numerically singular product (condition number at least
-    1/eps) gets a reason, unless it already has one."""
+    """Factors F = V S^{-1} of the inverse-Gram atoms F F^T = (A^T A)^{-1},
+    from one SVD A = U S V^T of each of a stack (m, k, n, n) of Jacobian
+    products, k per sample row.  A row with a non-finite or numerically
+    singular product (condition number S_max/S_min at least 1/eps) gets a
+    reason, unless it already has one; such a product's factor is I."""
+    eye = np.eye(a.shape[-1])
     finite = np.isfinite(a).all(axis=(-2, -1))
-    cond = np.full(finite.shape, np.inf)
-    cond[finite] = np.linalg.cond(a[finite])
-    ok = cond < 1.0 / np.finfo(float).eps
+    _, s, vt = np.linalg.svd(np.where(finite[..., None, None], a, eye))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = finite & (s[..., 0] / s[..., -1] < 1.0 / np.finfo(float).eps)
+        factors = np.where(ok[..., None, None], np.swapaxes(vt, -1, -2) / s[..., None, :], eye)
     for i in np.flatnonzero(~ok.all(axis=1)):
         if reasons[i] is None:
             reasons[i] = ("minimizing metrics require an invertible Jacobian at "
                           "every sample point; got a numerically singular one")
-    return np.linalg.inv(np.where(ok[..., None, None], a, np.eye(a.shape[-1])))
+    return factors
 
 
 def _inverted_barycenters(factors: Array, reasons: list, tol: float) -> Array:

@@ -1,9 +1,10 @@
 """Randomized property suites for the geometry and spectrum layers.
 
-Each property draws its instances from a seeded generator and returns the
-worst violation seen; it passes when that stays within its tolerance.  The
-spectrum is checked three ways: SVD, Cholesky-reduced pencil and adjoint.
-The suites are shared by the test suite and the ``props`` CLI command.
+Each property returns one violation per instance and passes when the worst
+stays within its tolerance.  Its instances are drawn one at a time, in a
+fixed order, and then checked as one batch per dimension.  The spectrum is
+checked three ways: SVD, Cholesky-reduced pencil and adjoint.  The suites
+are shared by the test suite and the ``props`` CLI command.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ from .spd import (
     vectorial_distance,
 )
 
-Array = np.ndarray
-
 LN2 = float(np.log(2.0))
 
 
@@ -42,10 +41,17 @@ class PropertyResult:
         return self.worst <= self.tolerance
 
 
-def random_spd(rng, n, spread=1.2):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    w = np.exp(rng.uniform(-spread, spread, size=n))
-    return sym((q * w) @ q.T)
+def _spd_draw(rng, n, spread=1.2):
+    """The random numbers of one SPD matrix as one (n+1, n) array: a normal
+    matrix, whose Q factor holds the eigenvectors, over the log eigenvalues."""
+    return np.vstack([rng.standard_normal((n, n)), rng.uniform(-spread, spread, size=n)])
+
+
+def random_spd(draws):
+    """SPD matrices q diag(exp(v)) q^T from stacked ``_spd_draw`` arrays."""
+    draws = np.asarray(draws)
+    q, _ = np.linalg.qr(draws[..., :-1, :])
+    return sym((q * np.exp(draws[..., -1:, :])) @ np.swapaxes(q, -1, -2))
 
 
 def random_gl(rng, n):
@@ -55,15 +61,25 @@ def random_gl(rng, n):
             return g
 
 
+def _normal(rng, n):
+    return rng.standard_normal((n, n))
+
+
+def _instances(rng, n, count, *draws):
+    """For one instance after another, call each of ``draws`` on (rng, n) in
+    turn; return each draw's results stacked over a new leading axis."""
+    return [np.array(part) for part in zip(*[[d(rng, n) for d in draws] for _ in range(count)])]
+
+
 def _sym_fn(a, f):
-    """f of a symmetric matrix through its eigen-decomposition: u f(w) u^T."""
+    """f of symmetric matrices through their eigen-decompositions: u f(w) u^T."""
     w, u = np.linalg.eigh(sym(a))
-    return sym((u * f(w)) @ u.T)
+    return sym((u * f(w)[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 def _expm_small(a):
     """exp(a) by its 11-term Taylor series, exact to rounding for ||a|| <= 1e-2."""
-    term = out = np.eye(len(a))
+    term = out = np.eye(a.shape[-1])
     for k in range(1, 11):
         term = term @ a / k
         out = out + term
@@ -72,176 +88,172 @@ def _expm_small(a):
 
 def _majorization_excess(x, y):
     """How far x is from being majorized by y: positive partial-sum excess or
-    total-sum mismatch, whichever is worse."""
-    cx, cy = np.cumsum(np.sort(x)[::-1]), np.cumsum(np.sort(y)[::-1])
-    head = float(np.max(cx[:-1] - cy[:-1])) if len(cx) > 1 else -np.inf
-    return max(head, abs(float(cx[-1] - cy[-1])))
+    total-sum mismatch, whichever is worse; batched over leading axes."""
+    cx, cy = (np.cumsum(np.sort(v, axis=-1)[..., ::-1], axis=-1) for v in (x, y))
+    head = np.max(cx[..., :-1] - cy[..., :-1], axis=-1, initial=-np.inf)
+    return np.maximum(head, np.abs(cx[..., -1] - cy[..., -1]))
 
 
-def _prop_isometry(rng, n):
-    p, q = random_spd(rng, n), random_spd(rng, n)
-    g = random_gl(rng, n)
+def _prop_isometry(rng, n, count):
+    p, q, g = _instances(rng, n, count, _spd_draw, _spd_draw, random_gl)
+    p, q = random_spd(p), random_spd(q)
     d1 = vectorial_distance(p, q)
     d2 = vectorial_distance(congruence(g, p), congruence(g, q))
-    return float(np.max(np.abs(d1 - d2)))
+    return np.max(np.abs(d1 - d2), axis=-1)
 
 
-def _prop_triangle(rng, n):
-    p, q, r = (random_spd(rng, n) for _ in range(3))
+def _prop_triangle(rng, n, count):
+    p, q, r = random_spd(_instances(rng, n, count, *[_spd_draw] * 3))
     lhs = vectorial_distance(p, q)
     rhs = vectorial_distance(p, r) + vectorial_distance(r, q)
     return _majorization_excess(lhs, rhs)
 
 
-def _prop_reversal(rng, n):
-    p, q = random_spd(rng, n), random_spd(rng, n)
-    return float(np.max(np.abs(
-        vectorial_distance(q, p) + vectorial_distance(p, q)[::-1])))
+def _prop_reversal(rng, n, count):
+    p, q = random_spd(_instances(rng, n, count, *[_spd_draw] * 2))
+    return np.max(np.abs(
+        vectorial_distance(q, p) + vectorial_distance(p, q)[..., ::-1]), axis=-1)
 
 
-def _prop_geodesic_segment(rng, n):
-    p, q = random_spd(rng, n), random_spd(rng, n)
+def _prop_geodesic_segment(rng, n, count):
+    p, q = random_spd(_instances(rng, n, count, *[_spd_draw] * 2))
     xi = vectorial_distance(p, q)
-    worst = 0.0
-    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-    points = [geodesic(p, q, t) for t in grid]
-    for i, t in enumerate(grid):
-        for s, point in zip(grid[i:], points[i:]):
-            d = vectorial_distance(points[i], point)
-            worst = max(worst, float(np.max(np.abs(d - (s - t) * xi))))
-    return worst
+    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    points = np.stack([geodesic(p, q, t) for t in grid.tolist()], axis=1)
+    i, j = np.triu_indices(len(grid))                  # every pair t <= s
+    d = vectorial_distance(points[:, i], points[:, j])
+    return np.max(np.abs(d - (grid[j] - grid[i])[:, None] * xi[:, None]), axis=(-2, -1))
 
 
-def _prop_midpoint_contraction(rng, n):
-    p, q, r = (random_spd(rng, n) for _ in range(3))
+def _prop_midpoint_contraction(rng, n, count):
+    p, q, r = random_spd(_instances(rng, n, count, *[_spd_draw] * 3))
     lhs = vectorial_distance(geodesic(r, p, 0.5), geodesic(r, q, 0.5))
     return _majorization_excess(lhs, 0.5 * vectorial_distance(p, q))
 
 
-def _prop_geodesic_equivariance(rng, n):
-    p, q = random_spd(rng, n), random_spd(rng, n)
-    g = random_gl(rng, n)
-    t = float(rng.uniform(0.0, 1.0))
+def _prop_geodesic_equivariance(rng, n, count):
+    p, q, g, t = _instances(rng, n, count, _spd_draw, _spd_draw, random_gl,
+                            lambda r, _: r.uniform(0.0, 1.0))
+    p, q, t = random_spd(p), random_spd(q), t[:, None]
     lhs = congruence(g, geodesic(p, q, t))
     rhs = geodesic(congruence(g, p), congruence(g, q), t)
-    return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+    return (np.max(np.abs(lhs - rhs), axis=(-2, -1))
+            / np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1))))
 
 
-def _prop_geodesic_convexity(rng, n):
-    p, q, r, o = (random_spd(rng, n) for _ in range(4))
-    worst = 0.0
+def _prop_geodesic_convexity(rng, n, count):
+    p, q, r, o = random_spd(_instances(rng, n, count, *[_spd_draw] * 4))
     d_pr, d_qo = vectorial_distance(p, r), vectorial_distance(q, o)
-    for t in (0.0, 0.5, 1.0):
-        lhs = vectorial_distance(geodesic(p, q, t), geodesic(r, o, t))
-        worst = max(worst, _majorization_excess(lhs, (1 - t) * d_pr + t * d_qo))
-    return worst
+    return np.max([_majorization_excess(
+        vectorial_distance(geodesic(p, q, t), geodesic(r, o, t)), (1 - t) * d_pr + t * d_qo)
+        for t in (0.0, 0.5, 1.0)], axis=0)
 
 
-def _karcher(atoms, w, tol):
-    bar, _ = karcher_barycenter(np.linalg.cholesky(np.array(atoms)), weights=w,
-                                tol=tol)
-    return bar
-
-
-def _prop_barycenter_equivariance(rng, n):
+def _prop_barycenter_equivariance(rng, n, count):
     # equivariance holds in the limit; tol 1e-11 leaves it at rounding level
-    atoms = [random_spd(rng, n) for _ in range(3)]
-    w = rng.dirichlet(np.ones(3))
-    g = random_gl(rng, n)
-    bar, rhs = _karcher([atoms, [congruence(g, a) for a in atoms]], w, 1e-11)
-    lhs = congruence(g, bar)
-    return float(np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+    *atoms, w, g = _instances(rng, n, count, *[_spd_draw] * 3,
+                              lambda r, _: r.dirichlet(np.ones(3)), random_gl)
+    atoms = random_spd(np.stack(atoms, axis=1))
+    factors = np.linalg.cholesky(np.concatenate([atoms, congruence(g[:, None], atoms)]))
+    bar, rhs = np.split(karcher_barycenter(factors, np.concatenate([w, w]), 1e-11)[0], 2)
+    return (np.max(np.abs(congruence(g, bar) - rhs), axis=(-2, -1))
+            / np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1))))
 
 
-def _prop_barycenter_perturbation(rng, n):
+def _prop_barycenter_perturbation(rng, n, count):
     # two atoms: the limit is the geodesic point at the far weight
-    p = random_spd(rng, n)
-    q = random_spd(rng, n)
-    dq = sym(rng.standard_normal((n, n))) * 0.2
-    q2 = _sym_fn(_sym_fn(q, np.log) + dq, np.exp)
-    w2 = float(rng.uniform(0.2, 0.8))
-    u = geodesic(p, q, w2)
-    v = geodesic(p, q2, w2)
-    return _majorization_excess(vectorial_distance(u, v),
-                                w2 * vectorial_distance(q, q2))
+    p, q, dq, w2 = _instances(rng, n, count, _spd_draw, _spd_draw, _normal,
+                              lambda r, _: r.uniform(0.2, 0.8))
+    p, q, w2 = random_spd(p), random_spd(q), w2[:, None]
+    q2 = _sym_fn(_sym_fn(q, np.log) + sym(dq) * 0.2, np.exp)
+    u, v = geodesic(p, q, w2), geodesic(p, q2, w2)
+    return _majorization_excess(vectorial_distance(u, v), w2 * vectorial_distance(q, q2))
 
 
-def _prop_barycenter_perturbation_iterative(rng, n):
+def _prop_barycenter_perturbation_iterative(rng, n, count):
     # three atoms, genuinely iterative barycenters
-    base = random_spd(rng, n, spread=0.4)
-    log_base = _sym_fn(base, np.log)
-    atoms = [_sym_fn(log_base + 0.25 * sym(rng.standard_normal((n, n))), np.exp)
-             for _ in range(3)] if n > 1 else [
-        base * np.exp(rng.uniform(-0.25, 0.25)) for _ in range(3)]
-    w = np.array([0.3, 0.3, 0.4])
-    wobble = 0.2 * sym(rng.standard_normal((n, n)))
-    last2 = _sym_fn(_sym_fn(atoms[2], np.log) + wobble, np.exp)
-    u, v = _karcher([atoms, atoms[:2] + [last2]], w, 1e-7)
+    base, *steps, wobble = _instances(
+        rng, n, count, lambda r, m: _spd_draw(r, m, spread=0.4),
+        *[lambda r, m: r.standard_normal((m, m)) if m > 1 else r.uniform(-0.25, 0.25)] * 3,
+        _normal)
+    base, steps = random_spd(base), np.stack(steps, axis=1)
+    if n > 1:
+        atoms = _sym_fn(_sym_fn(base, np.log)[:, None] + 0.25 * sym(steps), np.exp)
+    else:
+        atoms = base[:, None] * np.exp(steps)[..., None, None]
+    moved = atoms.copy()
+    moved[:, 2] = _sym_fn(_sym_fn(atoms[:, 2], np.log) + 0.2 * sym(wobble), np.exp)
+    factors = np.linalg.cholesky(np.concatenate([atoms, moved]))
+    u, v = np.split(karcher_barycenter(factors, np.array([0.3, 0.3, 0.4]), 1e-7)[0], 2)
     return _majorization_excess(vectorial_distance(u, v),
-                                w[2] * vectorial_distance(atoms[2], last2))
+                                0.4 * vectorial_distance(atoms[:, 2], moved[:, 2]))
 
 
-def _prop_barycenter_permutation(rng, n):
-    atoms = [random_spd(rng, n, spread=0.5) for _ in range(2)]
-    w = rng.dirichlet(np.ones(2))
-    b1 = _karcher(atoms, w, 1e-8)
-    b2 = _karcher(atoms[::-1], w[::-1], 1e-8)
+def _prop_barycenter_permutation(rng, n, count):
+    *atoms, w = _instances(rng, n, count, *[lambda r, m: _spd_draw(r, m, spread=0.5)] * 2,
+                           lambda r, _: r.dirichlet(np.ones(2)))
+    atoms = random_spd(np.stack(atoms, axis=1))
+    factors = np.linalg.cholesky(np.concatenate([atoms, atoms[:, ::-1]]))
+    b1, b2 = np.split(karcher_barycenter(factors, np.concatenate([w, w[:, ::-1]]), 1e-8)[0], 2)
     return distance(b1, b2)
 
 
-def _prop_scalar_geometric_mean(rng, n):
+def _prop_scalar_geometric_mean(rng, n, count):
     # scalars: the barycenter is the geometric mean
-    vals = np.exp(rng.uniform(-2.0, 2.0, size=4))
-    bar = _karcher([np.array([[v]]) for v in vals], None, 1e-14)
-    target = float(np.exp(np.mean(np.log(vals))))
-    worst = abs(bar[0, 0] - target)
-    # commuting case reduces to the scalar one in a shared eigenbasis
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    spectra = np.exp(rng.uniform(-1.5, 1.5, size=(3, n)))
-    mats = [sym(q @ np.diag(s) @ q.T) for s in spectra]
-    expected = sym(q @ np.diag(np.exp(np.mean(np.log(spectra), axis=0))) @ q.T)
-    got = _karcher(mats, None, 1e-12)
-    worst = max(worst, float(np.max(np.abs(got - expected))))
-    return worst
+    vals, z, spectra = _instances(rng, n, count, lambda r, _: r.uniform(-2.0, 2.0, size=4),
+                                  _normal, lambda r, m: r.uniform(-1.5, 1.5, size=(3, m)))
+    vals, spectra = np.exp(vals), np.exp(spectra)
+    bar = karcher_barycenter(np.linalg.cholesky(vals[..., None, None]), tol=1e-14)[0]
+    worst = np.abs(bar[:, 0, 0] - np.exp(np.mean(np.log(vals), axis=-1)))
+    # commuting case reduces to the scalar one in a shared eigenbasis; a
+    # fourth spectrum, their geometric mean, gives the expected barycenter
+    mean = np.exp(np.mean(np.log(spectra), axis=-2, keepdims=True))
+    q = np.linalg.qr(z)[0][:, None]
+    mats = sym(q @ (np.concatenate([spectra, mean], axis=1)[..., None] * np.eye(n))
+               @ np.swapaxes(q, -1, -2))
+    got = karcher_barycenter(np.linalg.cholesky(mats[:, :3]), tol=1e-12)[0]
+    return np.maximum(worst, np.max(np.abs(got - mats[:, 3]), axis=(-2, -1)))
 
 
-def _prop_spectrum_three_way(rng, n):
-    p, q = random_spd(rng, n), random_spd(rng, n)
-    a = random_gl(rng, n)
+def _prop_spectrum_three_way(rng, n, count):
+    p, q, a = _instances(rng, n, count, _spd_draw, _spd_draw, random_gl)
+    p, q = random_spd(p), random_spd(q)
     by_svd = metric_sv_values(p, q, a)
-    b = np.linalg.solve(np.linalg.cholesky(p), a.T)    # Cholesky-reduced pencil
-    pencil = np.linalg.eigvalsh(b @ q @ b.T)
-    by_pencil = 0.5 * np.log2(np.sort(pencil)[::-1])
-    adjoint = np.linalg.eigvals(np.linalg.solve(p, a.T @ q @ a))
-    by_adjoint = 0.5 * np.log2(np.sort(adjoint.real)[::-1])
-    return float(max(np.max(np.abs(by_svd - by_pencil)),
-                     np.max(np.abs(by_svd - by_adjoint))))
+    at = np.swapaxes(a, -1, -2)
+    b = np.linalg.solve(np.linalg.cholesky(p), at)     # Cholesky-reduced pencil
+    pencil = np.linalg.eigvalsh(b @ q @ np.swapaxes(b, -1, -2))
+    by_pencil = 0.5 * np.log2(np.sort(pencil, axis=-1)[..., ::-1])
+    adjoint = np.linalg.eigvals(np.linalg.solve(p, at @ q @ a))
+    by_adjoint = 0.5 * np.log2(np.sort(adjoint.real, axis=-1)[..., ::-1])
+    return np.maximum(np.max(np.abs(by_svd - by_pencil), axis=-1),
+                      np.max(np.abs(by_svd - by_adjoint), axis=-1))
 
 
-def _prop_singular_value_derivative(rng, n):
+def _prop_singular_value_derivative(rng, n, count):
     # Right derivative of the log singular vector along g(t) = exp(tH).
     # The derivative is one-sided: sorting makes sigma(exp(-tH)) the reversed
     # negation of sigma(exp(tH)), so a two-sided difference through t=0 would
     # average lambda_i with lambda_{n+1-i}.  A second-order one-sided stencil
     # keeps the O(eps^2) accuracy of a centered one.
-    while True:
-        h = rng.standard_normal((n, n))
-        w = np.linalg.eigvalsh(h + h.T)
-        if n == 1 or np.min(np.diff(np.sort(w))) > 0.1:
-            break
-    formula = np.sort(w)[::-1] / (2.0 * LN2)
+    def spread_normal(r, m):               # eigenvalues of h + h^T 0.1 apart
+        while True:
+            h = r.standard_normal((m, m))
+            if m == 1 or np.min(np.diff(np.linalg.eigvalsh(h + h.T))) > 0.1:
+                return h
+
+    (h,) = _instances(rng, n, count, spread_normal)
+    formula = np.linalg.eigvalsh(h + np.swapaxes(h, -1, -2))[..., ::-1] / (2.0 * LN2)
     eps = 1e-4
     s1 = log_singular_values(_expm_small(eps * h))
     s2 = log_singular_values(_expm_small(2.0 * eps * h))
     fd = (4.0 * s1 - s2) / (2.0 * eps)        # sigma(I) vanishes exactly
-    return float(np.max(np.abs(fd - formula)))
+    return np.max(np.abs(fd - formula), axis=-1)
 
 
-def _prop_sqrt_factor_derivative(rng, n):
+def _prop_sqrt_factor_derivative(rng, n, count):
     # directional derivative of (p, q) -> p^{-1/2} q^{1/2} at p = q
-    p = random_spd(rng, n)
-    vp = sym(rng.standard_normal((n, n))) * 0.3
-    vq = sym(rng.standard_normal((n, n))) * 0.3
+    p, vp, vq = _instances(rng, n, count, _spd_draw, _normal, _normal)
+    p, vp, vq = random_spd(p), sym(vp) * 0.3, sym(vq) * 0.3
     h = lyapunov_solve(power(p, 0.5), vq - vp)
     formula = power(p, -0.5) @ h
     eps = 1e-5
@@ -251,10 +263,10 @@ def _prop_sqrt_factor_derivative(rng, n):
 
     fd = (upsilon(p + eps * vp, p + eps * vq)
           - upsilon(p - eps * vp, p - eps * vq)) / (2 * eps)
-    return float(np.max(np.abs(fd - formula)))
+    return np.max(np.abs(fd - formula), axis=(-2, -1))
 
 
-# (name, per-instance function, tolerance)
+# (name, function of (rng, n, count), tolerance)
 _SUITE = [
     ("isometry-of-congruence", _prop_isometry, 1e-8),
     ("triangle-majorization", _prop_triangle, 1e-8),
@@ -287,12 +299,7 @@ def run_property_suite(seed: int = 42, instances: int = 50,
         if names is not None and name not in names:
             continue
         rng = np.random.default_rng(seed)
-        worst = 0.0
-        total = 0
-        for n in dims:
-            for _ in range(per_dim):
-                worst = max(worst, float(fn(rng, int(n))))
-                total += 1
-        results.append(PropertyResult(name=name, instances=total, worst=worst,
-                                      tolerance=tol))
+        worst = float(np.max([np.max(fn(rng, int(n), per_dim), initial=0.0) for n in dims]))
+        results.append(PropertyResult(name=name, instances=per_dim * len(dims),
+                                      worst=worst, tolerance=tol))
     return results

@@ -8,6 +8,10 @@ Barycenters: ``karcher_barycenter`` solves whole batches of rows at once
 from factors of the atoms, and its tolerance bounds the distance to the true
 barycenter.
 
+Kernels that take stacks, batched over leading axes: ``power``,
+``congruence``, ``geodesic``, ``log_singular_values``, ``vectorial_distance``,
+``distance``, ``lyapunov_solve``, and ``karcher_barycenter`` (rows of atoms).
+
 Every function is pure and safe to call concurrently.
 """
 from __future__ import annotations
@@ -68,12 +72,12 @@ def power(p: Array, t: float) -> Array:
 
 
 def congruence(g: Array, p: Array) -> Array:
-    """Action g * p := g p g^T of an invertible matrix on an SPD matrix."""
+    """Action g * p := g p g^T of invertible matrices on SPD matrices."""
     g = np.asarray(g, dtype=float)
-    c = np.linalg.cond(g)
+    c = np.max(np.linalg.cond(g))                      # NaN if any is NaN
     if not np.isfinite(c) or c > CONGRUENCE_COND_LIMIT:
         raise NumericError(f"congruence action is ill-conditioned (cond={c:.3g})")
-    return sym(g @ p @ g.T)
+    return sym(g @ p @ np.swapaxes(g, -1, -2))
 
 
 def _cholesky(p: Array, q: Array) -> tuple:
@@ -87,10 +91,11 @@ def _cholesky(p: Array, q: Array) -> tuple:
     return factors[0], np.linalg.solve(*factors)
 
 
-def geodesic(p: Array, q: Array, t: float) -> Array:
+def geodesic(p: Array, q: Array, t) -> Array:
     """Point p #_t q = L (L^{-1} q L^{-T})^t L^T (any L L^T = p; Bhatia, Positive
     Definite Matrices, 2007, ch. 4-6) of the minimizing curve from p to q: with
-    Cholesky factors and B = L_p^{-1} L_q = U S V^T, it is (L_p U) S^{2t} (L_p U)^T."""
+    Cholesky factors and B = L_p^{-1} L_q = U S V^T, it is (L_p U) S^{2t} (L_p U)^T.
+    Batched; ``t`` is a number, or an array of shape (..., 1) for one per pair."""
     lp, b = _cholesky(p, q)
     u, s, _ = np.linalg.svd(b)
     return sym(_compose(lp @ u, s ** (2.0 * t)))
@@ -116,37 +121,40 @@ def vectorial_distance(p: Array, q: Array) -> Array:
     return 2.0 * np.log2(np.linalg.svd(_cholesky(p, q)[1], compute_uv=False))
 
 
-def distance(p: Array, q: Array) -> float:
-    """Riemannian (trace-metric) distance, in bits."""
-    return float(np.linalg.norm(vectorial_distance(p, q)))
+def distance(p: Array, q: Array):
+    """Riemannian (trace-metric) distance, in bits: a float for one pair, an
+    array for a stack."""
+    v = vectorial_distance(p, q)[..., None]
+    d = np.sqrt(np.swapaxes(v, -1, -2) @ v)[..., 0, 0]   # np.linalg.norm's sum
+    return float(d) if d.ndim == 0 else d
 
 
-def _normalized_weights(weights, m: int) -> Array:
-    """Barycenter weights: uniform when None, else checked to be m
-    nonnegative numbers summing to 1 and renormalized."""
+def _normalized_weights(weights, m: int, rows: int = 0) -> Array:
+    """Barycenter weights: uniform when None, else checked to be m (or rows
+    of m) nonnegative numbers summing to 1 and renormalized."""
     if weights is None:
         return np.full(m, 1.0 / m)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
+    if w.shape not in ((m,), (rows, m)):
         raise NumericError(f"expected {m} weights, got shape {w.shape}")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-6:
+    if np.any(w < -1e-12) or np.any(abs(w.sum(axis=-1) - 1.0) > 1e-6):
         raise NumericError("weights must be nonnegative and sum to 1")
     w = np.clip(w, 0.0, None)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
     """Weighted Karcher (Frechet) mean of the atoms F_i F_i^T, batched.
 
     ``factors`` has shape (r, k, n, n), r rows of k factors each, or
-    (k, n, n) for a single row.  Each row iterates
-    X <- X^{1/2} exp(theta G) X^{1/2} on its own, with the gradient
-    G = sum_i w_i log(X^{-1/2} F_i F_i^T X^{-1/2}); each log comes from the
-    SVD of X^{-1/2} F_i, so no Gram matrix is formed.  The start is the
-    log-Euclidean mean, exact for commuting atoms.  The step
-    theta = 2 / sum_i w_i (c_i+1)/(c_i-1) log c_i, with c_i the condition
-    number of the i-th inner matrix, is the safeguard of Bini and Iannazzo
-    (2013) for spread atoms (Moakher 2005 for the mean itself).
+    (k, n, n) for a single row; ``weights`` is None (uniform), (k,) or
+    (r, k).  Each row iterates X <- X^{1/2} exp(theta G) X^{1/2} on its own,
+    with the gradient G = sum_i w_i log(X^{-1/2} F_i F_i^T X^{-1/2}); each
+    log comes from the SVD of X^{-1/2} F_i, so no Gram matrix is formed.
+    The start is the log-Euclidean mean, exact for commuting atoms.  The
+    step theta = 2 / sum_i w_i (c_i+1)/(c_i-1) log c_i, with c_i the
+    condition number of the i-th inner matrix, is the safeguard of Bini and
+    Iannazzo (2013) for spread atoms (Moakher 2005 for the mean itself).
 
     Returns ``(bars, residual)``, residual = ||G||_F / ln 2 per row at the
     returned iterate.  Half the weighted sum of squared distances is
@@ -162,21 +170,21 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
         f = f[None]
     if f.ndim != 4 or f.shape[-1] != f.shape[-2] or f.shape[1] == 0:
         raise NumericError(f"expected factors of shape (r, k, n, n), got {f.shape}")
-    w = _normalized_weights(weights, f.shape[1])
+    w = np.broadcast_to(_normalized_weights(weights, f.shape[1], len(f)), f.shape[:2])
 
-    def mean_log(g):
+    def mean_log(g, w):
         """sum_i w_i log(G_i G_i^T), from the SVDs G_i = U S V^T as
         2 U log(S) U^T, and the singular values S."""
         u, s, _ = np.linalg.svd(g)
-        return sym(np.sum(w[:, None, None] * _compose(u, 2.0 * np.log(s)), axis=1)), s
+        return sym(np.sum(w[..., None, None] * _compose(u, 2.0 * np.log(s)), axis=1)), s
 
-    lam, q = np.linalg.eigh(mean_log(f)[0])
+    lam, q = np.linalg.eigh(mean_log(f, w)[0])
     root = _compose(q, np.exp(0.5 * lam))                # X^{1/2}
     iroot = _compose(q, np.exp(-0.5 * lam))              # X^{-1/2}
     residual = np.full(len(f), np.inf)
     active = np.arange(len(f))
     for it in range(KARCHER_MAX_ITER + 1):
-        grad, s = mean_log(iroot[active][:, None] @ f[active])
+        grad, s = mean_log(iroot[active][:, None] @ f[active], w[active])
         residual[active] = np.linalg.norm(grad, axis=(-2, -1)) / LN2
         go_on = ~(residual[active] < tol)
         active = active[go_on]
@@ -186,7 +194,7 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
         spread = 2.0 * np.log(s[go_on, :, 0] / s[go_on, :, -1])
         slope = np.where(spread > 1e-8,
                          spread / np.tanh(0.5 * np.maximum(spread, 1e-8)), 2.0)
-        theta = 2.0 / np.sum(w * slope, axis=-1)
+        theta = 2.0 / np.sum(w[active] * slope, axis=-1)
         g, v = np.linalg.eigh(grad[go_on])
         # X^{1/2} exp(theta G) X^{1/2} = B B^T, and B = P L R^T gives
         # X^{+-1/2} = P L^{+-1} P^T
@@ -206,11 +214,12 @@ def lyapunov_solve(s: Array, v: Array) -> Array:
     """
     s = np.asarray(s, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not np.allclose(v, v.T, atol=1e-10 * max(1.0, np.abs(v).max())):
+    scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1), keepdims=True))
+    if not np.isclose(v, np.swapaxes(v, -1, -2), atol=1e-10 * scale).all():
         raise NumericError("right-hand side must be symmetric")
     w, u = np.linalg.eigh(sym(s))
     if np.any(w <= 0):
         raise NumericError("coefficient matrix must be positive definite")
-    vt = u.T @ sym(v) @ u
-    h = vt / (w[:, None] + w[None, :])
-    return sym(u @ h @ u.T)
+    ut = np.swapaxes(u, -1, -2)
+    h = ut @ sym(v) @ u / (w[..., :, None] + w[..., None, :])
+    return sym(u @ h @ ut)

@@ -238,6 +238,33 @@ def test_minimizing_metric_dt_singular_jacobian_rejected():
         metric.evaluate(np.array([0.1, 0.1]))
 
 
+def test_inverse_factors_of_a_product_that_is_singular_to_lu():
+    # a Jacobian product of the Henon map (a = 1.4, b = 0.3): its condition
+    # number 3.37e15 is below 1/eps, yet LU finds it exactly singular
+    m = np.array([[1909.9705890715181, 1534.0803147935121],
+                  [-5704.574312005024, -4581.890007310453]])
+    reasons = [None]
+    factors = _inverse_factors(m[None, None], reasons)
+    assert reasons[0] is not None or np.isfinite(factors).all()
+
+
+def test_inverse_factors_give_the_inverse_gram_atoms():
+    rng = np.random.default_rng(30)
+    a = rng.standard_normal((4, 3, 3, 3))
+    a[1, 2] = np.nan
+    a[2, 0] = np.diag([1.0, 1.0, 0.0])
+    reasons = [None] * 4
+    f = _inverse_factors(a, reasons)
+    assert [r is None for r in reasons] == [True, False, False, True]
+    np.testing.assert_array_equal(f[1, 2], np.eye(3))
+    np.testing.assert_array_equal(f[2, 0], np.eye(3))
+    for i in (0, 3):
+        atoms = f[i] @ np.swapaxes(f[i], -1, -2)
+        gram = np.swapaxes(a[i], -1, -2) @ a[i]
+        np.testing.assert_allclose(atoms @ gram, np.broadcast_to(np.eye(3), gram.shape),
+                                   atol=1e-9)
+
+
 def test_minimizing_metric_dt_clipped_nonnormal_case():
     # eigenvalues 2 and 1/2: the Euclidean bound overshoots the true rate 1,
     # the metric sequence recovers it

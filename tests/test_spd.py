@@ -126,6 +126,29 @@ def test_congruence_examples():
     assert np.allclose(congruence(np.diag([2.0, 1.0]), np.eye(2)), np.diag([4.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_kernels_equal_calls_one_matrix_at_a_time(n):
+    rng = np.random.default_rng(40 + n)
+    p = np.array([rand_spd(rng, n) for _ in range(4)])
+    q = np.array([rand_spd(rng, n) for _ in range(4)])
+    g = np.array([rand_gl(rng, n) for _ in range(4)])
+    v = sym(rng.standard_normal((4, n, n)))
+    stacked = (congruence(g, p), distance(p, q), lyapunov_solve(p, v))
+    singles = [(congruence(g[i], p[i]), distance(p[i], q[i]), lyapunov_solve(p[i], v[i]))
+               for i in range(4)]
+    for got, want in zip(stacked, zip(*singles)):
+        np.testing.assert_array_equal(got, np.array(want))
+    assert stacked[1].shape == (4,)
+    assert all(isinstance(d, float) for _, d, _ in singles)
+    # one ill-conditioned matrix in the stack refuses the whole stack
+    g[2] = np.diag([1.0] * (n - 1) + [0.0])
+    with pytest.raises(NumericError, match="ill-conditioned"):
+        congruence(g, p)
+    v[1, 0, -1] += 1.0
+    with pytest.raises(NumericError, match="symmetric"):
+        lyapunov_solve(p, v)
+
+
 def test_congruence_group_law_and_conditioning():
     rng = np.random.default_rng(4)
     p = rand_spd(rng, 3)
@@ -228,6 +251,10 @@ def test_majorization_order():
     assert _majorization_excess(np.array([2.0, -2.0]), np.array([1.0, -1.0])) == 1.0
     # unequal totals fail even when partial sums are ordered
     assert _majorization_excess(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 1.0
+    # batched over leading axes, one excess per row
+    x = np.array([[[1.0, -1.0], [2.0, -2.0]], [[1.0, 0.0], [0.5, 0.5]]])
+    y = np.array([[[2.0, -2.0], [1.0, -1.0]], [[2.0, 0.0], [1.0, 0.0]]])
+    assert _majorization_excess(x, y).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_barycenter_trivial_cases():
@@ -398,6 +425,24 @@ def test_karcher_batch_equals_rows_one_by_one():
         alone, res = karcher_barycenter(_factors(row), tol=1e-10)
         assert np.array_equal(alone, bar)
         assert res == residual
+
+
+def test_karcher_weights_per_row_equal_rows_one_by_one():
+    rng = np.random.default_rng(26)
+    factors = _factors([[rand_spd(rng, 3, spread=2.0) for _ in range(4)] for _ in range(5)])
+    weights = rng.dirichlet(np.ones(4), size=5)
+    bars, residuals = karcher_barycenter(factors, weights=weights, tol=1e-11)
+    for row, w, bar, residual in zip(factors, weights, bars, residuals):
+        alone, res = karcher_barycenter(row, weights=w, tol=1e-11)
+        assert np.array_equal(alone, bar)
+        assert res == residual
+    # uniform weights, per row or shared, take the path of weights=None
+    uniform, _ = karcher_barycenter(factors, tol=1e-11)
+    for w in (np.full(4, 0.25), np.full((5, 4), 0.25)):
+        np.testing.assert_array_equal(karcher_barycenter(factors, weights=w, tol=1e-11)[0],
+                                      uniform)
+    with pytest.raises(NumericError, match="weights"):
+        karcher_barycenter(factors, weights=weights[:3])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
