@@ -296,15 +296,11 @@ def cmd_lanford(args) -> int:
 
 
 def cmd_props(args) -> int:
-    _positive(args.tol, "tol")
     dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
     for d in dims:
         _positive(d, "dims")
     results = props.run_property_suite(seed=int(args.seed), instances=int(args.instances),
                                        dims=dims)
-    if args.tol is not None:
-        for r in results:
-            r.tolerance = float(args.tol)
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -316,7 +312,7 @@ def cmd_props(args) -> int:
         write_report(args.out, "props", {
             "seed": int(args.seed),
             "instances": int(args.instances),
-            "results": [{"name": r.name, "worst": r.worst,
+            "results": [{"name": r.name, "instances": r.instances, "worst": r.worst,
                          "tolerance": r.tolerance, "passed": r.passed}
                         for r in results],
         })
@@ -376,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("props", "--seed", type=int, default=42)
     flag("props", "--instances", type=int, default=50)
     flag("props", "--dims", help="comma-separated dimensions (default 1,2,3,5)")
-    flag("props", "--tol", type=float, help="override every property tolerance")
     return parser
 
 

@@ -24,7 +24,7 @@ from .spd import karcher_barycenter, power
 Array = np.ndarray
 
 LN2 = float(np.log(2.0))
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 UNITS = {"discrete": "bits/step", "continuous": "bits/time"}   # by time type
 # Refinement doubles the resolution (c -> 2c - 1 per axis) until the bound
 # moves by less than REFINE_TOL, at most MAX_REFINES times, and stops before a
@@ -67,13 +67,6 @@ class BoundReport:
     oracle: Optional[float] = None
     refinements: int = 0
     map_step: Optional[float] = None   # h of the time-h map, else None
-    created: str = ""
-    schema_version: int = SCHEMA_VERSION
-    kind: str = "bound"     # absent from schema-2 reports written before it
-
-    def __post_init__(self):
-        if not self.created:
-            self.created = _now()
 
     def __eq__(self, other) -> bool:
         """Every field by value, the table as ``to_dict`` spells it."""
@@ -82,88 +75,65 @@ class BoundReport:
         return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        """Plain-data view: the per-point rows as the JSON report's dicts;
-        the other fields are the report's own, not copies."""
+        """Plain-data view: the per-point rows as nested lists; the other
+        fields are the report's own, not copies."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        dim = len(self.maximizer)
-        d["per_point"] = [{"state": r[:dim], "spectrum": r[dim:-1], "local": r[-1]}
-                          for r in np.asarray(self.per_point, dtype=float).tolist()]
+        d["per_point"] = np.asarray(self.per_point, dtype=float).tolist()
         return d
 
     @staticmethod
     def from_dict(d: dict) -> "BoundReport":
-        version, kind = d.get("schema_version"), d.get("kind", "bound")
+        """The report ``write`` wrote: its stamps and ``columns`` are
+        dropped, its rows become the float table."""
+        version, kind = d.get("schema_version"), d.get("kind")
         if (version, kind) != (SCHEMA_VERSION, "bound"):
             raise ConfigError(f"report has schema version {version}, kind {kind!r}; "
                               f"this version of restent reads schema {SCHEMA_VERSION}, "
                               "kind 'bound'")
-        d = dict(d)
-        rows = d.get("per_point", [])
-        d["per_point"] = np.array([p["state"] + p["spectrum"] + [p["local"]] for p in rows],
-                                  dtype=float).reshape(len(rows), 2 * len(d["maximizer"]) + 1)
+        d = {k: v for k, v in d.items()
+             if k not in ("schema_version", "kind", "created", "columns")}
+        d["per_point"] = np.array(d.get("per_point", []), dtype=float).reshape(
+            -1, 2 * len(d["maximizer"]) + 1)
         return BoundReport(**d)
-
-    def to_json(self, path) -> None:
-        """Exactly the bytes of ``json.dumps(self.to_dict())`` and a newline.
-        The fields around ``per_point`` go through ``json.dumps``; the rows
-        are written in blocks, each distinct number spelled once as json
-        spells it (``float.__repr__``, ``NaN``, ``Infinity``,
-        ``-Infinity``)."""
-        names = [f.name for f in fields(self)]
-        cut = names.index("per_point")
-        head, tail = (json.dumps({k: getattr(self, k) for k in part})
-                      for part in (names[:cut], names[cut + 1:]))
-        items = ", ".join(["%s"] * len(self.maximizer))
-        row = '{"state": [%s], "spectrum": [%s], "local": %%s}' % (items, items)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(head[:-1] + ', "per_point": [')
-            _write_rows(fh, self.per_point, _json_float, row, ", ")
-            fh.write("], " + tail[1:] + "\n")
 
     @staticmethod
     def from_json(path) -> "BoundReport":
         with open(path, "r", encoding="utf-8") as fh:
             return BoundReport.from_dict(json.load(fh))
 
-    def to_csv(self, path) -> None:
-        """The per-point table, headed by its column names."""
+    def write(self, stem) -> tuple:
+        """``write_report`` of this report, its table headed by the state,
+        spectrum and local-bound columns; returns the paths written."""
         dim = len(self.maximizer)
         header = ([f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(dim)]
                   + ["local_bound"])
-        _write_table(path, header, self.per_point)
-
-    def write(self, stem) -> tuple:
-        """The two files ``write_report`` names, from ``to_json`` and
-        ``to_csv``; returns their paths."""
-        paths = f"{stem}.report.json", f"{stem}.points.csv"
-        self.to_json(paths[0])
-        self.to_csv(paths[1])
-        return paths
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        # no indent: an indent forces the pure-Python encoder
-        fh.write(json.dumps(payload))
-        fh.write("\n")
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name != "per_point"}
+        return write_report(stem, "bound", payload, header, self.per_point)
 
 
 def write_report(stem, kind: str, payload: dict, header=None, table=()) -> tuple:
-    """The one report shape: ``{stem}.report.json`` holds ``payload`` with
-    the ``SCHEMA_VERSION``, ``kind`` and ``created`` stamps every report
-    carries (a ``BoundReport`` carries them as fields), and given a
-    ``header``, ``{stem}.points.csv`` holds ``table`` as ``_write_table``
-    writes it.  Returns the paths written."""
+    """The one report writer.  ``{stem}.report.json`` is one line of compact
+    JSON (no indent: an indent forces the pure-Python encoder), exactly the
+    bytes of ``json.dumps`` and a newline: the ``SCHEMA_VERSION``, ``kind``
+    and ``created`` stamps, then ``payload``.  Given a ``header``, the JSON
+    ends with ``columns`` (the header) and ``per_point`` (the rows of the
+    float array ``table``, ``len(header)`` columns, as arrays), and
+    ``{stem}.points.csv`` holds the same table as ``_write_table`` writes
+    it.  Returns the paths written."""
+    report = {"schema_version": SCHEMA_VERSION, "kind": kind,
+              "created": datetime.now(timezone.utc).isoformat(), **payload}
     paths = (f"{stem}.report.json",)
-    _write_json(paths[0], {"schema_version": SCHEMA_VERSION, "kind": kind,
-                           "created": _now(), **payload})
-    if header is not None:
-        paths += (f"{stem}.points.csv",)
-        _write_table(paths[1], header, table)
+    with open(paths[0], "w", encoding="utf-8") as fh:
+        if header is None:
+            fh.write(json.dumps(report) + "\n")
+            return paths
+        table = np.asarray(table, dtype=float).reshape(-1, len(header))
+        fh.write(json.dumps({**report, "columns": list(header)})[:-1] + ', "per_point": [')
+        _write_rows(fh, table, _json_float, "[%s]" % ", ".join(["%s"] * len(header)), ", ")
+        fh.write("]}\n")
+    paths += (f"{stem}.points.csv",)
+    _write_table(paths[1], header, table)
     return paths
 
 

@@ -1,5 +1,6 @@
 """Shared test fixtures."""
 import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,3 +72,21 @@ def _csv_table(path, header, rows):
 def csv_table():
     """The reference CSV writer ``_csv_table``."""
     return _csv_table
+
+
+def _report_tables(stem):
+    """The table of ``{stem}.report.json`` and of ``{stem}.points.csv``,
+    each as ``(columns, rows)`` with the rows a float array."""
+    with open(f"{stem}.report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    with open(f"{stem}.points.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    width = len(report["columns"])
+    return ((report["columns"], np.array(report["per_point"], dtype=float).reshape(-1, width)),
+            (header, np.array(rows, dtype=float).reshape(-1, len(header))))
+
+
+@pytest.fixture
+def report_tables():
+    """The JSON and CSV tables of a report, ``_report_tables``."""
+    return _report_tables

@@ -77,8 +77,8 @@ def test_bound_round_trip_and_deterministic_csv(tmp_path):
     csv2 = open(f"{stem2}.points.csv").read()
     assert csv1 == csv2
     rep = BoundReport.from_json(f"{stem1}.report.json")
-    rep.to_json(f"{stem1}.again.json")
-    assert BoundReport.from_json(f"{stem1}.again.json") == rep
+    rep.write(f"{stem1}.again")
+    assert BoundReport.from_json(f"{stem1}.again.report.json") == rep
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -302,6 +302,7 @@ _BASE = {
     "oracle": ["oracle", "--system", "linmap", "--matrix", "diag:2,0.5",
                "--horizons", "2", "--resolution", "2"],
     "lanford": ["lanford", "--resolution", "3"],
+    "props": ["props", "--instances", "1", "--dims", "1"],
 }
 
 
@@ -323,6 +324,7 @@ _BASE = {
     ("lanford", ["--bar-tol", "5"]),
     ("lanford", ["--time-samples", "8"]),
     ("lanford", ["--check-invariance"]),
+    ("props", ["--tol", "0"]),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_unread_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert run(_BASE[command] + flag + ["--out", str(tmp_path / "x")]) == 1
@@ -501,6 +503,33 @@ def test_props_command_passes_and_writes(tmp_path, capsys):
     assert all(r["passed"] for r in payload["results"])
 
 
+def test_props_report_counts_the_instances_each_property_ran(tmp_path, capsys):
+    # one requested draw over two dimensions runs one per dimension
+    stem = str(tmp_path / "one")
+    assert run(["props", "--instances", "1", "--dims", "1,4", "--out", stem]) == 0
+    out = capsys.readouterr().out
+    payload = json.load(open(f"{stem}.report.json"))
+    assert payload["instances"] == 1
+    printed = [l for l in out.splitlines() if l.startswith("PASS")]
+    assert len(printed) == len(payload["results"]) == 15
+    assert all(l.endswith("(2 instances)") for l in printed)
+    assert [r["instances"] for r in payload["results"]] == [2] * 15
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--system", "lanford", "--metric", "lanford-exp", "--resolution", "5"],
+    ["oracle", "--system", "lanford", "--resolution", "3", "--horizons", "2,4"],
+], ids=["bound", "oracle"])
+def test_report_json_rows_are_the_points_csv_rows(tmp_path, capsys, report_tables, argv):
+    stem = tmp_path / argv[0]
+    assert run(argv + ["--out", str(stem)]) == 0
+    capsys.readouterr()
+    (columns, json_rows), (header, csv_rows) = report_tables(stem)
+    assert columns == header
+    assert len(json_rows) > 0
+    assert np.array_equal(json_rows, csv_rows, equal_nan=True)
+
+
 @pytest.mark.parametrize("argv,report", [
     (["bound", "--system", "identity", "--dim", "2"], "{}.report.json"),
     (["sweep", "--system", "linmap", "--matrix", "diag:2,0.5", "--horizons", "1,2",
@@ -532,11 +561,6 @@ def test_closed_stdout_exits_141_quietly():
         os.close(write_end)
     assert done.returncode == 141
     assert done.stderr == b""
-
-
-def test_props_zero_tolerance_is_config_error(capsys):
-    assert run(["props", "--tol", "0"]) == 1
-    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dims", ["0", "2,-1"])

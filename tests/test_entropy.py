@@ -16,6 +16,7 @@ from restent.dynamics import (
 )
 from restent.entropy import (
     _CSV_BLOCK_ROWS,
+    SCHEMA_VERSION,
     _inverse_factors,
     _inverted_barycenters,
     BoundReport,
@@ -520,13 +521,12 @@ def test_report_round_trip_and_csv(tmp_path):
     assert all(rep.per_point[:, -1] >= 0.0)
     jpath = tmp_path / "r.report.json"
     cpath = tmp_path / "r.points.csv"
-    rep.to_json(jpath)
+    rep.write(tmp_path / "r")
     back = BoundReport.from_json(jpath)
     assert back == rep
-    rep.to_csv(cpath)
     text = cpath.read_text()
     assert text.splitlines()[0] == "x0,x1,s1,s2,local_bound"
-    rep.to_csv(cpath)
+    rep.write(tmp_path / "r")
     assert cpath.read_text() == text
 
 
@@ -535,6 +535,16 @@ def _points_table(rep):
     dim = len(rep.maximizer)
     header = [f"x{i}" for i in range(dim)] + [f"s{i + 1}" for i in range(dim)] + ["local_bound"]
     return header, rep.per_point.tolist()
+
+
+def _stamped(rep, created):
+    """The dict ``write`` writes as JSON: the stamps, the fields, then the
+    table's ``columns`` and ``per_point`` rows."""
+    header, rows = _points_table(rep)
+    d = rep.to_dict()
+    del d["per_point"]
+    return {"schema_version": SCHEMA_VERSION, "kind": "bound", "created": created,
+            **d, "columns": header, "per_point": rows}
 
 
 EDGE_VALUES = [-0.0, 1.0, 5e-324, 1e-300, 1.0 / 3.0, 1e22, 2.0 ** 53 + 2, LOG_ZERO,
@@ -560,9 +570,9 @@ def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
     rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
                    MetricField.identity(2), resolution=2)
     rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
-    rep.to_csv(tmp_path / "new.csv")
+    rep.write(tmp_path / "new")
     csv_table(tmp_path / "ref.csv", *_points_table(rep))
-    new = (tmp_path / "new.csv").read_bytes()
+    new = (tmp_path / "new.points.csv").read_bytes()
     assert new == (tmp_path / "ref.csv").read_bytes()
     assert new.count(b"\r\n") == len(rows) + 1
     if not rows:
@@ -574,13 +584,14 @@ def test_report_json_bytes_match_json_module(tmp_path, rows):
     rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
                    MetricField.identity(2), resolution=2)
     rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
-    rep.to_json(tmp_path / "r.report.json")
+    rep.write(tmp_path / "r")
     new = (tmp_path / "r.report.json").read_text(encoding="utf-8")
+    created = json.loads(new)["created"]
     # the report is one line of up to a megabyte, too long for a diff on failure
-    matches = new == json.dumps(rep.to_dict()) + "\n"
+    matches = new == json.dumps(_stamped(rep, created)) + "\n"
     assert matches
     back = BoundReport.from_json(tmp_path / "r.report.json")
-    assert json.dumps(back.to_dict()) + "\n" == new
+    assert json.dumps(_stamped(back, created)) + "\n" == new
     # NaN != NaN, so the rows are compared apart from the other fields
     assert np.array_equal(back.per_point, rep.per_point, equal_nan=True)
     back.per_point, rep.per_point = [], []
@@ -589,14 +600,25 @@ def test_report_json_bytes_match_json_module(tmp_path, rows):
 
 def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
     rep = ct_bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
-    rep.to_json(tmp_path / "r.report.json")
+    rep.write(tmp_path / "r")
     back = BoundReport.from_json(tmp_path / "r.report.json")
-    back.to_csv(tmp_path / "back.csv")
-    rep.to_csv(tmp_path / "new.csv")
+    back.write(tmp_path / "back")
     csv_table(tmp_path / "ref.csv", *_points_table(rep))
     ref = (tmp_path / "ref.csv").read_bytes()
-    assert (tmp_path / "new.csv").read_bytes() == ref
-    assert (tmp_path / "back.csv").read_bytes() == ref
+    assert (tmp_path / "r.points.csv").read_bytes() == ref
+    assert (tmp_path / "back.points.csv").read_bytes() == ref
+
+
+@pytest.mark.parametrize("rows", TABLES, ids=TABLE_IDS)
+def test_report_json_rows_are_the_points_csv_rows(tmp_path, report_tables, rows):
+    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                   MetricField.identity(2), resolution=2)
+    rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
+    rep.write(tmp_path / "r")
+    (columns, json_rows), (header, csv_rows) = report_tables(tmp_path / "r")
+    assert columns == header == _points_table(rep)[0]
+    assert np.array_equal(json_rows, csv_rows, equal_nan=True)
+    assert np.array_equal(json_rows, rep.per_point, equal_nan=True)
 
 
 def test_report_from_dict_rejects_other_schema():
@@ -604,23 +626,26 @@ def test_report_from_dict_rejects_other_schema():
     old = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
     del old["map_step"]
     old.update(schema_version=1, pdot_mode="analytic")
-    with pytest.raises(ConfigError, match="schema version 1.*reads schema 2"):
+    with pytest.raises(ConfigError, match="schema version 1.*reads schema 3"):
         BoundReport.from_dict(old)
     other = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
-    other["kind"] = "oracle"
+    other.update(schema_version=SCHEMA_VERSION, kind="oracle")
     with pytest.raises(ConfigError, match="kind 'oracle'.*kind 'bound'"):
         BoundReport.from_dict(other)
 
 
-def test_report_from_json_reads_schema_2_without_kind(tmp_path):
-    # a schema-2 report written before reports carried their kind
+def test_report_from_json_refuses_schema_2(tmp_path):
+    # a schema-2 report: stamps last, rows as state/spectrum/local objects
     rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
                    MetricField.identity(2), resolution=3)
     old = rep.to_dict()
-    del old["kind"]
+    old["per_point"] = [{"state": r[:2], "spectrum": r[2:4], "local": r[4]}
+                        for r in old["per_point"]]
+    old.update(created="2026-01-01T00:00:00+00:00", schema_version=2)
     path = tmp_path / "old.report.json"
     path.write_text(json.dumps(old))
-    assert BoundReport.from_json(path) == rep
+    with pytest.raises(ConfigError, match="schema version 2.*reads schema 3"):
+        BoundReport.from_json(path)
 
 
 def test_bound_dominates_oracle_spot():
