@@ -86,28 +86,35 @@ class MetricField:
         has no usable value (the rule could not build it, or it is not
         finite and positive definite as ``as_spd`` requires).  A tabulated
         rule runs once per distinct row, rows compared bit for bit."""
+        p, _, why = self._values(x)
+        return p, [why.get(i) for i in range(len(p))]
+
+    def _values(self, x: Array) -> tuple:
+        """``values`` as ``(P, failed, why)``: the mask of the rows without a
+        value, and their reasons keyed by row.  P is checked once per distinct
+        value (per distinct state for a tabulated rule)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[-1] != self.dim:
             raise ConfigError(f"expected states of shape (m, {self.dim}), got {x.shape}")
         if self.kind == "tabulated":
-            slots: dict = {}
-            inverse = [slots.setdefault(row.tobytes(), len(slots)) for row in x]
-            distinct = np.frombuffer(b"".join(slots), dtype=float).reshape(-1, self.dim)
-            p, why = self.eval_rule(distinct)
-            p = np.asarray(p, dtype=float)[inverse]
-            reasons = [why[k] for k in inverse]
+            first, inverse = _distinct(x)
+            values, rule_why = self.eval_rule(x[first])
+            values = sym(np.asarray(values, dtype=float))
+            p = values[inverse]
+            ruled = np.array([r is not None for r in rule_why], dtype=bool)[inverse]
         else:
-            p = np.asarray(self.eval_rule(x), dtype=float)
-            reasons = [None] * len(x)
-        p = sym(p)
-        finite = np.isfinite(p).all(axis=(-2, -1))
-        w = np.full(p.shape[:-1], np.nan)
-        w[finite] = np.linalg.eigvalsh(p[finite])
+            p = sym(np.asarray(self.eval_rule(x), dtype=float))
+            first, inverse = _distinct(p)
+            values, ruled = p[first], np.zeros(len(x), dtype=bool)
+        finite = np.isfinite(values).all(axis=(-2, -1))
+        w = np.full(values.shape[:-1], np.nan)
+        w[finite] = np.linalg.eigvalsh(values[finite])
         spd = (w[:, -1] > 0) & (w[:, 0] > EIG_FLOOR * w[:, -1])
-        for i in np.flatnonzero(~spd):
-            if reasons[i] is None:
-                reasons[i] = f"metric value is not positive definite (eigenvalues {w[i]})"
-        return p, reasons
+        failed = ruled | ~spd[inverse]
+        why = {i: rule_why[inverse[i]] if ruled[i] else
+               f"metric value is not positive definite (eigenvalues {w[inverse[i]]})"
+               for i in np.flatnonzero(failed).tolist()}
+        return p, failed, why
 
     def evaluate(self, x: Array) -> Array:
         """P at x; batched over leading axes of x.  Raises NumericError with
@@ -115,10 +122,9 @@ class MetricField:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ConfigError(f"state dimension {x.shape[-1]} != metric dimension {self.dim}")
-        p, reasons = self.values(x.reshape(-1, self.dim))
-        failed = [r for r in reasons if r is not None]
-        if failed:
-            raise NumericError(failed[0])
+        p, _, why = self._values(x.reshape(-1, self.dim))
+        if why:
+            raise NumericError(why[min(why)])
         return p.reshape(x.shape + (self.dim,))
 
     @property
@@ -135,12 +141,32 @@ class MetricField:
         return sym(np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float))
 
 
+def _distinct(a: Array) -> tuple:
+    """``(first, inverse)``: ``a[first]`` holds each distinct row of the float
+    array ``a`` once, in order of first appearance, rows told apart by their
+    bits (-0.0 and each NaN are values of their own); ``a[first][inverse]`` is ``a``."""
+    rows = np.ascontiguousarray(a, dtype=float).reshape(len(a), int(np.prod(np.shape(a)[1:])))
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+def _power(p: Array, t: float) -> Array:
+    """``power(p, t)``, one eigendecomposition per distinct matrix of the stack."""
+    flat = np.reshape(p, (-1,) + np.shape(p)[-2:])
+    if len(flat) < 32:      # the sort would cost more than the eigh it can save
+        return power(p, t)
+    first, inverse = _distinct(flat)
+    return power(flat[first], t)[inverse].reshape(np.shape(p))
+
+
 def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
     """Log2 singular values (nonincreasing) of a Jacobian mapping the inner
     product p at the source to q at the image: SVD of q^{1/2} jac p^{-1/2}.
 
     Zero singular values map to the LOG_ZERO sentinel (bound-only use)."""
-    b = power(q, 0.5) @ jac @ power(p, -0.5)
+    b = _power(q, 0.5) @ jac @ _power(p, -0.5)
     sv = np.linalg.svd(b, compute_uv=False)
     if not np.all(np.isfinite(sv)):
         raise NumericError("non-finite singular values in metric spectrum")
@@ -157,7 +183,7 @@ def ct_spectrum_values(p: Array, jac: Array, pdot: Array) -> Array:
         raise NumericError("orbital derivative must be symmetric")
     jt = np.swapaxes(jac, -1, -2)
     core = p @ jac + jt @ p + pdot
-    r = power(p, -0.5)
+    r = _power(p, -0.5)
     w = np.linalg.eigvalsh(sym(r @ core @ r))
     return w[..., ::-1]
 

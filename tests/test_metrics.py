@@ -3,7 +3,13 @@ import pytest
 import scipy.linalg
 
 from restent.errors import ConfigError, NumericError
-from restent.dynamics import CompactSet, lanford_region, lanford_system, linear_ode_system
+from restent.dynamics import (
+    CompactSet,
+    lanford_region,
+    lanford_system,
+    linear_ode_system,
+    sample_set,
+)
 from restent.entropy import ct_bound, lanford_metric, positive_sum
 from restent.metrics import (
     LOG_ZERO,
@@ -254,3 +260,58 @@ def test_metric_dimension_mismatch():
     metric = MetricField.identity(3)
     with pytest.raises(ConfigError):
         metric.evaluate(np.zeros(2))
+
+
+def _stack_with_repeats(case):
+    """Metric values at one stack of points, with Jacobians and orbital
+    derivatives: ``lanford-exp`` repeats a value per z level, the identity
+    has one value, and the 2x2 stack repeats values that share their first
+    entry, two of them differing only in the sign of a zero."""
+    rng = np.random.default_rng(47)
+    if case == "lanford-exp":
+        metric, sys_ = lanford_metric(), lanford_system()
+        x = sample_set(lanford_region(), 5)
+        return metric.evaluate(x), sys_.jacobian(x), metric.orbital_derivative(x)
+    if case == "identity":
+        p = MetricField.identity(3).evaluate(rng.standard_normal((40, 3)))
+    else:
+        signed = np.array([[[2.0, 0.0], [0.0, 0.5]], [[2.0, -0.0], [-0.0, 0.5]],
+                           [[2.0, 0.3], [0.3, 1.0]]])
+        p = np.concatenate([signed[rng.integers(0, 3, 30)],
+                            [rand_spd(rng, 2) for _ in range(10)]])
+    n = p.shape[-1]
+    return p, rng.standard_normal(p.shape), sym(rng.standard_normal(p.shape)) * n
+
+
+@pytest.mark.parametrize("case", ["lanford-exp", "identity", "signed-zeros"])
+def test_spectra_of_a_stack_are_its_row_by_row_spectra(case):
+    p, jac, pdot = _stack_with_repeats(case)
+    q = p[::-1]
+    by_stack = metric_sv_values(p, q, jac)
+    by_row = [metric_sv_values(*rows) for rows in zip(p, q, jac)]
+    assert np.array_equal(by_stack, by_row)
+    by_stack = ct_spectrum_values(p, jac, pdot)
+    by_row = [ct_spectrum_values(*rows) for rows in zip(p, jac, pdot)]
+    assert np.array_equal(by_stack, by_row)
+
+
+def test_metric_values_reasons_per_row_on_a_mixed_stack():
+    def ev(x):
+        a = np.where(x[..., 0] < 0, -1.0, np.where(x[..., 0] > 5, np.nan, 1.0 + x[..., 0]))
+        return np.eye(2) * np.stack([a, np.ones_like(a)], axis=-1)[..., None, :]
+
+    x = np.array([[1.0, 0.0], [-1.0, 0.0], [6.0, 0.0], [1.0, 3.0], [-2.0, 1.0],
+                  [7.0, 1.0], [2.0, 0.0], [0.0, 0.0], [-0.0, 0.0]])
+    not_spd = "metric value is not positive definite (eigenvalues {})"
+    expected = [None, not_spd.format("[-1.  1.]"), not_spd.format("[nan nan]"), None,
+                not_spd.format("[-1.  1.]"), not_spd.format("[nan nan]"), None, None, None]
+    analytic = MetricField.analytic(2, ev, label="mixed")
+    p, reasons = analytic.values(x)
+    assert reasons == expected
+    assert reasons == [analytic.values(row[None])[1][0] for row in x]
+    assert np.array_equal(p, sym(ev(x)), equal_nan=True)
+    # a tabulated rule's own reason comes before the positive definiteness check
+    tabulated = MetricField.tabulated(
+        2, lambda s: (ev(s), ["far" if row[1] > 2 else None for row in s]), label="mixed")
+    _, reasons = tabulated.values(x)
+    assert reasons == expected[:3] + ["far"] + expected[4:]

@@ -497,3 +497,14 @@ def test_karcher_shape_and_weight_validation():
         karcher_barycenter(np.ones((2, 3)))
     with pytest.raises(NumericError):
         karcher_barycenter(np.array([np.eye(2)] * 2), weights=[0.9, 0.5])
+
+
+def test_power_of_a_stack_of_distinct_matrices_is_its_row_by_row_power():
+    rng = np.random.default_rng(48)
+    for n in (1, 2, 3, 5):
+        p = np.array([rand_spd(rng, n) for _ in range(12)])
+        w, u = np.linalg.eigh(sym(p))
+        for t in (0.5, -0.5, -1.0):
+            by_stack = power(p, t)
+            assert np.array_equal(by_stack, [power(row, t) for row in p])
+            assert np.array_equal(by_stack, sym((u * w[..., None, :] ** t) @ np.swapaxes(u, -1, -2)))
