@@ -19,13 +19,10 @@ from .entropy import (
     BoundReport,
     OracleResult,
     bound,
-    ct_bound,
-    dt_bound,
     lanford_closed_form,
     lanford_metric,
     lyapunov_oracle,
     minimizing_metric,
-    minimizing_metric_dt,
     proximate_entropy,
 )
 from .errors import (

@@ -297,8 +297,6 @@ def cmd_lanford(args) -> int:
 
 def cmd_props(args) -> int:
     dims = tuple(_numbers(args.dims.split(","), int, "dims")) if args.dims else (1, 2, 3, 5)
-    for d in dims:
-        _positive(d, "dims")
     results = props.run_property_suite(seed=int(args.seed), instances=int(args.instances),
                                        dims=dims)
     failures = 0

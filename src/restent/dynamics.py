@@ -11,7 +11,6 @@ admissible state and reported with the escape time.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,8 +33,6 @@ SAFETY, MIN_GROWTH, MAX_GROWTH = 0.8, 0.2, 5.0
 BLOWUP_NORM = 1e8
 # spot-check membership slack, as a fraction of each box axis (orbit drift)
 MEMBERSHIP_RTOL = 1e-6
-# auto_region shrinks its candidate region at most this many times, by 0.9
-MAX_SHRINKS = 6
 
 # Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer, Norsett &
 # Wanner, Solving ODEs I, Sec. II.10, code dop853.f), as the shortest decimals
@@ -106,8 +103,8 @@ class CompactSet:
 
     def __post_init__(self):
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ConfigError(f"degenerate interval [{lo}, {hi}] in box bounds")
+            if not -np.inf < lo < hi < np.inf:
+                raise ConfigError(f"box interval [{lo}, {hi}] must be finite, with lo < hi")
 
     @property
     def kind(self) -> str:
@@ -459,6 +456,8 @@ def _linear_factories(matrix, time_type, name):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"system matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConfigError(f"system matrix entries must be finite, got {m.tolist()}")
     n = m.shape[0]
 
     def rhs(x: Array) -> Array:
@@ -514,32 +513,32 @@ def make_system(name: str, **params) -> SystemModel:
     return registry[name](**params)
 
 
-def lanford_region(a: float = 2.0 / 3.0, scale: float = 1.0) -> CompactSet:
-    """Solid of revolution (x^2+y^2)/2 + (z - a/2)^2 <= (scale*a/2)^2 inside
-    its bounding box.
+def lanford_region(a: float = 2.0 / 3.0) -> CompactSet:
+    """Solid of revolution (x^2+y^2)/2 + (z - a/2)^2 <= (a/2)^2 inside its
+    bounding box.
 
     At a = 2/3 the quantity u*(u/2 + (z-a/2)^2 - (a/2)^2) with u = x^2+y^2
-    is a first integral, so at scale 1 the boundary (the separatrix surface
-    joining the two equilibria, plus the invariant z-axis) encloses an
-    exactly forward-invariant region.  For other a the same family is used
-    as the sampling region; invariance must then be read off the spot-check
+    is a first integral, so the boundary (the separatrix surface joining
+    the two equilibria, plus the invariant z-axis) encloses an exactly
+    forward-invariant region.  For other a the same family is used as the
+    sampling region; invariance must then be read off the spot-check
     report."""
     a = float(a)
     if a <= 0:
         raise ConfigError("parameter a must be positive")
     zc = a / 2.0
-    half = zc * scale
-    r = (a / np.sqrt(2.0)) * scale
-    level = half ** 2
+    r = a / np.sqrt(2.0)
+    level = zc ** 2
     slack = 1e-7 * (1.0 + level)
 
     def inside(x: Array) -> Array:
         u = x[..., 0] ** 2 + x[..., 1] ** 2
         return u / 2.0 + (x[..., 2] - zc) ** 2 <= level + slack
 
-    bounds = ((-r, r), (-r, r), (max(zc - half, 0.0), zc + half))
+    bounds = ((-r, r), (-r, r), (0.0, zc + zc))
+    # reports written before carry the same label, scale included
     return CompactSet(bounds=bounds, constraint=inside,
-                      label=f"lanford-ellipsoid(a={a:g},scale={scale:g})")
+                      label=f"lanford-ellipsoid(a={a:g},scale=1)")
 
 
 def default_region(system: SystemModel) -> CompactSet:
@@ -547,35 +546,3 @@ def default_region(system: SystemModel) -> CompactSet:
     if system.name == "lanford":
         return lanford_region(system.params["a"])
     return CompactSet(bounds=tuple((-1.0, 1.0) for _ in range(system.dim)))
-
-
-def auto_region(system: SystemModel, horizon: float = 5.0, resolution: int = 9):
-    """Candidate region shrunk until the invariance spot check passes.
-
-    Returns (region, report).  If no candidate passes, the unshrunk region is
-    returned with its report and a warning; shrinking cannot help when the
-    escape routes sit on the outermost candidate already."""
-    scale = 1.0
-    first = None
-    for _ in range(MAX_SHRINKS + 1):
-        region = (lanford_region(system.params["a"], scale=scale)
-                  if system.name == "lanford"
-                  else _scaled_box(default_region(system), scale))
-        report = invariance_spot_check(system, region, resolution, horizon)
-        if first is None:
-            first = (region, report)
-        if report.fraction == 0.0:
-            return region, report
-        scale *= 0.9
-    warnings.warn(
-        f"no candidate region passed the invariance spot check for "
-        f"'{system.name}' (best escape fraction {first[1].fraction:.3g})",
-        RuntimeWarning, stacklevel=2)
-    return first
-
-
-def _scaled_box(region: CompactSet, scale: float) -> CompactSet:
-    bounds = tuple(((lo + hi) / 2 + scale * (lo - hi) / 2,
-                    (lo + hi) / 2 + scale * (hi - lo) / 2)
-                   for lo, hi in region.bounds)
-    return CompactSet(bounds=bounds, constraint=region.constraint, label=region.label)

@@ -238,7 +238,7 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
         h = 1.0 if discrete else metric.step
         prop = propagate(system, pts, h, variational=True)
         images, jac, escaped = prop.states, prop.jacobians, prop.escaped
-    p, failed, why = metric._values(pts if images is None else np.concatenate([pts, images]))
+    p, failed, why = metric.values(pts if images is None else np.concatenate([pts, images]))
     ok = ~(escaped | failed.reshape(-1, m).any(axis=0) | ~np.isfinite(jac).all(axis=(-2, -1)))
     if not ok.any():
         raise NumericError("every sample point was excluded; no bound available")
@@ -324,22 +324,6 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
             break
     report.refinements = done
     return report
-
-
-def dt_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False) -> BoundReport:
-    """``bound`` of a discrete-time system."""
-    if system.time_type != "discrete":
-        raise ConfigError("dt_bound requires a discrete-time system")
-    return bound(system, region, metric, resolution, refine)
-
-
-def ct_bound(system: SystemModel, region: CompactSet, metric: MetricField,
-             resolution=9, refine: bool = False) -> BoundReport:
-    """``bound`` of a continuous-time system."""
-    if system.time_type != "continuous":
-        raise ConfigError("ct_bound requires a continuous-time system")
-    return bound(system, region, metric, resolution, refine)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +412,6 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
     return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
 
 
-def minimizing_metric_dt(system: SystemModel, steps: int,
-                         tol: float = 1e-7) -> MetricField:
-    """``minimizing_metric`` of a discrete-time system over ``steps`` steps."""
-    if system.time_type != "discrete":
-        raise ConfigError("the step-indexed minimizing metric needs a discrete system")
-    return minimizing_metric(system, steps, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # Oracle and closed forms
 # ---------------------------------------------------------------------------
@@ -489,8 +465,13 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
 
 def proximate_entropy(system: SystemModel, point) -> float:
     """Sum of the positive real parts of the linearization eigenvalues at an
-    equilibrium, in bits/time.  A lower bound for the restoration entropy
-    when the equilibrium is interior to the invariant set."""
+    equilibrium, in bits/time.  It is a lower bound for the restoration
+    entropy of every compact forward-invariant set that contains the
+    equilibrium, on its boundary or inside: {x*} is itself an invariant
+    set with this entropy (the equilibrium lower bound of Matveev and
+    Pogromsky, Automatica 70, 2016), and restoration entropy is a sup over
+    the set, so it only grows with the set.  (0, 0, a) lies on the boundary
+    of ``lanford_region``."""
     if system.time_type != "continuous":
         raise ConfigError("proximate entropy is defined for continuous-time systems")
     point = np.asarray(point, dtype=float)

@@ -82,17 +82,11 @@ class MetricField:
     def values(self, x: Array) -> tuple:
         """P over a batch of states (m, n), without raising per row.
 
-        Returns ``(P, reasons)``: ``reasons[i]`` is None, or says why row i
-        has no usable value (the rule could not build it, or it is not
-        finite and positive definite as ``as_spd`` requires).  A tabulated
-        rule runs once per distinct row, rows compared bit for bit."""
-        p, _, why = self._values(x)
-        return p, [why.get(i) for i in range(len(p))]
-
-    def _values(self, x: Array) -> tuple:
-        """``values`` as ``(P, failed, why)``: the mask of the rows without a
-        value, and their reasons keyed by row.  P is checked once per distinct
-        value (per distinct state for a tabulated rule)."""
+        Returns ``(P, failed, why)``: ``failed`` marks the rows without a
+        usable value (the rule could not build it, or it is not finite and
+        positive definite as ``as_spd`` requires), and ``why`` maps each
+        such row to its reason.  P is checked once per distinct value; a
+        tabulated rule runs once per distinct row, rows compared bit for bit."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[-1] != self.dim:
             raise ConfigError(f"expected states of shape (m, {self.dim}), got {x.shape}")
@@ -122,7 +116,7 @@ class MetricField:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ConfigError(f"state dimension {x.shape[-1]} != metric dimension {self.dim}")
-        p, _, why = self._values(x.reshape(-1, self.dim))
+        p, _, why = self.values(x.reshape(-1, self.dim))
         if why:
             raise NumericError(why[min(why)])
         return p.reshape(x.shape + (self.dim,))

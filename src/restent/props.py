@@ -291,8 +291,9 @@ def run_property_suite(seed: int = 42, instances: int = 50,
     """Run the randomized property suite and return one PropertyResult per
     property.  ``instances`` is the draw count per property, split evenly
     across ``dims``."""
-    if instances < 1 or seed < 0:
-        raise ConfigError(f"need instances >= 1 and seed >= 0, got {instances}, {seed}")
+    if instances < 1 or seed < 0 or min(dims, default=0) < 1:   # no dims reads as 0
+        raise ConfigError(f"need instances >= 1, seed >= 0 and one or more dims >= 1, "
+                          f"got {instances}, {seed}, {list(dims)}")
     per_dim = max(1, int(round(instances / len(dims))))
     results = []
     for name, fn, tol in _SUITE:

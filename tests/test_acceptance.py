@@ -12,8 +12,8 @@ import pytest
 
 from restent.dynamics import (
     CompactSet,
-    auto_region,
     identity_system,
+    invariance_spot_check,
     lanford_region,
     lanford_system,
     linear_map_system,
@@ -21,13 +21,12 @@ from restent.dynamics import (
     sample_set,
 )
 from restent.entropy import (
-    ct_bound,
-    dt_bound,
+    bound,
     lanford_closed_form,
     lanford_metric,
     lyapunov_oracle,
     metric_change_constant,
-    minimizing_metric_dt,
+    minimizing_metric,
     proximate_entropy,
 )
 from restent.metrics import MetricField
@@ -52,21 +51,20 @@ def jordan_sweep():
     system = linear_map_system(JORDAN)
     bounds = {}
     for n in (1, 2, 4, 8, 16):
-        metric = minimizing_metric_dt(system, n, tol=1e-5)
-        bounds[n] = dt_bound(system, UNIT_BOX_2, metric, resolution=2).bound
+        metric = minimizing_metric(system, n, tol=1e-5)
+        bounds[n] = bound(system, UNIT_BOX_2, metric, resolution=2).bound
     return bounds
 
 
 def test_criterion_1_lanford_reproduction():
     for a in A_VALUES:
         system = lanford_system(a)
+        region = lanford_region(a)
         if abs(a - A_HET) < 1e-12:
-            region, inv = auto_region(system, horizon=5.0, resolution=9)
+            inv = invariance_spot_check(system, region, 9, 5.0)
             assert inv.fraction == 0.0
-        else:
-            region = lanford_region(a)
-        report = ct_bound(system, region, lanford_metric(a), resolution=21,
-                          refine=True)
+        report = bound(system, region, lanford_metric(a), resolution=21,
+                       refine=True)
         reference = lanford_closed_form(a)
         assert report.bound == pytest.approx(reference, abs=1e-3)
         for row in report.per_point:
@@ -102,7 +100,7 @@ def test_criterion_3_oracle_convergence(lanford_oracle_result):
 
 def test_criterion_4_linear_exactness_and_sweep(jordan_sweep):
     diag = linear_map_system(np.diag([2.0, 0.5]))
-    b = dt_bound(diag, UNIT_BOX_2, MetricField.identity(2), resolution=3).bound
+    b = bound(diag, UNIT_BOX_2, MetricField.identity(2), resolution=3).bound
     orc = lyapunov_oracle(diag, UNIT_BOX_2, horizons=(3, 9, 27), resolution=3)
     assert b == pytest.approx(1.0, abs=1e-12)
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in orc.values)
@@ -115,7 +113,7 @@ def test_criterion_4_linear_exactness_and_sweep(jordan_sweep):
 
 def test_criterion_4_identity_metric_strict_overshoot():
     system = linear_map_system(JORDAN)
-    b = dt_bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=2).bound
+    b = bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=2).bound
     print(f"criterion 4 strict-overshoot check: identity-metric bound "
           f"{b!r} vs 2.0")
     assert b > 2.0, (
@@ -138,26 +136,26 @@ def test_criterion_6_bound_dominates_oracle(lanford_oracle_result):
     cases = []
 
     ident = identity_system(2)
-    rep = dt_bound(ident, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(ident, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     orc = lyapunov_oracle(ident, UNIT_BOX_2, horizons=(2, 5, 9), resolution=3)
     cases.append(("identity-map/identity", rep, orc, 0.0))
 
     diag = linear_map_system(np.diag([2.0, 0.5]))
-    rep = dt_bound(diag, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(diag, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     orc = lyapunov_oracle(diag, UNIT_BOX_2, horizons=(3, 9, 27), resolution=3)
     cases.append(("diag-map/identity", rep, orc, 0.0))
 
     jordan = linear_map_system(JORDAN)
-    rep = dt_bound(jordan, UNIT_BOX_2, MetricField.identity(2), resolution=2)
+    rep = bound(jordan, UNIT_BOX_2, MetricField.identity(2), resolution=2)
     orc = lyapunov_oracle(jordan, UNIT_BOX_2, horizons=(4, 8, 16), resolution=2)
     cases.append(("jordan-map/identity", rep, orc, 0.0))
-    metric8 = minimizing_metric_dt(jordan, 8, tol=1e-5)
-    rep8 = dt_bound(jordan, UNIT_BOX_2, metric8, resolution=2)
+    metric8 = minimizing_metric(jordan, 8, tol=1e-5)
+    rep8 = bound(jordan, UNIT_BOX_2, metric8, resolution=2)
     c8 = metric_change_constant(metric8, sample_set(UNIT_BOX_2, 2))
     cases.append(("jordan-map/auto:N=8", rep8, orc, c8))
 
     saddle = linear_ode_system(np.diag([1.0, -1.0]))
-    rep = ct_bound(saddle, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(saddle, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     orc = lyapunov_oracle(saddle, UNIT_BOX_2, horizons=(2.0, 4.0, 8.0),
                           resolution=3)
     cases.append(("saddle-ode/identity", rep, orc, 0.0))
@@ -165,10 +163,10 @@ def test_criterion_6_bound_dominates_oracle(lanford_oracle_result):
     lan = lanford_system(A_HET)
     region = lanford_region(A_HET)
     pts = sample_set(region, 11)
-    rep = ct_bound(lan, region, lanford_metric(A_HET), resolution=11)
+    rep = bound(lan, region, lanford_metric(A_HET), resolution=11)
     c_ad = metric_change_constant(lanford_metric(A_HET), pts)
     cases.append(("lanford/adapted", rep, lanford_oracle_result, c_ad))
-    rep_id = ct_bound(lan, region, MetricField.identity(3), resolution=11)
+    rep_id = bound(lan, region, MetricField.identity(3), resolution=11)
     cases.append(("lanford/identity", rep_id, lanford_oracle_result, 0.0))
 
     for name, rep, orc, c_metric in cases:

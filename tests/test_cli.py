@@ -569,7 +569,20 @@ def test_props_dims_below_one_is_config_error(tmp_path, capsys, dims):
                 "--out", str(tmp_path / "props")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "configuration error" in err and "--dims must be positive" in err
+    assert "configuration error" in err and "one or more dims >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--matrix", "diag:2,0.5", "--box", "0:inf,0:1"],
+    ["--matrix", "diag:2,nan"],
+    ["--matrix", "diag:2,inf"],
+], ids=["infinite-box", "nan-matrix", "infinite-matrix"])
+def test_nonfinite_box_or_matrix_is_config_error(tmp_path, capsys, argv):
+    code = run(["bound", "--system", "linmap", *argv, "--resolution", "3",
+                "--out", str(tmp_path / "bad")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "finite" in err
 
 
 def test_props_violation_exit_code(monkeypatch, capsys):

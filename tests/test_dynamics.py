@@ -13,7 +13,6 @@ from restent.dynamics import (
     STEP_TOL,
     CompactSet,
     SystemModel,
-    auto_region,
     builtin_systems,
     default_region,
     grid_counts,
@@ -284,13 +283,6 @@ def test_plain_box_fails_spot_check_for_lanford():
     report = invariance_spot_check(sys_, box, 5, horizon=2.0)
     assert report.fraction > 0.0
     assert report.first_exit
-
-
-def test_auto_region_returns_verified_set():
-    sys_ = lanford_system(A_DEFAULT)
-    region, report = auto_region(sys_, horizon=3.0, resolution=7)
-    assert report.fraction == 0.0
-    assert region.kind == "box_with_constraint"
 
 
 def test_default_region_and_config_loading(tmp_path):

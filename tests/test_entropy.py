@@ -21,14 +21,12 @@ from restent.entropy import (
     _inverted_barycenters,
     BoundReport,
     aitken_accelerate,
-    ct_bound,
-    dt_bound,
+    bound,
     lanford_closed_form,
     lanford_metric,
     lyapunov_oracle,
     metric_change_constant,
     minimizing_metric,
-    minimizing_metric_dt,
     positive_sum,
     proximate_entropy,
 )
@@ -52,21 +50,21 @@ def test_dt_bound_identity_map_any_metric():
         label="curved",
     )
     for metric in (MetricField.identity(2), curved):
-        rep = dt_bound(sys_, UNIT_BOX_2, metric, resolution=5)
+        rep = bound(sys_, UNIT_BOX_2, metric, resolution=5)
         assert rep.bound == pytest.approx(0.0, abs=1e-10)
         assert rep.units == "bits/step"
 
 
 def test_dt_bound_scalar_doubling_map():
     sys_ = linear_map_system(np.array([[2.0]]))
-    rep = dt_bound(sys_, UNIT_BOX_1, MetricField.identity(1), resolution=5)
+    rep = bound(sys_, UNIT_BOX_1, MetricField.identity(1), resolution=5)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dt_bound_matches_oracle_for_diagonal_map():
     m = np.diag([2.0, 0.5])
     sys_ = linear_map_system(m)
-    rep = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     oracle = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(3, 7), resolution=3)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
     assert oracle.values[-1] == pytest.approx(1.0, abs=1e-12)
@@ -80,26 +78,26 @@ def test_dt_bound_exact_on_normal_matrices():
     eigs = np.array([1.8, 0.6, -1.1])
     m = q @ np.diag(eigs) @ q.T
     sys_ = linear_map_system(m)
-    rep = dt_bound(sys_, CompactSet(bounds=((-1, 1),) * 3), MetricField.identity(3),
-                   resolution=2)
+    rep = bound(sys_, CompactSet(bounds=((-1, 1),) * 3), MetricField.identity(3),
+                resolution=2)
     expected = positive_sum(np.log2(np.abs(eigs)))
     assert rep.bound == pytest.approx(float(expected), abs=1e-10)
 
 
 def test_ct_bound_scalar_cases():
     decay = linear_ode_system(np.array([[-1.0]]))
-    rep = ct_bound(decay, UNIT_BOX_1, MetricField.identity(1), resolution=3)
+    rep = bound(decay, UNIT_BOX_1, MetricField.identity(1), resolution=3)
     assert rep.bound == pytest.approx(0.0, abs=1e-12)
     assert rep.per_point[0, 1] == pytest.approx(-2.0)
     grow = linear_ode_system(np.array([[1.0]]))
-    rep = ct_bound(grow, UNIT_BOX_1, MetricField.identity(1), resolution=3)
+    rep = bound(grow, UNIT_BOX_1, MetricField.identity(1), resolution=3)
     assert rep.bound == pytest.approx(1.0 / LN2, abs=1e-12)
     assert rep.units == "bits/time"
 
 
 def test_ct_bound_lanford_reference_value():
     sys_ = lanford_system(A0)
-    rep = ct_bound(sys_, lanford_region(A0), lanford_metric(A0), resolution=21)
+    rep = bound(sys_, lanford_region(A0), lanford_metric(A0), resolution=21)
     assert rep.bound == pytest.approx(lanford_closed_form(A0), abs=1e-12)
     # maximizer sits on the z-axis
     assert abs(rep.maximizer[0]) < 1e-9 and abs(rep.maximizer[1]) < 1e-9
@@ -109,7 +107,7 @@ def test_ct_bound_lanford_lambda_closed_forms():
     a = 0.8
     sys_ = lanford_system(a)
     region = lanford_region(a)
-    rep = ct_bound(sys_, region, lanford_metric(a), resolution=9)
+    rep = bound(sys_, region, lanford_metric(a), resolution=9)
     for row in rep.per_point:
         x, y, z = row[:3]
         g = 2.0 * (a * z - z * z - x * x - y * y) / a
@@ -124,16 +122,13 @@ def _constant_rule(x):
 
 
 def test_ct_bound_requires_matching_time_type_and_pdot():
-    sys_ = linear_map_system(np.eye(2))
-    with pytest.raises(ConfigError):
-        ct_bound(sys_, UNIT_BOX_2, MetricField.identity(2))
     ode = linear_ode_system(np.eye(2))
     # no orbital rule: the bound is taken on the time-step map
     tab = MetricField.tabulated(2, _constant_rule, label="tab", step=0.25)
-    rep = ct_bound(ode, UNIT_BOX_2, tab, resolution=3)
+    rep = bound(ode, UNIT_BOX_2, tab, resolution=3)
     assert rep.map_step == 0.25
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-9)
-    rep = ct_bound(ode, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(ode, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     assert rep.map_step is None
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-12)
 
@@ -142,9 +137,9 @@ def test_ct_bound_rejects_tabulated_metric_without_step():
     ode = linear_ode_system(np.eye(2))
     tab = MetricField.tabulated(2, _constant_rule, label="tab")
     with pytest.raises(ConfigError, match="time step"):
-        ct_bound(ode, UNIT_BOX_2, tab, resolution=3)
+        bound(ode, UNIT_BOX_2, tab, resolution=3)
     # a discrete bound needs no step
-    rep = dt_bound(linear_map_system(np.eye(2)), UNIT_BOX_2, tab, resolution=3)
+    rep = bound(linear_map_system(np.eye(2)), UNIT_BOX_2, tab, resolution=3)
     assert rep.bound == 0.0
 
 
@@ -153,7 +148,7 @@ def test_ct_bound_excludes_rows_that_escape_within_the_map_step():
     fast = linear_ode_system(np.array([[40.0]]))
     tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
                                 label="tab", step=0.5)
-    rep = ct_bound(fast, UNIT_BOX_1, tab, resolution=3)
+    rep = bound(fast, UNIT_BOX_1, tab, resolution=3)
     assert [e["state"] for e in rep.excluded] == [[-1.0], [1.0]]
     assert all("blew up within the map step" in e["reason"] for e in rep.excluded)
     assert rep.per_point[:, :1].tolist() == [[0.0]]
@@ -164,14 +159,14 @@ def test_ct_bound_excludes_rows_that_escape_within_the_map_step():
 def test_per_point_is_the_float_table_of_the_kept_grid_points(case):
     if case == "map":
         region = UNIT_BOX_2
-        rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), region,
-                       MetricField.identity(2), resolution=3)
+        rep = bound(linear_map_system(np.diag([2.0, 0.5])), region,
+                    MetricField.identity(2), resolution=3)
     else:
         # as above: the orbits from -1 and +1 blow up within the map step
         region = UNIT_BOX_1
         tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
                                     label="tab", step=0.5)
-        rep = ct_bound(linear_ode_system(np.array([[40.0]])), region, tab, resolution=3)
+        rep = bound(linear_ode_system(np.array([[40.0]])), region, tab, resolution=3)
         assert rep.excluded
     dim, grid = region.dim, sample_set(region, 3).tolist()
     table = rep.per_point
@@ -184,11 +179,6 @@ def test_per_point_is_the_float_table_of_the_kept_grid_points(case):
     assert len(table) + len(rep.excluded) == len(grid)
 
 
-def test_dt_bound_wrong_time_type():
-    with pytest.raises(ConfigError):
-        dt_bound(lanford_system(), lanford_region(A0), MetricField.identity(3))
-
-
 def test_dt_bound_flags_points_where_metric_is_undefined():
     sys_ = identity_system(1)
 
@@ -198,7 +188,7 @@ def test_dt_bound_flags_points_where_metric_is_undefined():
         return np.eye(1) * (1.0 + x[:, 0] ** 2)[:, None, None], reasons
 
     metric = MetricField.tabulated(1, partial, label="partial")
-    rep = dt_bound(sys_, UNIT_BOX_1, metric, resolution=5)
+    rep = bound(sys_, UNIT_BOX_1, metric, resolution=5)
     assert len(rep.excluded) == 2                 # the points at -1 and +1
     assert len(rep.per_point) == 3
     assert all("domain" in e["reason"] for e in rep.excluded)
@@ -215,26 +205,26 @@ def test_lyapunov_oracle_discrete_blowup_masked():
 
 def test_minimizing_metric_dt_first_step_is_identity():
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    p1 = minimizing_metric_dt(sys_, 1)
+    p1 = minimizing_metric(sys_, 1)
     assert np.allclose(p1.evaluate(np.array([0.3, -0.7])), np.eye(2))
-    rep_auto = dt_bound(sys_, UNIT_BOX_2, p1, resolution=2)
-    rep_id = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=2)
+    rep_auto = bound(sys_, UNIT_BOX_2, p1, resolution=2)
+    rep_id = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=2)
     assert rep_auto.bound == pytest.approx(rep_id.bound, abs=1e-12)
 
 
 def test_minimizing_metric_dt_scalar_chain():
     sys_ = linear_map_system(np.array([[2.0]]))
     for n in (2, 4, 6):
-        metric = minimizing_metric_dt(sys_, n, tol=1e-12)
+        metric = minimizing_metric(sys_, n, tol=1e-12)
         value = metric.evaluate(np.array([0.2]))[0, 0]
         assert value == pytest.approx(2.0 ** (n - 1), rel=1e-8)
-        rep = dt_bound(sys_, UNIT_BOX_1, metric, resolution=3)
+        rep = bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(1.0, abs=1e-8)
 
 
 def test_minimizing_metric_dt_singular_jacobian_rejected():
     sys_ = linear_map_system(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    metric = minimizing_metric_dt(sys_, 3)
+    metric = minimizing_metric(sys_, 3)
     with pytest.raises(NumericError, match="invertible"):
         metric.evaluate(np.array([0.1, 0.1]))
 
@@ -271,12 +261,12 @@ def test_minimizing_metric_dt_clipped_nonnormal_case():
     # the metric sequence recovers it
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
     box = UNIT_BOX_2
-    rep_id = dt_bound(sys_, box, MetricField.identity(2), resolution=2)
+    rep_id = bound(sys_, box, MetricField.identity(2), resolution=2)
     assert rep_id.bound > 1.0 + 0.05
     bounds = []
     for n in (2, 4, 8):
-        metric = minimizing_metric_dt(sys_, n, tol=3e-6)
-        bounds.append(dt_bound(sys_, box, metric, resolution=2).bound)
+        metric = minimizing_metric(sys_, n, tol=3e-6)
+        bounds.append(bound(sys_, box, metric, resolution=2).bound)
     assert bounds[0] <= rep_id.bound + 1e-9
     assert all(b2 <= b1 + 0.01 for b1, b2 in zip(bounds, bounds[1:]))
     assert abs(bounds[-1] - 1.0) < 0.05
@@ -285,12 +275,13 @@ def test_minimizing_metric_dt_clipped_nonnormal_case():
 def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
     monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 1)
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
-    metric = minimizing_metric_dt(sys_, 8, tol=1e-7)
-    _, reasons = metric.values(np.array([[0.1, 0.2], [-0.3, 0.4]]))
-    assert all("not converged after 1 iterations" in r for r in reasons)
-    assert all("gradient residual" in r for r in reasons)
+    metric = minimizing_metric(sys_, 8, tol=1e-7)
+    _, failed, why = metric.values(np.array([[0.1, 0.2], [-0.3, 0.4]]))
+    assert failed.all() and list(why) == [0, 1]
+    assert all("not converged after 1 iterations" in r for r in why.values())
+    assert all("gradient residual" in r for r in why.values())
     with pytest.raises(NumericError, match="every sample point was excluded"):
-        dt_bound(sys_, UNIT_BOX_2, metric, resolution=2)
+        bound(sys_, UNIT_BOX_2, metric, resolution=2)
 
 
 def _orbit_loop_metric(system, steps, x, tol=1e-7):
@@ -332,7 +323,7 @@ def test_map_bound_excludes_rows_that_blow_up_within_the_step():
     # x0 = +-5e7 reach its norm 1e8 but do not exceed it
     sys_ = linear_map_system(np.diag([2.0, 0.5]))
     box = CompactSet(bounds=((-1e8, 1e8), (-1.0, 1.0)))
-    rep = dt_bound(sys_, box, MetricField.identity(2), resolution=5)
+    rep = bound(sys_, box, MetricField.identity(2), resolution=5)
     assert rep.bound == 1.0
     assert len(rep.excluded) == 10
     assert all(abs(e["state"][0]) == 1e8 for e in rep.excluded)
@@ -343,12 +334,12 @@ def test_map_bound_excludes_rows_that_blow_up_within_the_step():
 
 def test_minimizing_metric_of_a_map_excludes_orbits_that_blow_up():
     jordan = linear_map_system(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    _, reasons = minimizing_metric(jordan, 30).values(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    assert reasons == ["trajectory escaped at t=23 while building the minimizing metric",
-                       None]
+    _, failed, why = minimizing_metric(jordan, 30).values(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert failed.tolist() == [True, False]
+    assert why == {0: "trajectory escaped at t=23 while building the minimizing metric"}
     # the benchmark's Jordan sweep stays clear of the guard
-    _, reasons = minimizing_metric(jordan, 16).values(sample_set(UNIT_BOX_2, 2))
-    assert reasons == [None] * 4
+    _, failed, why = minimizing_metric(jordan, 16).values(sample_set(UNIT_BOX_2, 2))
+    assert failed.tolist() == [False] * 4 and why == {}
 
 
 def test_minimizing_metric_ct_degenerate_horizon():
@@ -365,11 +356,11 @@ def test_minimizing_metric_ct_scalar_growth():
         # equal-weight log-mean of e^{-2 lam s} over the node grid
         value = metric.evaluate(np.array([0.1]))[0, 0]
         assert value == pytest.approx(np.exp(lam * horizon), rel=1e-6)
-        rep = ct_bound(sys_, UNIT_BOX_1, metric, resolution=3)
+        rep = bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(lam / LN2, rel=1e-3)
     ode = linear_ode_system(np.array([[0.5]]))
     metric = minimizing_metric(ode, 1.0, time_samples=5, tol=1e-9)
-    rep = ct_bound(ode, UNIT_BOX_1, metric, resolution=5)
+    rep = bound(ode, UNIT_BOX_1, metric, resolution=5)
     assert rep.bound == pytest.approx(0.5 / LN2, rel=1e-3)
 
 
@@ -380,7 +371,7 @@ def test_minimizing_metric_ct_lanford_converges_from_above():
     bounds = []
     for horizon in (1.0, 3.0):
         metric = minimizing_metric(sys_, horizon, time_samples=16, tol=1e-6)
-        rep = ct_bound(sys_, region, metric, resolution=3)
+        rep = bound(sys_, region, metric, resolution=3)
         bounds.append(rep.bound)
         assert rep.bound >= ref - 5e-3
         assert rep.bound <= ref + 0.2
@@ -396,8 +387,8 @@ def test_minimizing_metric_ct_lanford_sweep_holds_the_closed_form():
     # closed form; longer horizons must not loosen it
     sys_, region = lanford_system(A0), lanford_region(A0)
     ref = lanford_closed_form(A0)
-    bounds = [ct_bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
-                       resolution=5).bound
+    bounds = [bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
+                    resolution=5).bound
               for t in (2.0, 4.0, 8.0, 16.0)]
     assert all(ref - 1e-9 <= b <= ref + 1e-6 for b in bounds), bounds
     assert _nonincreasing(bounds), bounds
@@ -408,8 +399,8 @@ def test_minimizing_metric_ct_lanford_sweep_is_tight_and_nonincreasing():
     # longer horizon does not raise it beyond rounding
     sys_, region = lanford_system(A0), lanford_region(A0)
     ref = lanford_closed_form(A0)
-    bounds = [ct_bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
-                       resolution=5).bound
+    bounds = [bound(sys_, region, minimizing_metric(sys_, t, time_samples=32),
+                    resolution=5).bound
               for t in (2.0, 4.0, 8.0, 16.0)]
     assert all(abs(b - ref) <= 1e-12 for b in bounds), [b - ref for b in bounds]
     assert _nonincreasing(bounds, slack=1e-12), [b - ref for b in bounds]
@@ -418,8 +409,8 @@ def test_minimizing_metric_ct_lanford_sweep_is_tight_and_nonincreasing():
 def test_minimizing_metric_ct_nonnormal_linode_sweep():
     sys_ = linear_ode_system(np.array([[0.5, 2.0], [0.0, -0.3]]))
     floor = proximate_entropy(sys_, [0.0, 0.0])     # 0.5 / ln 2
-    bounds = [ct_bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, t),
-                       resolution=3).bound
+    bounds = [bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, t),
+                    resolution=3).bound
               for t in (1.0, 2.0, 4.0, 8.0)]
     assert all(b >= floor - 1e-9 for b in bounds), bounds
     assert _nonincreasing(bounds), bounds
@@ -507,8 +498,8 @@ def test_metric_change_bound_on_lanford_orbits():
 
 def test_refinement_loop_converges_and_reports():
     sys_ = lanford_system(0.75)
-    rep = ct_bound(sys_, lanford_region(0.75), lanford_metric(0.75),
-                   resolution=5, refine=True)
+    rep = bound(sys_, lanford_region(0.75), lanford_metric(0.75),
+                resolution=5, refine=True)
     assert rep.refinements >= 1
     assert rep.bound == pytest.approx(lanford_closed_form(0.75), abs=1e-6)
     assert rep.resolution[0] > 5
@@ -516,7 +507,7 @@ def test_refinement_loop_converges_and_reports():
 
 def test_report_round_trip_and_csv(tmp_path):
     sys_ = linear_map_system(np.diag([2.0, 0.5]))
-    rep = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    rep = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     assert rep.bound == max(rep.per_point[:, -1])
     assert all(rep.per_point[:, -1] >= 0.0)
     jpath = tmp_path / "r.report.json"
@@ -567,8 +558,8 @@ TABLE_IDS = ["edge-values", "one-block", "block-boundaries", "empty"]
 
 @pytest.mark.parametrize("rows", TABLES, ids=TABLE_IDS)
 def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
-    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
-                   MetricField.identity(2), resolution=2)
+    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                MetricField.identity(2), resolution=2)
     rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
     rep.write(tmp_path / "new")
     csv_table(tmp_path / "ref.csv", *_points_table(rep))
@@ -581,8 +572,8 @@ def test_points_csv_bytes_match_csv_module(tmp_path, csv_table, rows):
 
 @pytest.mark.parametrize("rows", TABLES, ids=TABLE_IDS)
 def test_report_json_bytes_match_json_module(tmp_path, rows):
-    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
-                   MetricField.identity(2), resolution=2)
+    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                MetricField.identity(2), resolution=2)
     rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
     rep.write(tmp_path / "r")
     new = (tmp_path / "r.report.json").read_text(encoding="utf-8")
@@ -599,7 +590,7 @@ def test_report_json_bytes_match_json_module(tmp_path, rows):
 
 
 def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
-    rep = ct_bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
+    rep = bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
     rep.write(tmp_path / "r")
     back = BoundReport.from_json(tmp_path / "r.report.json")
     back.write(tmp_path / "back")
@@ -611,8 +602,8 @@ def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
 
 @pytest.mark.parametrize("rows", TABLES, ids=TABLE_IDS)
 def test_report_json_rows_are_the_points_csv_rows(tmp_path, report_tables, rows):
-    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
-                   MetricField.identity(2), resolution=2)
+    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                MetricField.identity(2), resolution=2)
     rep.per_point = np.array(rows, dtype=float).reshape(len(rows), 5)
     rep.write(tmp_path / "r")
     (columns, json_rows), (header, csv_rows) = report_tables(tmp_path / "r")
@@ -623,12 +614,12 @@ def test_report_json_rows_are_the_points_csv_rows(tmp_path, report_tables, rows)
 
 def test_report_from_dict_rejects_other_schema():
     sys_ = linear_map_system(np.diag([2.0, 0.5]))
-    old = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
+    old = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
     del old["map_step"]
     old.update(schema_version=1, pdot_mode="analytic")
     with pytest.raises(ConfigError, match="schema version 1.*reads schema 3"):
         BoundReport.from_dict(old)
-    other = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
+    other = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
     other.update(schema_version=SCHEMA_VERSION, kind="oracle")
     with pytest.raises(ConfigError, match="kind 'oracle'.*kind 'bound'"):
         BoundReport.from_dict(other)
@@ -636,8 +627,8 @@ def test_report_from_dict_rejects_other_schema():
 
 def test_report_from_json_refuses_schema_2(tmp_path):
     # a schema-2 report: stamps last, rows as state/spectrum/local objects
-    rep = dt_bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
-                   MetricField.identity(2), resolution=3)
+    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                MetricField.identity(2), resolution=3)
     old = rep.to_dict()
     old["per_point"] = [{"state": r[:2], "spectrum": r[2:4], "local": r[4]}
                         for r in old["per_point"]]
@@ -651,7 +642,7 @@ def test_report_from_json_refuses_schema_2(tmp_path):
 def test_bound_dominates_oracle_spot():
     m = np.array([[2.0, 1.0], [0.0, 0.5]])
     sys_ = linear_map_system(m)
-    rep = dt_bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=2)
+    rep = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=2)
     res = lyapunov_oracle(sys_, UNIT_BOX_2, horizons=(4, 8, 16), resolution=3)
     for v in res.values:
         assert rep.bound + 1e-9 >= v
@@ -679,7 +670,7 @@ def test_bound_core_matches_per_point_loop_discrete():
     batches = []
     metric = MetricField.tabulated(
         2, _counting_rule(batches, lambda row: row[0] > 2.5), label="counting")
-    rep = dt_bound(sys_, UNIT_BOX_2, metric, resolution=3)
+    rep = bound(sys_, UNIT_BOX_2, metric, resolution=3)
     pts = sample_set(UNIT_BOX_2, 3)
     # one rule call on 9 points and 9 images; the origin is its own image,
     # so the rule sees 17 distinct rows
@@ -703,7 +694,7 @@ def test_bound_core_matches_per_point_loop_continuous():
     metric = MetricField.tabulated(
         2, _counting_rule(batches, lambda row: row[0] < -0.9 and row[1] < -0.9),
         label="counting", step=h)
-    rep = ct_bound(sys_, UNIT_BOX_2, metric, resolution=3)
+    rep = bound(sys_, UNIT_BOX_2, metric, resolution=3)
     pts = sample_set(UNIT_BOX_2, 3)
     # one rule call on 9 points and their 9 images under the time-h map; the
     # equilibrium at the origin flows onto itself bit for bit, so the rule

@@ -10,7 +10,7 @@ from restent.dynamics import (
     linear_ode_system,
     sample_set,
 )
-from restent.entropy import ct_bound, lanford_metric, positive_sum
+from restent.entropy import bound, lanford_metric, positive_sum
 from restent.metrics import (
     LOG_ZERO,
     MetricField,
@@ -115,13 +115,13 @@ def test_ct_spectrum_rejects_asymmetric_pdot():
 
 
 def _map_and_analytic_spectra(system, region, metric, resolution, step):
-    """Per-point spectra of ct_bound on the time-step map (the metric
+    """Per-point spectra of bound on the time-step map (the metric
     wrapped as a tabulated rule with that step) and with the metric's
     analytic orbital derivative."""
     table = MetricField.tabulated(
         metric.dim, lambda x: (metric.evaluate(x), [None] * len(x)), step=step)
-    by_map = ct_bound(system, region, table, resolution)
-    exact = ct_bound(system, region, metric, resolution)
+    by_map = bound(system, region, table, resolution)
+    exact = bound(system, region, metric, resolution)
     assert (by_map.map_step, exact.map_step) == (step, None)
     assert not by_map.excluded and not exact.excluded
     return [rep.per_point[:, metric.dim:-1] for rep in (by_map, exact)]
@@ -235,10 +235,10 @@ def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
 
     metric = MetricField.tabulated(2, rule, label="dedup")
     x = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [-0.0, 0.0]])
-    p, reasons = metric.values(x)
+    p, failed, why = metric.values(x)
     # one rule call on the distinct rows, compared bit for bit (-0.0 != 0.0)
     assert calls == [[[0.5, 0.0], [0.0, 0.0], [-0.0, 0.0]]]
-    assert reasons == [None] * 4
+    assert failed.tolist() == [False] * 4 and why == {}
     assert np.array_equal(p[0], p[2]) and np.array_equal(p[0], 1.25 * np.eye(2))
     assert np.array_equal(metric.evaluate(x), p)
     with pytest.raises(ConfigError):
@@ -248,9 +248,9 @@ def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
 def test_metric_values_flag_rows_without_spd_value():
     metric = MetricField.analytic(
         1, lambda x: np.where(x[..., :1, None] > 0, 1.0, -1.0), label="sign")
-    p, reasons = metric.values(np.array([[1.0], [-1.0], [2.0]]))
-    assert reasons[0] is None and reasons[2] is None
-    assert "not positive definite" in reasons[1]
+    p, failed, why = metric.values(np.array([[1.0], [-1.0], [2.0]]))
+    assert failed.tolist() == [False, True, False] and list(why) == [1]
+    assert "not positive definite" in why[1]
     assert np.array_equal(p[[0, 2]], np.ones((2, 1, 1)))
     with pytest.raises(NumericError, match="not positive definite"):
         metric.evaluate(np.array([-1.0]))
@@ -303,15 +303,19 @@ def test_metric_values_reasons_per_row_on_a_mixed_stack():
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [6.0, 0.0], [1.0, 3.0], [-2.0, 1.0],
                   [7.0, 1.0], [2.0, 0.0], [0.0, 0.0], [-0.0, 0.0]])
     not_spd = "metric value is not positive definite (eigenvalues {})"
-    expected = [None, not_spd.format("[-1.  1.]"), not_spd.format("[nan nan]"), None,
-                not_spd.format("[-1.  1.]"), not_spd.format("[nan nan]"), None, None, None]
+    expected = {1: not_spd.format("[-1.  1.]"), 2: not_spd.format("[nan nan]"),
+                4: not_spd.format("[-1.  1.]"), 5: not_spd.format("[nan nan]")}
     analytic = MetricField.analytic(2, ev, label="mixed")
-    p, reasons = analytic.values(x)
-    assert reasons == expected
-    assert reasons == [analytic.values(row[None])[1][0] for row in x]
+    p, failed, why = analytic.values(x)
+    assert why == expected
+    assert np.flatnonzero(failed).tolist() == [1, 2, 4, 5]
+    for i, row in enumerate(x):
+        _, row_failed, row_why = analytic.values(row[None])
+        assert row_failed.tolist() == [failed[i]] and row_why.get(0) == why.get(i)
     assert np.array_equal(p, sym(ev(x)), equal_nan=True)
     # a tabulated rule's own reason comes before the positive definiteness check
     tabulated = MetricField.tabulated(
         2, lambda s: (ev(s), ["far" if row[1] > 2 else None for row in s]), label="mixed")
-    _, reasons = tabulated.values(x)
-    assert reasons == expected[:3] + ["far"] + expected[4:]
+    _, failed, why = tabulated.values(x)
+    assert why == {**expected, 3: "far"}
+    assert np.flatnonzero(failed).tolist() == [1, 2, 3, 4, 5]
