@@ -2,10 +2,11 @@
 and forward-invariance spot checks.
 
 States are row vectors; every rhs/jacobian rule is vectorized over leading
-axes, so whole sample grids propagate as one batch.  Continuous-time flows
-use the Dormand-Prince 8(5,3) pair (DOP853), each row with a step size
-chosen from its embedded error estimates; the variational matrix (the flow
-Jacobian) is integrated jointly with the state, on the same steps.
+axes, so a sample grid, or a block of one, propagates as one batch.
+Continuous-time flows use the Dormand-Prince 8(5,3) pair (DOP853), each row
+with a step size chosen from its embedded error estimates; the variational
+matrix (the flow Jacobian) is integrated jointly with the state, on the
+same steps.
 Trajectories whose norm exceeds the blow-up guard are frozen at their last
 admissible state and reported with the escape time.
 """
@@ -33,6 +34,10 @@ SAFETY, MIN_GROWTH, MAX_GROWTH = 0.8, 0.2, 5.0
 BLOWUP_NORM = 1e8
 # spot-check membership slack, as a fraction of each box axis (orbit drift)
 MEMBERSHIP_RTOL = 1e-6
+# rows per block of every per-point pass over a grid (building it,
+# evaluating the bound on it, formatting its table), so that memory does
+# not grow with the grid beyond the arrays that are kept
+_BLOCK_ROWS = 4096
 
 # Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer, Norsett &
 # Wanner, Solving ODEs I, Sec. II.10, code dop853.f), as the shortest decimals
@@ -366,13 +371,19 @@ def grid_counts(resolution, dim: int) -> list:
 
 def sample_set(region: CompactSet, resolution) -> Array:
     """Uniform grid over the box in row-major order, filtered by the
-    constraint.  ``resolution`` is a per-axis count or a single count."""
+    constraint.  ``resolution`` is a per-axis count or a single count.  The
+    box is built and filtered ``_BLOCK_ROWS`` rows at a time."""
     counts = grid_counts(resolution, region.dim)
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    if region.constraint is not None:
-        pts = pts[np.asarray(region.constraint(pts), dtype=bool)]
+    total = int(np.prod(counts, dtype=np.int64))
+    blocks = []
+    for start in range(0, total, _BLOCK_ROWS):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, total)), counts)
+        pts = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+        if region.constraint is not None:
+            pts = pts[np.asarray(region.constraint(pts), dtype=bool)]
+        blocks.append(pts)
+    pts = np.concatenate(blocks)
     if len(pts) == 0:
         raise ConfigError("constraint excluded every grid point")
     return pts

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import CompactSet, SystemModel, grid_counts, propagate, sample_set
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
@@ -28,14 +29,17 @@ SCHEMA_VERSION = 3
 UNITS = {"discrete": "bits/step", "continuous": "bits/time"}   # by time type
 # Refinement doubles the resolution (c -> 2c - 1 per axis) until the bound
 # moves by less than REFINE_TOL, at most MAX_REFINES times, and stops before a
-# grid would exceed the point budget of its time type.
+# grid would exceed the point budget of its time type.  The bound is
+# evaluated in blocks, so a grid's peak memory grows only by its grid, table
+# and report indices: about 0.12 KB per point for a 2-D map and 0.2 KB per
+# kept point for the 3-D lanford flow (2-vCPU Linux host), so a full budget
+# costs about 0.25 GB for a map and 1.6 GB for a flow.
 REFINE_TOL = 1e-4
 MAX_REFINES = 3
 DT_POINT_BUDGET = 2_000_000
 CT_POINT_BUDGET = 8_000_000
 # |f(x)| accepted at an equilibrium, relative to 1 + |x|
 EQUILIBRIUM_TOL = 1e-8
-_CSV_BLOCK_ROWS = 4096     # rows per formatting pass of a per-point table
 # json's spelling of the floats whose repr is not JSON
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -131,7 +135,7 @@ def write_report(stem, kind: str, payload: dict, header=None, table=()) -> tuple
         table = np.asarray(table, dtype=float).reshape(-1, len(header))
         numbers = _distinct_numbers(table)
         fh.write(json.dumps({**report, "columns": list(header)})[:-1] + ', "per_point": [')
-        _write_rows(fh, *numbers, _json_float, "[%s]" % ", ".join(["%s"] * len(header)), ", ")
+        _write_rows(fh, numbers, _json_float, "[%s]" % ", ".join(["%s"] * len(header)), ", ")
         fh.write("]}\n")
     paths += (f"{stem}.points.csv",)
     _write_table(paths[1], header, table, numbers)
@@ -150,7 +154,7 @@ def _write_table(path, header: list, table, numbers=None) -> None:
     table = np.asarray(table, dtype=float).reshape(-1, len(header))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, *(numbers or _distinct_numbers(table)), "%.17g".__mod__,
+        _write_rows(fh, numbers or _distinct_numbers(table), "%.17g".__mod__,
                     ",".join(["%s"] * len(header)) + "\r\n")
 
 
@@ -159,27 +163,33 @@ def _json_float(v: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _distinct_numbers(table: Array) -> tuple:
-    """``(numbers, inverse)``: the distinct numbers of the float array
-    ``table``, told apart by their bits so that -0.0 and each NaN keep their
-    own text, and the index into them of each entry, in the table's shape.
+def _distinct_numbers(table: Array) -> list:
+    """Per column of the float array ``table``, ``(numbers, inverse)``: the
+    column's distinct numbers, told apart by their bits so that -0.0 and
+    each NaN keep their own text, and the index into them of each entry.
     A grid's table repeats most of its numbers: the benchmark's 33,401-row
-    lanford and 161^2 diag(2, 0.5) tables hold 12,946 of 233,807 and 161 of
-    129,605, and both reports are written in 0.14 s on 2 vCPUs, against
-    0.81 s with one ``fmt`` per number and 1.2 s were every number distinct."""
-    table = np.ascontiguousarray(table, dtype=float)
-    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    return bits.view(np.float64).tolist(), inverse.reshape(table.shape)
+    lanford and 161^2 diag(2, 0.5) tables hold 18,372 of 233,807 and 325 of
+    129,605 (counted per column), and both reports are written in 0.10 s on
+    2 vCPUs, against 0.6-0.75 s with one ``fmt`` per number and 0.7-1.2 s
+    were every number distinct.  Column by column, the sort's temporaries
+    are one column's size, not the table's."""
+    table = np.asarray(table, dtype=float)
+    return [(bits.view(np.float64).tolist(), inverse)
+            for bits, inverse in (np.unique(np.ascontiguousarray(column).view(np.int64),
+                                            return_inverse=True) for column in table.T)]
 
 
-def _write_rows(fh, distinct: list, inverse: Array, fmt, row: str, sep: str = "") -> None:
+def _write_rows(fh, columns: list, fmt, row: str, sep: str = "") -> None:
     """The rows of a table given as its ``_distinct_numbers``, each filled
     into the ``%s`` template ``row`` with its numbers as ``fmt`` spells them
-    (once per distinct number), joined by ``sep``.  One ``%`` fills a block
-    of ``_CSV_BLOCK_ROWS`` rows: a large table never is one string in memory."""
-    texts = np.array(list(map(fmt, distinct)), dtype=object)[inverse]
-    for start in range(0, len(texts), _CSV_BLOCK_ROWS):
-        block = texts[start:start + _CSV_BLOCK_ROWS]
+    (once per distinct number of a column), joined by ``sep``.  One ``%``
+    fills a block of ``_BLOCK_ROWS`` rows, its texts taken from those of the
+    distinct numbers: a large table never is one string, or one array of
+    texts, in memory."""
+    texts = [np.array(list(map(fmt, numbers)), dtype=object) for numbers, _ in columns]
+    for start in range(0, len(columns[0][1]), dynamics._BLOCK_ROWS):
+        block = np.column_stack([text[inverse[start:start + dynamics._BLOCK_ROWS]]
+                                 for text, (_, inverse) in zip(texts, columns)])
         fh.write((sep if start else "")
                  + sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
 
@@ -219,7 +229,7 @@ def positive_sum(values: Array) -> Array:
 
 
 def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
-    """Metric spectra at every grid point, evaluated as one batch.
+    """Metric spectra at a block of grid points, evaluated as one batch.
 
     A flow with an orbital rule gets the generator spectrum.  Everything
     else is measured on the time-h map (h = 1 for a map, ``metric.step`` for
@@ -240,8 +250,6 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
         images, jac, escaped = prop.states, prop.jacobians, prop.escaped
     p, failed, why = metric.values(pts if images is None else np.concatenate([pts, images]))
     ok = ~(escaped | failed.reshape(-1, m).any(axis=0) | ~np.isfinite(jac).all(axis=(-2, -1)))
-    if not ok.any():
-        raise NumericError("every sample point was excluded; no bound available")
     reasons = [(f"trajectory of '{system.name}' blew up within the map step "
                 f"at t={prop.escape_times[i]:.6g}") if escaped[i]
                else why.get(i) or why.get(m + i) or "non-finite Jacobian"
@@ -255,15 +263,26 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
 
 def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
                 resolution: list) -> BoundReport:
+    """The bound on one grid, its spectra evaluated ``_BLOCK_ROWS`` points
+    at a time: no row's arithmetic depends on the rows beside it, so the
+    blocks join, in grid order, into the table one batch would give."""
     pts = sample_set(region, resolution)
-    values, kept, reasons = _spectra(system, metric, pts)
-    locals_ = positive_sum(values)
-    map_step = None
-    if system.time_type == "continuous":
-        locals_ = locals_ / (2.0 * LN2)
-        map_step = None if metric.has_orbital else metric.step
-    table = np.column_stack([pts[kept], values, locals_])
-    best = table[np.argmax(locals_)]
+    continuous = system.time_type == "continuous"
+    rows, kept, reasons = [], [], []
+    for start in range(0, len(pts), dynamics._BLOCK_ROWS):
+        block = pts[start:start + dynamics._BLOCK_ROWS]
+        values, ok, why = _spectra(system, metric, block)
+        locals_ = positive_sum(values)
+        if continuous:
+            locals_ = locals_ / (2.0 * LN2)
+        rows.append(np.column_stack([block[ok], values, locals_]))
+        kept.append(ok)
+        reasons += why
+    kept = np.concatenate(kept)
+    if not kept.any():
+        raise NumericError("every sample point was excluded; no bound available")
+    table = np.concatenate(rows)
+    best = table[np.argmax(table[:, -1])]
     return BoundReport(
         system=system.name,
         params=_json_params(system),
@@ -278,7 +297,7 @@ def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
         per_point=table,
         excluded=[{"state": state, "reason": reason}
                   for state, reason in zip(pts[~kept].tolist(), reasons)],
-        map_step=map_step,
+        map_step=metric.step if continuous and not metric.has_orbital else None,
     )
 
 

@@ -171,9 +171,11 @@ def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
 
 def ct_spectrum_values(p: Array, jac: Array, pdot: Array) -> Array:
     """Eigenvalues (nonincreasing) of P^{-1/2} (P J + J^T P + Pdot) P^{-1/2},
-    batched over leading axes.  Pdot must be symmetric."""
-    scale = max(1.0, float(np.abs(pdot).max()))
-    if not np.allclose(pdot, np.swapaxes(pdot, -1, -2), atol=1e-9 * scale):
+    batched over leading axes.  Each Pdot must be symmetric to within
+    ``np.allclose``'s tolerances, its absolute one scaled by its own largest
+    entry (at least 1), so no row's check depends on the rows beside it."""
+    scale = np.maximum(1.0, np.abs(pdot).max(axis=(-2, -1), initial=0.0))
+    if not np.isclose(pdot, np.swapaxes(pdot, -1, -2), atol=1e-9 * scale[..., None, None]).all():
         raise NumericError("orbital derivative must be symmetric")
     jt = np.swapaxes(jac, -1, -2)
     core = p @ jac + jt @ p + pdot

@@ -232,6 +232,25 @@ def test_sample_set_examples():
         sample_set(tiny, 3)
 
 
+def _meshgrid_sample(region, counts):
+    """Reference grid: the whole box as one meshgrid, then filtered."""
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return pts if region.constraint is None else pts[region.constraint(pts)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, dynamics._BLOCK_ROWS])
+@pytest.mark.parametrize("region, counts", [
+    (lanford_region(A_DEFAULT), [9, 8, 7]),
+    (CompactSet(bounds=((-1.0, 1.0), (0.0, 2.0))), [13, 11]),
+], ids=["constrained", "box"])
+def test_sample_set_blocks_give_the_meshgrid(monkeypatch, block_rows, region, counts):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+    pts = sample_set(region, counts)
+    ref = _meshgrid_sample(region, counts)
+    assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("resolution", [3.7, 2.5, [2.5, 3], [3, np.nan], [3, np.inf], [3, "x"]])
 def test_grid_counts_refuse_fractions(resolution):
     with pytest.raises(ConfigError):

@@ -5,6 +5,7 @@ import pytest
 
 from restent.errors import ConfigError, NumericError
 from restent.dynamics import (
+    _BLOCK_ROWS,
     CompactSet,
     identity_system,
     lanford_region,
@@ -15,7 +16,6 @@ from restent.dynamics import (
     sample_set,
 )
 from restent.entropy import (
-    _CSV_BLOCK_ROWS,
     SCHEMA_VERSION,
     _inverse_factors,
     _inverted_barycenters,
@@ -31,7 +31,7 @@ from restent.entropy import (
     proximate_entropy,
 )
 from restent.metrics import LOG_ZERO, MetricField, metric_sv_values
-from restent import spd
+from restent import dynamics, spd
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)
@@ -547,8 +547,8 @@ TABLES = [
     # every edge value in every column
     [[v, -v, v, v, -v] for v in EDGE_VALUES],
     # exactly one block, then a table that crosses two block boundaries
-    np.random.default_rng(7).standard_normal((_CSV_BLOCK_ROWS, 5)).tolist(),
-    (np.random.default_rng(8).standard_normal((2 * _CSV_BLOCK_ROWS + 3, 5))
+    np.random.default_rng(7).standard_normal((_BLOCK_ROWS, 5)).tolist(),
+    (np.random.default_rng(8).standard_normal((2 * _BLOCK_ROWS + 3, 5))
      * 10.0 ** np.random.default_rng(9).integers(-300, 300, (1, 5))).tolist(),
     # no points: the CSV header alone
     [],
@@ -714,3 +714,75 @@ def test_bound_core_matches_per_point_loop_continuous():
         assert row[:2].tolist() == x.tolist()
         assert row[2:4].tolist() == values.tolist()
         assert row[-1] == float(positive_sum(values) / (2.0 * LN2))
+
+
+JORDAN = np.array([[2.0, 1.0], [0.0, 2.0]])
+BLOCK_CASES = {
+    "lanford-exp": lambda: bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0),
+                                 resolution=13),
+    "flow-auto3": lambda: bound(lanford_system(A0), lanford_region(A0),
+                                minimizing_metric(lanford_system(A0), 3, time_samples=16),
+                                resolution=5),
+    "jordan-auto8": lambda: bound(linear_map_system(JORDAN), UNIT_BOX_2,
+                                  minimizing_metric(linear_map_system(JORDAN), 8), resolution=4),
+    # rows (-0.5, y) with y <= 0 are outside the rule's domain: grid points
+    # 5, 6 and 7 are excluded, on both sides of the boundary between blocks
+    # of 7
+    "counting": lambda: bound(
+        linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]])), UNIT_BOX_2,
+        MetricField.tabulated(2, _counting_rule([], lambda row: row[0] == -0.5 and row[1] <= 0.0),
+                              label="counting"),
+        resolution=5),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_bound_blocks_change_no_result(monkeypatch, case):
+    ref = BLOCK_CASES[case]()
+    for block_rows in (1, 7):
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+        assert BLOCK_CASES[case]() == ref
+    if case == "counting":
+        states = [e["state"] for e in ref.excluded]
+        assert [-0.5, -0.5] in states and [-0.5, 0.0] in states
+
+
+def test_bound_block_without_kept_points_does_not_raise(monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 3)
+    batches = []
+    # the first row of the grid, a block of its own, is left out entirely
+    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: row[0] == -1.0),
+                                   label="counting")
+    rep = bound(linear_map_system(np.diag([0.5, 0.5])), UNIT_BOX_2, metric, resolution=3)
+    assert [e["state"] for e in rep.excluded] == [[-1.0, -1.0], [-1.0, 0.0], [-1.0, 1.0]]
+    assert len(rep.per_point) == 6 and len(batches) == 3
+    batches.clear()
+    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: True), label="counting")
+    with pytest.raises(NumericError, match="every sample point was excluded"):
+        bound(linear_map_system(np.diag([0.5, 0.5])), UNIT_BOX_2, metric, resolution=3)
+    # every block was evaluated before the one refusal
+    assert len(batches) == 3
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, _BLOCK_ROWS])
+def test_report_numbers_shared_between_columns(tmp_path, monkeypatch, csv_table,
+                                               report_tables, block_rows):
+    # the same number, -0.0 beside 0.0, and NaN, each in several columns:
+    # every column is deduplicated on its own and keeps every spelling
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+    rows = [[0.0, -0.0, 1.5, np.nan, 1.5],
+            [-0.0, 0.0, np.nan, 1.5, -0.0],
+            [1.5, np.nan, -0.0, 0.0, np.nan],
+            [np.nan, 1.5, 0.0, -0.0, 0.0],
+            [0.0, -0.0, 1.5, np.nan, 1.5]]
+    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                MetricField.identity(2), resolution=2)
+    rep.per_point = np.array(rows)
+    rep.write(tmp_path / "r")
+    csv_table(tmp_path / "ref.csv", *_points_table(rep))
+    assert (tmp_path / "r.points.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    text = (tmp_path / "r.report.json").read_text(encoding="utf-8")
+    assert text == json.dumps(_stamped(rep, json.loads(text)["created"])) + "\n"
+    (_, json_rows), (_, csv_rows) = report_tables(tmp_path / "r")
+    for table in (json_rows, csv_rows):
+        assert table.tobytes() == rep.per_point.tobytes()

@@ -114,6 +114,19 @@ def test_ct_spectrum_rejects_asymmetric_pdot():
         ct_spectrum_values(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_ct_spectrum_symmetry_check_does_not_depend_on_the_batch():
+    # each row's tolerance scales with its own largest entry: a large
+    # symmetric Pdot beside it does not let a small asymmetric one through
+    small = np.array([[0.0, 1e-4], [0.0, 0.0]])
+    large = np.diag([1e6, 1e6])
+    eye = np.broadcast_to(np.eye(2), (2, 2, 2))
+    with pytest.raises(NumericError, match="symmetric"):
+        ct_spectrum_values(eye[0], np.zeros((2, 2)), small)
+    with pytest.raises(NumericError, match="symmetric"):
+        ct_spectrum_values(eye, np.zeros((2, 2, 2)), np.stack([small, large]))
+    assert ct_spectrum_values(eye[:1], np.zeros((1, 2, 2)), large[None]).tolist() == [[1e6, 1e6]]
+
+
 def _map_and_analytic_spectra(system, region, metric, resolution, step):
     """Per-point spectra of bound on the time-step map (the metric
     wrapped as a tabulated rule with that step) and with the metric's
