@@ -172,86 +172,93 @@ def _blown(x: Array) -> Array:
 
 
 def _packed_field(system: SystemModel, variational: bool):
-    """Vector field on rows (m, d): the state alone (d = n), or the state
-    followed by the flattened variational matrix (d = n + n*n)."""
-    if not variational:
-        return system.rhs
+    """Vector field on packed rows (state, then any flat variational matrix), into ``out``."""
     n = system.dim
 
-    def joint(y: Array) -> Array:
+    def packed(y: Array, out: Array) -> Array:
         x = y[:, :n]
-        out = np.empty_like(y)
         out[:, :n] = system.rhs(x)
-        out[:, n:] = (system.jacobian(x) @ y[:, n:].reshape(-1, n, n)).reshape(len(y), -1)
+        if variational:
+            np.matmul(system.jacobian(x), y[:, n:].reshape(-1, n, n),
+                      out=out[:, n:].reshape(-1, n, n))
         return out
 
-    return joint
+    return packed
 
 
-def _dop853_stages(rhs, y: Array, k: Array, h: Array) -> Array:
-    """Stages 1..11 of one DOP853 step from rows y, with step sizes h of
-    shape (m, 1), given k[0] = rhs(y); fills k[1:] and returns the
+def _dop853_stages(field, y: Array, k: Array, h: Array) -> Array:
+    """Stages 1..11 of one DOP853 step from rows y, steps h (m, 1) and k[0] =
+    field(y): fills k[1:], forming each stage sum in place, and returns the
     eighth-order solution."""
     flat = k.reshape(12, -1)
     for s in range(1, 12):
-        k[s] = rhs(y + h * (_A[s, :s] @ flat[:s]).reshape(y.shape))
-    return y + h * (_B @ flat).reshape(y.shape)
+        g = (_A[s, :s] @ flat[:s]).reshape(y.shape)
+        field(np.add(y, np.multiply(h, g, out=g), out=g), k[s])
+    g = (_B @ flat).reshape(y.shape)
+    return np.add(y, np.multiply(h, g, out=g), out=g)
 
 
 def _integrate_continuous(system, x0, t, variational, record_at):
     """Dormand-Prince 8(5,3) (DOP853) propagation of the state (and
     variational matrix).
 
-    All rows step together, each with its own clock and step size, so a
-    row that needs short steps (one about to blow up, say) does not hold
-    back the others.  A row's step is adapted so that Hairer's error
-    estimate, built from the embedded fifth- and third-order estimates in a
-    mixed absolute/relative max-norm over the row, stays below ``STEP_TOL``
-    per step.  Steps land exactly on every record time.
+    The live rows step together, packed, each with its own clock and step
+    size, so a row that needs short steps (one about to blow up, say) does
+    not hold back the others.  ``rows`` maps them to the outputs; a row
+    leaves, in one compaction at the top of an iteration, once it has its
+    last record or has escaped.  A row's step is adapted so that Hairer's
+    error estimate, built from the embedded fifth- and third-order
+    estimates in a mixed absolute/relative max-norm over the row, stays
+    below ``STEP_TOL`` per step.  Steps land exactly on every record time.
     Returns (states, jacobians, escaped, escape times, accepted steps per
     row, rejected steps per row)."""
     m, n = x0.shape
-    y = x0.copy()
-    if variational:
-        y = np.concatenate([y, np.broadcast_to(np.eye(n).ravel(), (m, n * n))], axis=1)
-    rhs = _packed_field(system, variational)
+    y = (np.concatenate([x0, np.broadcast_to(np.eye(n).ravel(), (m, n * n))], axis=1)
+         if variational else x0.copy())
+    field = _packed_field(system, variational)
     marks = np.array(record_at if record_at is not None else [t], dtype=float)
     r = len(marks)
     out = np.empty((r,) + y.shape)
+    rows = np.arange(m)                   # output row of each live row
     nxt = np.zeros(m, dtype=int)          # index of each row's next record time
     now = np.zeros(m)
     h = np.full(m, FIRST_STEP)
     grow = np.full(m, MAX_GROWTH)
-    accepted = np.zeros(m, dtype=int)
-    rejected = np.zeros(m, dtype=int)
+    accepted, rejected = np.zeros((2, m), dtype=int)
     times = np.full(m, np.nan)
     floor = MIN_STEP * max(1.0, t)
-    stages = np.empty(12 * y.size)        # sliced to the active rows each step
+    stages = np.empty(12 * y.size)        # sliced to the live rows each step
+    gone = rows[:0]                       # live rows that escaped last step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k0 = rhs(y)
+        k0 = field(y, np.empty_like(y))
         while True:
-            # record rows that sit on their next record time (repeatedly,
-            # for equal record times)
+            # record rows on their next record time (repeatedly, for repeats)
             while True:
                 due = np.flatnonzero((nxt < r) & (now >= marks[np.minimum(nxt, r - 1)]))
                 if not len(due):
                     break
-                out[nxt[due], due] = y[due]
+                out[nxt[due], rows[due]] = y[due]
                 nxt[due] += 1
-            a = np.flatnonzero((nxt < r) & np.isnan(times))
-            if not len(a):
+            leave = nxt == r
+            leave[gone] = True
+            if leave.any():
+                # an escaped row holds its frozen state at the times it missed
+                late, at = np.nonzero(np.arange(r)[:, None] >= nxt[gone])
+                out[late, rows[gone[at]]] = y[gone[at]]
+                stay = ~leave
+                rows, y, k0, nxt, now, h, grow = (
+                    v[stay] for v in (rows, y, k0, nxt, now, h, grow))
+            if not len(rows):
                 break
-            left = marks[nxt[a]] - now[a]
-            ha = h[a]
-            land = left <= ha * (1.0 + 1e-9)
-            hs = np.where(land, left, ha)
-            ya = y[a]
-            k = stages[:12 * ya.size].reshape((12,) + ya.shape)
-            k[0] = k0[a]
-            y_new = _dop853_stages(rhs, ya, k, hs[:, None])
-            scale = STEP_TOL * (1.0 + np.maximum(np.abs(ya), np.abs(y_new)))
+            left = marks[nxt] - now
+            land = left <= h * (1.0 + 1e-9)
+            hs = np.where(land, left, h)
+            k = stages[:12 * y.size].reshape((12,) + y.shape)
+            k[0] = k0
+            y_new = _dop853_stages(field, y, k, hs[:, None])
+            scale = STEP_TOL * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
             flat = k.reshape(12, -1)
-            e5, e3 = (np.max(np.abs(w @ flat).reshape(ya.shape) / scale, axis=1)
+            e5, e3 = (np.max(np.abs(w @ flat).reshape(y.shape) / scale, axis=1)
                       for w in (_E5, _E3))
             ratio = hs * e5 ** 2 / np.sqrt(e5 ** 2 + 0.01 * e3 ** 2)
             ratio[(e5 == 0) & (e3 == 0)] = 0.0
@@ -260,29 +267,26 @@ def _integrate_continuous(system, x0, t, variational, record_at):
             # at the step floor, a row that still misses the target escapes
             ok = (ratio <= 1.0) | (hs <= floor)
             new = _blown(y_new[:, :n]) | (ratio > 1.0)
-            fac = np.minimum(grow[a], np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.125))
+            fac = np.minimum(grow, np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.125))
             # a step cut short to land on a record time does not shrink the
             # next one
-            h[a] = np.where(ok & land, np.maximum(hs * fac, ha), hs * fac)
-            grow[a] = np.where(ok, MAX_GROWTH, 1.0)
-            rejected[a[~ok]] += 1
-            done = a[ok]
-            accepted[done] += 1
-            now[done] = np.where(land[ok], marks[nxt[done]], now[done] + hs[ok])
-            gone = a[ok & new]
-            times[gone] = now[gone]
+            h = np.where(ok & land, np.maximum(hs * fac, h), hs * fac)
+            grow = np.where(ok, MAX_GROWTH, 1.0)
+            rejected[rows[~ok]] += 1
+            accepted[rows[ok]] += 1
+            now = np.where(ok, np.where(land, marks[nxt], now + hs), now)
+            gone = np.flatnonzero(ok & new)
+            times[rows[gone]] = now[gone]
             keep = ok & ~new
-            if keep.any():
-                y[a[keep]] = y_new[keep]
-                k0[a[keep]] = rhs(y_new[keep])   # first stage of the next step
-    # escaped rows hold their frozen state at the record times they missed
-    escaped = ~np.isnan(times)
-    missed = (np.arange(r)[:, None] >= nxt) & escaped
-    out[missed] = np.broadcast_to(y, out.shape)[missed]
+            if keep.all():
+                y = y_new
+                field(y, k0)                  # first stage of the next step
+            elif keep.any():
+                y[keep] = y_new = y_new[keep]
+                k0[keep] = field(y_new, np.empty_like(y_new))
     res = out if record_at is not None else out[0]
-    states = res[..., :n]
     jacs = res[..., n:].reshape(res.shape[:-1] + (n, n)) if variational else None
-    return states, jacs, escaped, times, accepted, rejected
+    return res[..., :n], jacs, ~np.isnan(times), times, accepted, rejected
 
 
 def _integrate_discrete(system, x0, t, variational, record_at):
@@ -327,7 +331,11 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     4e-11 in the state and 1.2e-9 in the flow Jacobian (relative to
     1 + |entry|), both below ``STEP_TOL * t``.  Each record time gets its
     own record, repeats included; a map's record times are whole steps.
-    Does not raise on blow-up; escaped points are frozen and flagged."""
+    Does not raise on blow-up; escaped points are frozen and flagged.
+    A flow's live rows stay packed in one block.  No row reads another, but
+    OpenBLAS rounds the stage sums by the batch's width and thread split:
+    a lanford row moves with its batch by up to 5e-15 (2 threads; none
+    with 1), and a row escaping at a NaN edge of its field by a few steps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
         raise ConfigError(f"state dimension {x0.shape[-1]} != system dimension {system.dim}")
@@ -447,12 +455,11 @@ def lanford_system(a: float = 2.0 / 3.0) -> SystemModel:
 
     def jac(s: Array) -> Array:
         x, y, z = s[..., 0], s[..., 1], s[..., 2]
-        out = np.zeros(s.shape[:-1] + (3, 3))
-        out[..., 0, 0] = a - 1.0 + z
+        out = np.empty(s.shape[:-1] + (3, 3))
+        out[..., 0, 0] = out[..., 1, 1] = a - 1.0 + z
         out[..., 0, 1] = -1.0
         out[..., 0, 2] = x
         out[..., 1, 0] = 1.0
-        out[..., 1, 1] = a - 1.0 + z
         out[..., 1, 2] = y
         out[..., 2, 0] = -2.0 * x
         out[..., 2, 1] = -2.0 * y

@@ -444,6 +444,8 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     the horizon series.  A map's horizons are step counts and its values
     are in bits/step; a flow's are in bits per unit time.
 
+    Points are propagated and reduced in blocks of ``_BLOCK_ROWS``, so
+    memory grows with the grid only by the kept states and exponents.
     Blown-up samples are flagged and excluded.  On lanford at resolution
     11, the 30 rows near the separatrix surface (level at least -1e-3)
     shadow the heteroclinic connection: their states at t = 40 differ from
@@ -454,28 +456,31 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     if not horizons or horizons[0] <= 0:
         raise ConfigError("horizons must be positive")
     pts = sample_set(region, resolution)
-    prop = propagate(system, pts, horizons[-1], variational=True, record_at=horizons)
-    alive = ~prop.escaped
-    if not np.any(alive):
+    values = np.full(len(horizons), -np.inf)
+    states, exponents, excluded = [], [], []
+    for start in range(0, len(pts), dynamics._BLOCK_ROWS):
+        block = pts[start:start + dynamics._BLOCK_ROWS]
+        prop = propagate(system, block, horizons[-1], variational=True, record_at=horizons)
+        for k, t in enumerate(horizons):
+            sv = np.linalg.svd(prop.jacobians[k], compute_uv=False)
+            with np.errstate(divide="ignore"):
+                lam = np.where(sv > 0.0, np.log2(np.maximum(sv, 1e-300)), -np.inf) / t
+            # escaped-by-t points are additionally masked per horizon
+            esc_t = prop.escaped & (prop.escape_times <= t + 1e-12)
+            sums = positive_sum(np.where(np.isfinite(lam), lam, 0.0))
+            values[k] = np.maximum(values[k], np.max(np.where(esc_t, -np.inf, sums)))
+        states.append(block[~prop.escaped])
+        exponents.append(lam[~prop.escaped])     # lam of the last horizon
+        excluded += [(start + int(i), float(prop.escape_times[i]))
+                     for i in np.nonzero(prop.escaped)[0]]
+    if len(excluded) == len(pts):
         raise NumericError("every sample point blew up before the first horizon")
-    values = []
-    for k, t in enumerate(horizons):
-        jac = prop.jacobians[k]
-        sv = np.linalg.svd(jac, compute_uv=False)
-        with np.errstate(divide="ignore"):
-            lam = np.where(sv > 0.0, np.log2(np.maximum(sv, 1e-300)), -np.inf) / t
-        # escaped-by-t points are additionally masked per horizon
-        esc_t = prop.escaped & (prop.escape_times <= t + 1e-12)
-        sums = positive_sum(np.where(np.isfinite(lam), lam, 0.0))
-        sums = np.where(esc_t, -np.inf, sums)
-        values.append(float(np.max(sums)))
-    excluded = [(int(i), float(prop.escape_times[i])) for i in np.nonzero(prop.escaped)[0]]
     return OracleResult(
         horizons=list(horizons),
-        values=values,
+        values=values.tolist(),
         aitken=aitken_accelerate(values),
-        states=pts[alive],
-        exponents=lam[alive],     # lam of the last horizon
+        states=np.concatenate(states),
+        exponents=np.concatenate(exponents),
         excluded=excluded,
         resolution=grid_counts(resolution, region.dim),
         units=UNITS[system.time_type],

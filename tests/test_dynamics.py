@@ -178,6 +178,41 @@ def test_nonfinite_error_estimate_rejects_the_step():
     assert prop.jacobians[0, 0, 0] == pytest.approx(np.e, rel=1e-10)
 
 
+def test_a_row_propagates_as_it_would_alone():
+    # the field of the test above: rows from 1.0, 1.4, 0.7 and 1.2 escape at
+    # different times, between and on either side of the repeated record
+    # times, after rejected steps; the rows from 0.1 and 0.5 run to the end
+    def jac(x):
+        return np.where(x[..., None] > 1.5, np.nan, 0.5)
+
+    sys_ = SystemModel(name="nan-jacobian", time_type="continuous", dim=1,
+                       rhs=lambda x: x / 2, jacobian=jac)
+    x0 = [[0.1], [1.0], [1.4], [0.7], [0.5], [1.2]]
+    marks = [0.5, 1.0, 1.0, 2.0]
+    batch = propagate(sys_, x0, 2.0, variational=True, record_at=marks)
+    assert batch.escaped.tolist() == [False, True, True, True, False, True]
+    assert len(set(batch.escape_times[batch.escaped])) == 4
+    assert batch.rejected[batch.escaped].min() > 0
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    for i, row in enumerate(x0):
+        alone = propagate(sys_, [row], 2.0, variational=True, record_at=marks)
+        assert batch.escaped[i] == alone.escaped[0]
+        assert close(batch.states[:, i], alone.states[:, 0])
+        assert close(batch.jacobians[:, i], alone.jacobians[:, 0])
+        if batch.escaped[i]:
+            # OpenBLAS rounds the stage sums differently for different batch
+            # widths, and at the NaN edge one ulp decides whether a stage is
+            # NaN: the row from 0.7 takes 38 + 30 steps here and 41 + 31 alone
+            assert close(batch.escape_times[i], alone.escape_times[0])
+        else:
+            assert batch.accepted[i] == alone.accepted[0]
+            assert batch.rejected[i] == alone.rejected[0] == 0
+            assert np.isnan(alone.escape_times[0])
+
+
 def test_dop853_tableau_matches_the_reference_coefficients():
     ref = dop853_coefficients
     np.testing.assert_array_equal(dynamics._A, ref.A[:12, :12])

@@ -432,6 +432,24 @@ def test_lyapunov_oracle_excludes_blowups():
     assert np.isfinite(res.values[-1])
 
 
+def test_lyapunov_oracle_blocks_change_no_result(monkeypatch):
+    # 34 of the 45 rows blow up, at times between and beyond the horizons
+    sys_ = lanford_system(A0)
+    box = CompactSet(bounds=((-0.4, 0.4), (-0.4, 0.4), (-0.3, 0.5)))
+    ref = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=(3, 3, 5))
+    assert len(ref.excluded) == 34
+    for block_rows in (1, 7):
+        monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+        res = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=(3, 3, 5))
+        assert np.allclose(res.values, ref.values, rtol=0.0, atol=1e-12)
+        assert abs(res.aitken - ref.aitken) <= 1e-12
+        assert [i for i, _ in res.excluded] == [i for i, _ in ref.excluded]
+        assert np.allclose([t for _, t in res.excluded], [t for _, t in ref.excluded],
+                           rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(res.states, ref.states)
+        assert np.allclose(res.exponents, ref.exponents, rtol=0.0, atol=1e-12)
+
+
 def test_lyapunov_oracle_matches_dop853_reference(dop853):
     sys_ = lanford_system()
     region = lanford_region()
