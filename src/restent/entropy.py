@@ -238,8 +238,8 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     2 ln 2 / h, to the units of the generator spectrum.  Returns
     ``(values, ok, reasons)``: ``ok`` marks the points kept, ``reasons``
     says why each other point is left out (its orbit blew up within the
-    step, or its Jacobian or metric values are unusable), and ``values``
-    holds the spectra of the kept points; both in grid order."""
+    step, or its Jacobian, metric values or Pdot are unusable), and
+    ``values`` holds the spectra of the kept points; both in grid order."""
     m = len(pts)
     discrete = system.time_type == "discrete"
     if not discrete and metric.has_orbital:
@@ -248,17 +248,24 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
         h = 1.0 if discrete else metric.step
         prop = propagate(system, pts, h, variational=True)
         images, jac, escaped = prop.states, prop.jacobians, prop.escaped
-    p, failed, why = metric.values(pts if images is None else np.concatenate([pts, images]))
-    ok = ~(escaped | failed.reshape(-1, m).any(axis=0) | ~np.isfinite(jac).all(axis=(-2, -1)))
-    reasons = [(f"trajectory of '{system.name}' blew up within the map step "
-                f"at t={prop.escape_times[i]:.6g}") if escaped[i]
-               else why.get(i) or why.get(m + i) or "non-finite Jacobian"
-               for i in np.flatnonzero(~ok).tolist()]
+    roots, inverse, failed, why = metric.values(
+        pts if images is None else np.concatenate([pts, images]))
+    finite = np.isfinite(jac).all(axis=(-2, -1))
+    ok = ~(escaped | failed.reshape(-1, m).any(axis=0)) & finite
     if images is None:
         pdot = metric.orbital_derivative(pts[ok])
-        return ct_spectrum_values(p[ok], jac[ok], pdot), ok, reasons
-    scale = 1.0 if discrete else 2.0 * LN2 / h
-    return scale * metric_sv_values(p[:m][ok], p[m:][ok], jac[ok]), ok, reasons
+        live = np.isfinite(pdot).all(axis=(-2, -1))
+        ok[ok], pdot = live, pdot[live]
+    reasons = [(f"trajectory of '{system.name}' blew up within the map step "
+                f"at t={prop.escape_times[i]:.6g}") if escaped[i]
+               else why.get(i) or why.get(m + i)
+               or f"non-finite {'orbital derivative' if finite[i] else 'Jacobian'}"
+               for i in np.flatnonzero(~ok).tolist()]
+    at = inverse[:m][ok]          # each kept point's distinct metric value
+    if images is None:
+        return ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot), ok, reasons
+    values = metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at])
+    return (1.0 if discrete else 2.0 * LN2 / h) * values, ok, reasons
 
 
 def _grid_bound(system: SystemModel, region: CompactSet, metric: MetricField,
@@ -474,7 +481,7 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
         excluded += [(start + int(i), float(prop.escape_times[i]))
                      for i in np.nonzero(prop.escaped)[0]]
     if len(excluded) == len(pts):
-        raise NumericError("every sample point blew up before the first horizon")
+        raise NumericError(f"every sample point blew up by the last horizon t={horizons[-1]:g}")
     return OracleResult(
         horizons=list(horizons),
         values=values.tolist(),

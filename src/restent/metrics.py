@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .spd import EIG_FLOOR, power, sym
+from .spd import EIG_FLOOR, _compose, as_spd, sym
 
 Array = np.ndarray
 
@@ -48,8 +48,6 @@ class MetricField:
 
     @staticmethod
     def constant(matrix, label: str = "constant") -> "MetricField":
-        from .spd import as_spd
-
         p = as_spd(matrix)
         n = p.shape[0]
 
@@ -73,20 +71,21 @@ class MetricField:
                            eval_rule=eval_rule, orbital_rule=orbital_rule)
 
     @staticmethod
-    def tabulated(dim, rule, label: str = "tabulated",
-                  horizon: Optional[float] = None,
+    def tabulated(dim, rule, label: str = "tabulated", horizon: Optional[float] = None,
                   step: Optional[float] = None) -> "MetricField":
         return MetricField(dim=dim, kind="tabulated", label=label,
                            eval_rule=rule, horizon=horizon, step=step)
 
     def values(self, x: Array) -> tuple:
-        """P over a batch of states (m, n), without raising per row.
+        """The metric over a batch of states (m, n), without raising per row.
 
-        Returns ``(P, failed, why)``: ``failed`` marks the rows without a
-        usable value (the rule could not build it, or it is not finite and
-        positive definite as ``as_spd`` requires), and ``why`` maps each
-        such row to its reason.  P is checked once per distinct value; a
-        tabulated rule runs once per distinct row, rows compared bit for bit."""
+        Returns ``(roots, inverse, failed, why)``: ``roots`` (3, k, n, n) holds
+        P, P^{1/2} and P^{-1/2} of the k distinct values, told apart bit for
+        bit, and row i has ``roots[:, inverse[i]]``.  One ``eigh`` per distinct
+        value checks it as ``as_spd`` does and gives the roots ``spd.power``
+        gives (NaN if the check fails).  ``failed`` marks the rows without a
+        usable value, ``why`` gives each one's reason.  A tabulated rule runs
+        once per distinct row."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[-1] != self.dim:
             raise ConfigError(f"expected states of shape (m, {self.dim}), got {x.shape}")
@@ -94,21 +93,24 @@ class MetricField:
             first, inverse = _distinct(x)
             values, rule_why = self.eval_rule(x[first])
             values = sym(np.asarray(values, dtype=float))
-            p = values[inverse]
-            ruled = np.array([r is not None for r in rule_why], dtype=bool)[inverse]
+            ruled = np.array([r is not None for r in rule_why], dtype=bool)
         else:
             p = sym(np.asarray(self.eval_rule(x), dtype=float))
             first, inverse = _distinct(p)
-            values, ruled = p[first], np.zeros(len(x), dtype=bool)
+            values, ruled = p[first], np.zeros(len(first), dtype=bool)
         finite = np.isfinite(values).all(axis=(-2, -1))
-        w = np.full(values.shape[:-1], np.nan)
-        w[finite] = np.linalg.eigvalsh(values[finite])
+        w, u = np.full(values.shape[:-1], np.nan), np.full(values.shape, np.nan)
+        w[finite], u[finite] = np.linalg.eigh(values[finite])
         spd = (w[:, -1] > 0) & (w[:, 0] > EIG_FLOOR * w[:, -1])
-        failed = ruled | ~spd[inverse]
-        why = {i: rule_why[inverse[i]] if ruled[i] else
+        roots = np.full((3,) + values.shape, np.nan)
+        roots[0] = values
+        for root, t in zip(roots[1:], (0.5, -0.5)):
+            root[spd] = sym(_compose(u[spd], w[spd] ** t))
+        failed = (ruled | ~spd)[inverse]
+        why = {i: rule_why[inverse[i]] if ruled[inverse[i]] else
                f"metric value is not positive definite (eigenvalues {w[inverse[i]]})"
                for i in np.flatnonzero(failed).tolist()}
-        return p, failed, why
+        return roots, inverse, failed, why
 
     def evaluate(self, x: Array) -> Array:
         """P at x; batched over leading axes of x.  Raises NumericError with
@@ -116,23 +118,30 @@ class MetricField:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ConfigError(f"state dimension {x.shape[-1]} != metric dimension {self.dim}")
-        p, _, why = self.values(x.reshape(-1, self.dim))
+        roots, inverse, _, why = self.values(x.reshape(-1, self.dim))
         if why:
             raise NumericError(why[min(why)])
-        return p.reshape(x.shape + (self.dim,))
+        return roots[0][inverse].reshape(x.shape + (self.dim,))
 
     @property
     def has_orbital(self) -> bool:
         return self.orbital_rule is not None
 
     def orbital_derivative(self, x: Array) -> Array:
-        """Analytic Pdot at x (per unit time); batched."""
+        """Analytic Pdot at x (per unit time); batched.  Each finite value of
+        the rule must be symmetric to within ``np.allclose``'s tolerances, the
+        absolute one scaled by its own largest entry (at least 1)."""
         if self.orbital_rule is None:
             raise ConfigError(
                 f"metric '{self.label}' has no orbital derivative; "
                 "continuous-time bounds measure it on the time-step map instead"
             )
-        return sym(np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float))
+        pdot = np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float)
+        checked = pdot[np.isfinite(pdot).all(axis=(-2, -1))]
+        scale = np.maximum(1.0, np.abs(checked).max(axis=(-2, -1), keepdims=True, initial=0.0))
+        if not np.isclose(checked, np.swapaxes(checked, -1, -2), atol=1e-9 * scale).all():
+            raise NumericError("orbital derivative must be symmetric")
+        return sym(pdot)
 
 
 def _distinct(a: Array) -> tuple:
@@ -146,22 +155,13 @@ def _distinct(a: Array) -> tuple:
     return first[order], np.argsort(order)[inverse]
 
 
-def _power(p: Array, t: float) -> Array:
-    """``power(p, t)``, one eigendecomposition per distinct matrix of the stack."""
-    flat = np.reshape(p, (-1,) + np.shape(p)[-2:])
-    if len(flat) < 32:      # the sort would cost more than the eigh it can save
-        return power(p, t)
-    first, inverse = _distinct(flat)
-    return power(flat[first], t)[inverse].reshape(np.shape(p))
-
-
-def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
+def metric_sv_values(q_half: Array, jac: Array, p_ihalf: Array) -> Array:
     """Log2 singular values (nonincreasing) of a Jacobian mapping the inner
-    product p at the source to q at the image: SVD of q^{1/2} jac p^{-1/2}.
+    product P at the source to Q at the image: SVD of Q^{1/2} jac P^{-1/2},
+    given ``q_half`` = Q^{1/2} and ``p_ihalf`` = P^{-1/2}; batched.
 
     Zero singular values map to the LOG_ZERO sentinel (bound-only use)."""
-    b = _power(q, 0.5) @ jac @ _power(p, -0.5)
-    sv = np.linalg.svd(b, compute_uv=False)
+    sv = np.linalg.svd(q_half @ jac @ p_ihalf, compute_uv=False)
     if not np.all(np.isfinite(sv)):
         raise NumericError("non-finite singular values in metric spectrum")
     with np.errstate(divide="ignore"):
@@ -169,17 +169,9 @@ def metric_sv_values(p: Array, q: Array, jac: Array) -> Array:
     return out
 
 
-def ct_spectrum_values(p: Array, jac: Array, pdot: Array) -> Array:
+def ct_spectrum_values(p: Array, p_ihalf: Array, jac: Array, pdot: Array) -> Array:
     """Eigenvalues (nonincreasing) of P^{-1/2} (P J + J^T P + Pdot) P^{-1/2},
-    batched over leading axes.  Each Pdot must be symmetric to within
-    ``np.allclose``'s tolerances, its absolute one scaled by its own largest
-    entry (at least 1), so no row's check depends on the rows beside it."""
-    scale = np.maximum(1.0, np.abs(pdot).max(axis=(-2, -1), initial=0.0))
-    if not np.isclose(pdot, np.swapaxes(pdot, -1, -2), atol=1e-9 * scale[..., None, None]).all():
-        raise NumericError("orbital derivative must be symmetric")
-    jt = np.swapaxes(jac, -1, -2)
-    core = p @ jac + jt @ p + pdot
-    r = _power(p, -0.5)
-    w = np.linalg.eigvalsh(sym(r @ core @ r))
+    given P, ``p_ihalf`` = P^{-1/2} and a symmetric Pdot; batched."""
+    core = p @ jac + np.swapaxes(jac, -1, -2) @ p + pdot
+    w = np.linalg.eigvalsh(sym(p_ihalf @ core @ p_ihalf))
     return w[..., ::-1]
-

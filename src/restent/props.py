@@ -218,7 +218,7 @@ def _prop_scalar_geometric_mean(rng, n, count):
 def _prop_spectrum_three_way(rng, n, count):
     p, q, a = _instances(rng, n, count, _spd_draw, _spd_draw, random_gl)
     p, q = random_spd(p), random_spd(q)
-    by_svd = metric_sv_values(p, q, a)
+    by_svd = metric_sv_values(power(q, 0.5), a, power(p, -0.5))
     at = np.swapaxes(a, -1, -2)
     b = np.linalg.solve(np.linalg.cholesky(p), at)     # Cholesky-reduced pencil
     pencil = np.linalg.eigvalsh(b @ q @ np.swapaxes(b, -1, -2))

@@ -383,6 +383,16 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_oracle_names_the_last_horizon_when_every_point_blows_up(tmp_path, capsys):
+    # xdot = 3x from the unit box passes the blow-up norm near t = 6: after
+    # the first horizons, before the last one
+    code = run(["oracle", "--system", "linode", "--matrix", "diag:3,3", "--resolution", "2",
+                "--horizons", "1,2,10", "--out", str(tmp_path / "orc")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "numeric failure: every sample point blew up by the last horizon t=10")
+
+
 def test_exit_code_invariance_failure(tmp_path, capsys):
     stem = str(tmp_path / "inv")
     code = run(["bound", "--system", "lanford", "--a", "1.0",

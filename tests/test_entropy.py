@@ -32,6 +32,7 @@ from restent.entropy import (
 )
 from restent.metrics import LOG_ZERO, MetricField, metric_sv_values
 from restent import dynamics, spd
+from restent.spd import power
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)
@@ -276,7 +277,7 @@ def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
     monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 1)
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
     metric = minimizing_metric(sys_, 8, tol=1e-7)
-    _, failed, why = metric.values(np.array([[0.1, 0.2], [-0.3, 0.4]]))
+    *_, failed, why = metric.values(np.array([[0.1, 0.2], [-0.3, 0.4]]))
     assert failed.all() and list(why) == [0, 1]
     assert all("not converged after 1 iterations" in r for r in why.values())
     assert all("gradient residual" in r for r in why.values())
@@ -334,11 +335,11 @@ def test_map_bound_excludes_rows_that_blow_up_within_the_step():
 
 def test_minimizing_metric_of_a_map_excludes_orbits_that_blow_up():
     jordan = linear_map_system(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    _, failed, why = minimizing_metric(jordan, 30).values(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    *_, failed, why = minimizing_metric(jordan, 30).values(np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert failed.tolist() == [True, False]
     assert why == {0: "trajectory escaped at t=23 while building the minimizing metric"}
     # the benchmark's Jordan sweep stays clear of the guard
-    _, failed, why = minimizing_metric(jordan, 16).values(sample_set(UNIT_BOX_2, 2))
+    *_, failed, why = minimizing_metric(jordan, 16).values(sample_set(UNIT_BOX_2, 2))
     assert failed.tolist() == [False] * 4 and why == {}
 
 
@@ -508,7 +509,7 @@ def test_metric_change_bound_on_lanford_orbits():
             prop = propagate(sys_, x, t, variational=True)
             a_t, y = prop.jacobians[0], prop.states[0]
             p, q = metric.evaluate(x), metric.evaluate(y)
-            s_metric = positive_sum(metric_sv_values(p, q, a_t))
+            s_metric = positive_sum(metric_sv_values(power(q, 0.5), a_t, power(p, -0.5)))
             s_eucl = positive_sum(np.log2(np.linalg.svd(a_t, compute_uv=False)))
             gap = float(s_metric - s_eucl)
             assert -c_plus - 1e-8 <= gap <= c_plus + 1e-8
@@ -700,7 +701,7 @@ def test_bound_core_matches_per_point_loop_discrete():
     for row, x in zip(rep.per_point, pts[:-1]):
         p = metric.evaluate(x)
         q = metric.evaluate(sys_.rhs(x))
-        values = metric_sv_values(p, q, sys_.jacobian(x))
+        values = metric_sv_values(power(q, 0.5), sys_.jacobian(x), power(p, -0.5))
         assert row[2:4].tolist() == values.tolist()
         assert row[-1] == float(positive_sum(values))
 
@@ -728,7 +729,7 @@ def test_bound_core_matches_per_point_loop_continuous():
                                   prop.jacobians[1:]):
         p = metric.evaluate(x)
         q = metric.evaluate(image)
-        values = 2.0 * LN2 / h * metric_sv_values(p, q, jac)
+        values = 2.0 * LN2 / h * metric_sv_values(power(q, 0.5), jac, power(p, -0.5))
         assert row[:2].tolist() == x.tolist()
         assert row[2:4].tolist() == values.tolist()
         assert row[-1] == float(positive_sum(values) / (2.0 * LN2))

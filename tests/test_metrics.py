@@ -7,10 +7,12 @@ from restent.dynamics import (
     CompactSet,
     lanford_region,
     lanford_system,
+    linear_map_system,
     linear_ode_system,
     sample_set,
 )
 from restent.entropy import bound, lanford_metric, positive_sum
+from restent import metrics
 from restent.metrics import (
     LOG_ZERO,
     MetricField,
@@ -26,7 +28,8 @@ def test_identity_metric_gives_plain_singular_values():
     rng = np.random.default_rng(30)
     metric = MetricField.identity(3)
     a = rand_gl(rng, 3)
-    values = metric_sv_values(metric.evaluate(np.zeros(3)), metric.evaluate(np.ones(3)), a)
+    values = metric_sv_values(power(metric.evaluate(np.ones(3)), 0.5), a,
+                              power(metric.evaluate(np.zeros(3)), -0.5))
     expected = np.log2(np.linalg.svd(a, compute_uv=False))
     assert np.allclose(values, expected, atol=1e-12)
 
@@ -38,8 +41,8 @@ def test_scalar_metric_formula():
         lambda x: np.where(x[..., :1, None] > 0, q, p) * np.ones(x.shape[:-1] + (1, 1)),
         label="two-level",
     )
-    values = metric_sv_values(metric.evaluate(np.array([-1.0])),
-                              metric.evaluate(np.array([1.0])), np.array([[a]]))
+    values = metric_sv_values(power(metric.evaluate(np.array([1.0])), 0.5), np.array([[a]]),
+                              power(metric.evaluate(np.array([-1.0])), -0.5))
     assert np.allclose(values, [np.log2(abs(a) * np.sqrt(q / p))])
 
 
@@ -49,7 +52,7 @@ def test_metric_sv_matches_generalized_eigenproblem():
         p = rand_spd(rng, n)
         q = rand_spd(rng, n)
         a = rand_gl(rng, n)
-        ours = metric_sv_values(p, q, a)
+        ours = metric_sv_values(power(q, 0.5), a, power(p, -0.5))
         w = scipy.linalg.eigh(a.T @ q @ a, p, eigvals_only=True)
         oracle = 0.5 * np.log2(np.sort(w)[::-1])
         assert np.allclose(ours, oracle, atol=1e-8)
@@ -61,7 +64,7 @@ def test_three_way_equivalence_of_spectra():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         p, q, a = rand_spd(rng, n), rand_spd(rng, n), rand_gl(rng, n)
-        by_svd = metric_sv_values(p, q, a)
+        by_svd = metric_sv_values(power(q, 0.5), a, power(p, -0.5))
         pencil = scipy.linalg.eigh(a.T @ q @ a, p, eigvals_only=True)
         by_pencil = 0.5 * np.log2(np.sort(pencil)[::-1])
         adjoint = np.linalg.eigvals(np.linalg.solve(p, a.T @ q @ a))
@@ -80,7 +83,7 @@ def test_singular_jacobian_sentinel():
 def test_ct_spectrum_euclidean_case():
     rng = np.random.default_rng(33)
     j = rng.standard_normal((3, 3))
-    values = ct_spectrum_values(np.eye(3), j, np.zeros((3, 3)))
+    values = ct_spectrum_values(np.eye(3), np.eye(3), j, np.zeros((3, 3)))
     expected = np.sort(np.linalg.eigvalsh(j + j.T))[::-1]
     assert np.allclose(values, expected, atol=1e-10)
 
@@ -90,7 +93,8 @@ def test_ct_spectrum_lanford_origin():
     sys_ = lanford_system(a)
     metric = lanford_metric(a)
     x = np.zeros(3)
-    values = ct_spectrum_values(metric.evaluate(x), sys_.jacobian(x),
+    p = metric.evaluate(x)
+    values = ct_spectrum_values(p, power(p, -0.5), sys_.jacobian(x),
                                 metric.orbital_derivative(x))
     assert np.allclose(values, [2 * a, 2 * (a - 1), 2 * (a - 1)], atol=1e-12)
 
@@ -102,29 +106,58 @@ def test_ct_spectrum_determinant_residual():
         p = rand_spd(rng, n)
         j = rng.standard_normal((n, n))
         pd = sym(rng.standard_normal((n, n)))
-        values = ct_spectrum_values(p, j, pd)
+        values = ct_spectrum_values(p, power(p, -0.5), j, pd)
         core = p @ j + j.T @ p + pd
         scale = max(1.0, np.linalg.norm(core), np.linalg.norm(p)) ** n
         for lam in values:
             assert abs(np.linalg.det(core - lam * p)) < 1e-8 * scale
 
 
-def test_ct_spectrum_rejects_asymmetric_pdot():
+def _with_pdot(pdot):
+    """Identity metric on the plane whose orbital rule returns ``pdot(x)``."""
+    return MetricField.analytic(2, MetricField.identity(2).evaluate, pdot, label="pdot")
+
+
+def test_orbital_derivative_rejects_asymmetric_pdot():
+    metric = _with_pdot(lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NumericError):
-        ct_spectrum_values(np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        metric.orbital_derivative(np.zeros(2))
 
 
-def test_ct_spectrum_symmetry_check_does_not_depend_on_the_batch():
+def test_orbital_derivative_symmetry_check_does_not_depend_on_the_batch():
     # each row's tolerance scales with its own largest entry: a large
     # symmetric Pdot beside it does not let a small asymmetric one through
     small = np.array([[0.0, 1e-4], [0.0, 0.0]])
     large = np.diag([1e6, 1e6])
-    eye = np.broadcast_to(np.eye(2), (2, 2, 2))
     with pytest.raises(NumericError, match="symmetric"):
-        ct_spectrum_values(eye[0], np.zeros((2, 2)), small)
+        _with_pdot(lambda x: small).orbital_derivative(np.zeros(2))
     with pytest.raises(NumericError, match="symmetric"):
-        ct_spectrum_values(eye, np.zeros((2, 2, 2)), np.stack([small, large]))
-    assert ct_spectrum_values(eye[:1], np.zeros((1, 2, 2)), large[None]).tolist() == [[1e6, 1e6]]
+        _with_pdot(lambda x: np.stack([small, large])).orbital_derivative(np.zeros((2, 2)))
+    assert _with_pdot(lambda x: large[None]).orbital_derivative(
+        np.zeros((1, 2))).tolist() == [large.tolist()]
+
+
+def test_bound_refuses_an_asymmetric_pdot():
+    # the rule's own output is checked, before it is symmetrized
+    metric = _with_pdot(lambda x: np.broadcast_to([[0.0, 5.0], [0.0, 0.0]],
+                                                  x.shape[:-1] + (2, 2)))
+    with pytest.raises(NumericError, match="orbital derivative must be symmetric"):
+        bound(linear_ode_system(np.diag([1.0, -1.0])),
+              CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0))), metric, 3)
+
+
+def test_bound_excludes_rows_with_a_nonfinite_pdot():
+    sys_ = linear_ode_system(np.diag([1.0, -1.0]))
+    box = CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0)))
+    metric = _with_pdot(lambda x: np.where((x[..., 0] == 1.0)[..., None, None], np.nan,
+                                           np.zeros(x.shape[:-1] + (2, 2))))
+    rep = bound(sys_, box, metric, 5)
+    full = bound(sys_, box, MetricField.identity(2), 5)
+    kept = full.per_point[:, 0] != 1.0
+    assert [e["state"] for e in rep.excluded] == full.per_point[~kept, :2].tolist()
+    assert {e["reason"] for e in rep.excluded} == {"non-finite orbital derivative"}
+    assert len(rep.excluded) == 5
+    assert np.array_equal(rep.per_point, full.per_point[kept])
 
 
 def _map_and_analytic_spectra(system, region, metric, resolution, step):
@@ -210,7 +243,8 @@ def test_congruence_consistency_constant_metric():
     v = rand_gl(rng, 3)
     a = rand_gl(rng, 3)
     metric = MetricField.constant(v.T @ v)
-    values = metric_sv_values(metric.evaluate(np.zeros(3)), metric.evaluate(np.ones(3)), a)
+    values = metric_sv_values(power(metric.evaluate(np.ones(3)), 0.5), a,
+                              power(metric.evaluate(np.zeros(3)), -0.5))
     expected = np.log2(np.linalg.svd(v @ a @ np.linalg.inv(v), compute_uv=False))
     assert np.allclose(values, expected, atol=1e-8)
 
@@ -231,11 +265,15 @@ def test_spectra_invariant_under_metric_scaling():
         x = rng.uniform([-0.5, -0.5, 0.0], [0.5, 0.5, 0.8])
         phi_x = x + 0.01 * sys_.rhs(x)
         jac = sys_.jacobian(x)
-        s1 = metric_sv_values(base.evaluate(x), base.evaluate(phi_x), jac)
-        s2 = metric_sv_values(scaled.evaluate(x), scaled.evaluate(phi_x), jac)
+
+        def spectra(metric):
+            p = metric.evaluate(x)
+            r = power(p, -0.5)
+            return (metric_sv_values(power(metric.evaluate(phi_x), 0.5), jac, r),
+                    ct_spectrum_values(p, r, jac, metric.orbital_derivative(x)))
+
+        (s1, c1), (s2, c2) = spectra(base), spectra(scaled)
         assert np.allclose(s1, s2, atol=1e-10)
-        c1 = ct_spectrum_values(base.evaluate(x), jac, base.orbital_derivative(x))
-        c2 = ct_spectrum_values(scaled.evaluate(x), jac, scaled.orbital_derivative(x))
         assert np.allclose(c1, c2, atol=1e-10)
 
 
@@ -248,9 +286,11 @@ def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
 
     metric = MetricField.tabulated(2, rule, label="dedup")
     x = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [-0.0, 0.0]])
-    p, failed, why = metric.values(x)
+    roots, inverse, failed, why = metric.values(x)
+    p = roots[0][inverse]
     # one rule call on the distinct rows, compared bit for bit (-0.0 != 0.0)
     assert calls == [[[0.5, 0.0], [0.0, 0.0], [-0.0, 0.0]]]
+    assert len(roots[0]) == 3 and inverse.tolist() == [0, 1, 0, 2]
     assert failed.tolist() == [False] * 4 and why == {}
     assert np.array_equal(p[0], p[2]) and np.array_equal(p[0], 1.25 * np.eye(2))
     assert np.array_equal(metric.evaluate(x), p)
@@ -261,7 +301,8 @@ def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
 def test_metric_values_flag_rows_without_spd_value():
     metric = MetricField.analytic(
         1, lambda x: np.where(x[..., :1, None] > 0, 1.0, -1.0), label="sign")
-    p, failed, why = metric.values(np.array([[1.0], [-1.0], [2.0]]))
+    roots, inverse, failed, why = metric.values(np.array([[1.0], [-1.0], [2.0]]))
+    p = roots[0][inverse]
     assert failed.tolist() == [False, True, False] and list(why) == [1]
     assert "not positive definite" in why[1]
     assert np.array_equal(p[[0, 2]], np.ones((2, 1, 1)))
@@ -276,36 +317,103 @@ def test_metric_dimension_mismatch():
 
 
 def _stack_with_repeats(case):
-    """Metric values at one stack of points, with Jacobians and orbital
-    derivatives: ``lanford-exp`` repeats a value per z level, the identity
-    has one value, and the 2x2 stack repeats values that share their first
-    entry, two of them differing only in the sign of a zero."""
+    """A metric and a stack of points where it repeats values, with
+    Jacobians and orbital derivatives: ``lanford-exp`` repeats a value per
+    z level, the identity has one value, and the 2x2 table repeats values
+    that share their first entry, two of them differing only in the sign
+    of a zero."""
     rng = np.random.default_rng(47)
     if case == "lanford-exp":
         metric, sys_ = lanford_metric(), lanford_system()
         x = sample_set(lanford_region(), 5)
-        return metric.evaluate(x), sys_.jacobian(x), metric.orbital_derivative(x)
+        return metric, x, sys_.jacobian(x), metric.orbital_derivative(x)
     if case == "identity":
-        p = MetricField.identity(3).evaluate(rng.standard_normal((40, 3)))
+        metric, x = MetricField.identity(3), rng.standard_normal((40, 3))
     else:
         signed = np.array([[[2.0, 0.0], [0.0, 0.5]], [[2.0, -0.0], [-0.0, 0.5]],
                            [[2.0, 0.3], [0.3, 1.0]]])
-        p = np.concatenate([signed[rng.integers(0, 3, 30)],
-                            [rand_spd(rng, 2) for _ in range(10)]])
-    n = p.shape[-1]
-    return p, rng.standard_normal(p.shape), sym(rng.standard_normal(p.shape)) * n
+        metric, x = _table_metric(np.concatenate([signed[rng.integers(0, 3, 30)],
+                                                  [rand_spd(rng, 2) for _ in range(10)]]))
+    shape = (len(x), metric.dim, metric.dim)
+    return metric, x, rng.standard_normal(shape), sym(rng.standard_normal(shape)) * metric.dim
+
+
+def _table_metric(table):
+    """Metric on the plane whose value at the point (i, 0) is ``table[i]``,
+    with those points."""
+    x = np.column_stack([np.arange(len(table)), np.zeros(len(table))])
+    return MetricField.analytic(2, lambda s: table[s[:, 0].astype(int)], label="table"), x
 
 
 @pytest.mark.parametrize("case", ["lanford-exp", "identity", "signed-zeros"])
 def test_spectra_of_a_stack_are_its_row_by_row_spectra(case):
-    p, jac, pdot = _stack_with_repeats(case)
-    q = p[::-1]
-    by_stack = metric_sv_values(p, q, jac)
-    by_row = [metric_sv_values(*rows) for rows in zip(p, q, jac)]
-    assert np.array_equal(by_stack, by_row)
-    by_stack = ct_spectrum_values(p, jac, pdot)
-    by_row = [ct_spectrum_values(*rows) for rows in zip(p, jac, pdot)]
-    assert np.array_equal(by_stack, by_row)
+    metric, x, jac, pdot = _stack_with_repeats(case)
+
+    def spectra(x, y, jac, pdot):
+        # map spectra between P(x) and P(y), and the generator spectra at x
+        roots, inverse, failed, _ = metric.values(np.concatenate([x, y]))
+        assert not failed.any()
+        at, to = inverse[:len(x)], inverse[len(x):]
+        return (metric_sv_values(roots[1][to], jac, roots[2][at]),
+                ct_spectrum_values(roots[0][at], roots[2][at], jac, pdot))
+
+    by_stack = spectra(x, x[::-1], jac, pdot)
+    by_row = [spectra(*rows) for rows in zip(x[:, None], x[::-1, None], jac[:, None],
+                                             pdot[:, None])]
+    for k in range(2):
+        assert np.array_equal(by_stack[k], np.concatenate([row[k] for row in by_row]))
+
+
+@pytest.mark.parametrize("rows", [31, 32, 33])
+def test_metric_values_roots_are_spd_power_row_by_row(rows):
+    # stacks on both sides of the 32 rows below which the roots once were
+    # taken without deduplication; repeated values, values told apart only
+    # by the sign of a zero, a value that is not positive definite and a NaN
+    rng = np.random.default_rng(48)
+    pool = np.concatenate([[[[2.0, 0.0], [0.0, 0.5]], [[2.0, -0.0], [-0.0, 0.5]],
+                            [[1.0, 2.0], [2.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+                           [rand_spd(rng, 2) for _ in range(6)]])
+    table = pool[rng.permutation(rows) % len(pool)]
+    metric, x = _table_metric(table)
+    roots, inverse, failed, why = metric.values(x)
+    assert roots.shape == (3, len(pool), 2, 2)
+    assert np.flatnonzero(failed).tolist() == sorted(why)
+    for i, p in enumerate(table):
+        assert np.array_equal(roots[0][inverse[i]], p, equal_nan=True)
+        if np.isfinite(p).all() and np.linalg.eigvalsh(p)[0] > 0:
+            assert not failed[i]
+            assert np.array_equal(roots[1][inverse[i]], power(p, 0.5))
+            assert np.array_equal(roots[2][inverse[i]], power(p, -0.5))
+        else:
+            assert "not positive definite" in why[i]
+            assert np.isnan(roots[1:, inverse[i]]).all()
+
+
+@pytest.mark.parametrize("case", ["map", "flow"])
+def test_a_block_checks_and_decomposes_each_distinct_metric_value_once(monkeypatch, case):
+    if case == "map":
+        sys_, metric = linear_map_system(np.diag([2.0, 0.5])), MetricField.identity(2)
+        region, distinct = CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0))), 1
+    else:
+        sys_, metric, region = lanford_system(), lanford_metric(), lanford_region()
+        distinct = len(np.unique(sample_set(region, 9)[:, 2]))   # one value per z level
+    distinct_calls, decomposed = [], []
+    real_distinct, real_eigh = metrics._distinct, np.linalg.eigh
+
+    def counted_distinct(a):
+        distinct_calls.append(len(a))
+        return real_distinct(a)
+
+    def counted_eigh(a, *args, **kwargs):
+        decomposed.append(len(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_distinct", counted_distinct)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rep = bound(sys_, region, metric, 9)
+    points = len(rep.per_point) + len(rep.excluded)
+    assert distinct_calls == [2 * points if case == "map" else points]
+    assert decomposed == [distinct]
 
 
 def test_metric_values_reasons_per_row_on_a_mixed_stack():
@@ -319,16 +427,17 @@ def test_metric_values_reasons_per_row_on_a_mixed_stack():
     expected = {1: not_spd.format("[-1.  1.]"), 2: not_spd.format("[nan nan]"),
                 4: not_spd.format("[-1.  1.]"), 5: not_spd.format("[nan nan]")}
     analytic = MetricField.analytic(2, ev, label="mixed")
-    p, failed, why = analytic.values(x)
+    roots, inverse, failed, why = analytic.values(x)
+    p = roots[0][inverse]
     assert why == expected
     assert np.flatnonzero(failed).tolist() == [1, 2, 4, 5]
     for i, row in enumerate(x):
-        _, row_failed, row_why = analytic.values(row[None])
+        *_, row_failed, row_why = analytic.values(row[None])
         assert row_failed.tolist() == [failed[i]] and row_why.get(0) == why.get(i)
     assert np.array_equal(p, sym(ev(x)), equal_nan=True)
     # a tabulated rule's own reason comes before the positive definiteness check
     tabulated = MetricField.tabulated(
         2, lambda s: (ev(s), ["far" if row[1] > 2 else None for row in s]), label="mixed")
-    _, failed, why = tabulated.values(x)
+    *_, failed, why = tabulated.values(x)
     assert why == {**expected, 3: "far"}
     assert np.flatnonzero(failed).tolist() == [1, 2, 3, 4, 5]
