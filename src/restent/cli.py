@@ -204,6 +204,18 @@ def _wrote(paths):
     print("wrote " + " and ".join(paths))
 
 
+def _bound_label(report) -> str:
+    """'bound', or the max over the kept points when any point was excluded."""
+    excluded = len(report.excluded)
+    return f"max over kept points ({excluded} excluded)" if excluded else "bound"
+
+
+def _grid(report) -> str:
+    """The bound's kind, its last grid and the number of points evaluated."""
+    return (f"{report.bound_kind}, resolution {report.resolution}, "
+            f"{len(report.per_point) + len(report.excluded)} points evaluated")
+
+
 def cmd_bound(args) -> int:
     system, region, resolution, _ = _build_system(args)
     metric = _build_metric(args.metric, system, args)
@@ -211,10 +223,9 @@ def cmd_bound(args) -> int:
         _run_spot_check(system, region, resolution,
                         horizon=float(args.check_horizon), require=True)
     report = bound(system, region, metric, resolution, refine=args.refine)
-    print(f"bound: {report.bound:.6f} {report.units}")
+    print(f"{_bound_label(report)}: {report.bound:.6f} {report.units}")
     print(f"maximizer: {np.array(report.maximizer)}")
-    if report.excluded:
-        print(f"excluded {len(report.excluded)} sample point(s); see report")
+    print(f"grid: {_grid(report)}")
     _wrote(report.write(args.out or f"bound_{system.name}"))
     return 0
 
@@ -235,7 +246,7 @@ def cmd_sweep(args) -> int:
         report = bound(system, region, metric, resolution, refine=args.refine)
         bounds.append(report.bound)
         report.write(f"{stem}.h{h:g}")
-        print(f"horizon {h:g}: bound {report.bound:.6f} {report.units}")
+        print(f"horizon {h:g}: {_bound_label(report)} {report.bound:.6f} {report.units}")
     _write_table(f"{stem}.sweep.csv", ["horizon", "bound"], np.column_stack([horizons, bounds]))
     slack = 1e-6 + 0.02 * max(1.0, abs(bounds[0]))
     monotone = all(b2 <= b1 + slack for b1, b2 in zip(bounds, bounds[1:]))
@@ -281,8 +292,8 @@ def cmd_lanford(args) -> int:
     o2 = np.array([0.0, 0.0, a])
     lower = proximate_entropy(system, o2)
     print(f"closed-form reference : {reference:.6f} bits/time")
-    print(f"metric bound          : {report.bound:.6f} bits/time "
-          f"(resolution {report.resolution})")
+    label = "metric bound" if not report.excluded else _bound_label(report)
+    print(f"{label:22s}: {report.bound:.6f} bits/time ({_grid(report)})")
     print(f"equilibrium lower est : {lower:.6f} bits/time")
     if args.with_oracle:
         res = lyapunov_oracle(system, region, resolution=[min(11, c) for c in resolution])
@@ -353,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag(system + " lanford", "--resolution", help="grid points per axis (int or list)")
     flag(system + " lanford props", "--out", help="output file stem")
     flag("bound sweep", "--refine", action="store_true",
-         help="double the resolution until the bound settles")
+         help="double the resolution until the bound settles, evaluating only "
+              "the cells where the maximum can be")
     flag("bound sweep", "--bar-tol", type=float,
          help="barycenter tolerance for auto metrics: a bound on the distance, "
               "in bits, to the true barycenter")

@@ -377,21 +377,30 @@ def grid_counts(resolution, dim: int) -> list:
     return counts
 
 
+def lattice_points(region: CompactSet, counts: list, index: Array) -> tuple:
+    """The nodes of the uniform lattice of ``counts`` points per axis over
+    the box whose row-major flat indices are ``index`` (increasing), as
+    ``(pts, index)`` of those the constraint keeps.  A node's coordinates
+    are those of ``np.linspace`` on each axis, and halving the step is
+    exact, so node i of c points per axis is node 2i of 2c - 1, bit for bit."""
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
+    pts = np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, counts))],
+                   axis=-1)
+    if region.constraint is None:
+        return pts, index
+    inside = np.asarray(region.constraint(pts), dtype=bool)
+    return pts[inside], index[inside]
+
+
 def sample_set(region: CompactSet, resolution) -> Array:
     """Uniform grid over the box in row-major order, filtered by the
     constraint.  ``resolution`` is a per-axis count or a single count.  The
     box is built and filtered ``_BLOCK_ROWS`` rows at a time."""
     counts = grid_counts(resolution, region.dim)
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
     total = int(np.prod(counts, dtype=np.int64))
-    blocks = []
-    for start in range(0, total, _BLOCK_ROWS):
-        index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, total)), counts)
-        pts = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-        if region.constraint is not None:
-            pts = pts[np.asarray(region.constraint(pts), dtype=bool)]
-        blocks.append(pts)
-    pts = np.concatenate(blocks)
+    pts = np.concatenate([
+        lattice_points(region, counts, np.arange(start, min(start + _BLOCK_ROWS, total)))[0]
+        for start in range(0, total, _BLOCK_ROWS)])
     if len(pts) == 0:
         raise ConfigError("constraint excluded every grid point")
     return pts

@@ -95,7 +95,8 @@ class MetricField:
             values = sym(np.asarray(values, dtype=float))
             ruled = np.array([r is not None for r in rule_why], dtype=bool)
         else:
-            p = sym(np.asarray(self.eval_rule(x), dtype=float))
+            with np.errstate(all="ignore"):      # a non-finite value is refused below
+                p = sym(np.asarray(self.eval_rule(x), dtype=float))
             first, inverse = _distinct(p)
             values, ruled = p[first], np.zeros(len(first), dtype=bool)
         finite = np.isfinite(values).all(axis=(-2, -1))
@@ -136,7 +137,8 @@ class MetricField:
                 f"metric '{self.label}' has no orbital derivative; "
                 "continuous-time bounds measure it on the time-step map instead"
             )
-        pdot = np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float)
+        with np.errstate(all="ignore"):          # the caller refuses non-finite values
+            pdot = np.asarray(self.orbital_rule(np.asarray(x, dtype=float)), dtype=float)
         checked = pdot[np.isfinite(pdot).all(axis=(-2, -1))]
         scale = np.maximum(1.0, np.abs(checked).max(axis=(-2, -1), keepdims=True, initial=0.0))
         if not np.isclose(checked, np.swapaxes(checked, -1, -2), atol=1e-9 * scale).all():

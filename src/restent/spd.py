@@ -34,8 +34,11 @@ LN2 = float(np.log(2.0))
 
 
 def sym(m: Array) -> Array:
-    """Symmetric part (m + m^T)/2, batched over leading axes."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    """Symmetric part m/2 + m^T/2, batched over leading axes.  Halving first
+    keeps it finite wherever m is, and gives the bits of (m + m^T)/2 wherever
+    m + m^T is finite and no half is subnormal."""
+    half = 0.5 * m
+    return half + np.swapaxes(half, -1, -2)
 
 
 def as_spd(m) -> Array:

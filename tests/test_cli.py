@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -350,18 +351,67 @@ def test_sweep_non_integer_horizon_of_a_map_is_config_error(tmp_path, capsys):
     assert not os.path.exists(f"{stem}.sweep.csv")
 
 
-def test_bound_refine_doubles_resolution(tmp_path, capsys):
+def test_bound_refine_of_tied_values_evaluates_the_doubled_grid(tmp_path, capsys):
+    # every local bound of diag(2, 0.5) is 1, so no cell is ruled out
     stem = str(tmp_path / "ref")
     assert run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
                 "--resolution", "3", "--refine", "--out", stem]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     report = BoundReport.from_json(f"{stem}.report.json")
     assert report.refinements >= 1
     c = 3
     for _ in range(report.refinements):
         c = 2 * c - 1
     assert report.resolution == [c, c]
+    assert len(report.per_point) == c * c and not report.excluded
     assert report.bound == pytest.approx(1.0)
+    assert report.bound_kind == "grid-adaptive"
+    assert "bound: 1.000000 bits/step" in out
+    assert f"grid: grid-adaptive, resolution [{c}, {c}], {c * c} points evaluated" in out
+
+
+# z up to 236.5: P = diag(1, 1, 1/2) e^{3z} is finite (about 1.3e308), but
+# its orbital derivative overflows on the top layer of the grid
+FAR_BOX = ["bound", "--system", "lanford", "--metric", "lanford-exp", "--resolution", "7"]
+
+
+def test_excluded_points_label_the_bound(tmp_path, capsys):
+    stem = str(tmp_path / "far")
+    assert run(FAR_BOX + ["--box=-1:1,-1:1,0:236.5", "--out", stem]) == 0
+    out = capsys.readouterr().out
+    assert "max over kept points (49 excluded): 0.961797 bits/time" in out
+    assert "bound:" not in out
+    assert "grid: grid-minus-excluded, resolution [7, 7, 7], 343 points evaluated" in out
+    report = BoundReport.from_json(f"{stem}.report.json")
+    assert report.bound_kind == "grid-minus-excluded"
+    assert {e["reason"] for e in report.excluded} == {"non-finite orbital derivative"}
+    assert {e["state"][2] for e in report.excluded} == {236.5}
+
+
+def test_excluded_points_label_each_sweep_horizon(tmp_path, capsys):
+    # after 2 steps of x -> 1e5 x the orbit of every x0 != 0 has blown up
+    assert run(["sweep", "--system", "linmap", "--matrix", "[[1e5,0],[0,1]]",
+                "--horizons", "1,3", "--resolution", "3",
+                "--out", str(tmp_path / "sw")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "horizon 1: bound 16.609640 bits/step"
+    assert out[1] == "horizon 3: max over kept points (6 excluded) 16.609640 bits/step"
+
+
+def test_far_box_is_refused_without_warnings(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(FAR_BOX + ["--box=-1:1,-1:1,235:236.5",
+                              "--out", str(tmp_path / "far")]) == 2
+        assert run(FAR_BOX + ["--box=-1:1,-1:1,0:236.5", "--refine",
+                              "--out", str(tmp_path / "far-refined")]) == 0
+        # at z = 240 the metric itself overflows
+        assert run(FAR_BOX + ["--box=-1:1,-1:1,0:240", "--out", str(tmp_path / "farther")]) == 0
+    assert "every sample point was excluded" in capsys.readouterr().err
+    report = BoundReport.from_json(tmp_path / "farther.report.json")
+    assert len(report.excluded) == 49
+    assert {e["reason"] for e in report.excluded} == {
+        "metric value is not positive definite (eigenvalues [nan nan nan])"}
 
 
 def test_bound_constant_metric(tmp_path, capsys):

@@ -16,6 +16,9 @@ from restent.dynamics import (
     sample_set,
 )
 from restent.entropy import (
+    MAX_REFINES,
+    REFINE_MARGIN,
+    REFINE_TOL,
     SCHEMA_VERSION,
     _inverse_factors,
     _inverted_barycenters,
@@ -524,6 +527,111 @@ def test_refinement_loop_converges_and_reports():
     assert rep.resolution[0] > 5
 
 
+def _uniform_refinement(system, region, metric, counts):
+    """The bound of refinement that evaluates every node of each doubled
+    grid, as a bound without refinement on the grid where it stops."""
+    report = bound(system, region, metric, resolution=counts)
+    for _ in range(MAX_REFINES):
+        counts = 2 * counts - 1
+        finer = bound(system, region, metric, resolution=counts)
+        settled = abs(finer.bound - report.bound) < REFINE_TOL
+        report = finer
+        if settled:
+            break
+    return report
+
+
+def _node_order(rows, table):
+    """The row index in ``table`` of each of ``rows``, matched bit for bit
+    (-1 where a row is not in it)."""
+    at = {row.tobytes(): i for i, row in enumerate(table)}
+    return np.array([at.get(row.tobytes(), -1) for row in rows])
+
+
+@pytest.mark.parametrize("a", [A0, 0.75, 1.0], ids=["a=2/3", "a=0.75", "a=1"])
+@pytest.mark.parametrize("counts", [21, 20])
+def test_adaptive_refinement_gives_the_uniform_bound(a, counts):
+    # at resolution 20 the origin, where the maximum lies, is not a coarse node
+    system, region, metric = lanford_system(a), lanford_region(a), lanford_metric(a)
+    rep = bound(system, region, metric, resolution=counts, refine=True)
+    uniform = _uniform_refinement(system, region, metric, counts)
+    assert rep.resolution == uniform.resolution and rep.refinements >= 1
+    assert rep.bound == uniform.bound == pytest.approx(lanford_closed_form(a), abs=1e-9)
+    assert rep.maximizer == uniform.maximizer
+    assert rep.bound_kind == "grid-adaptive" and rep.refine_margin > 0.0
+    # every row is a row of the uniform table, bit for bit and in its order
+    order = _node_order(rep.per_point, uniform.per_point)
+    assert (order >= 0).all() and (np.diff(order) > 0).all()
+    assert len(rep.per_point) < len(uniform.per_point) / 2
+
+
+def test_adaptive_refinement_of_tied_values_evaluates_every_node():
+    # every local bound of diag(2, 0.5) is 1: no cell can be ruled out
+    system = linear_map_system(np.diag([2.0, 0.5]))
+    rep = bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=3, refine=True)
+    uniform = bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=rep.resolution)
+    assert rep.refinements == 1 and rep.resolution == [5, 5]
+    assert rep.per_point.tobytes() == uniform.per_point.tobytes()
+    assert rep.refine_margin == 0.0 and rep.bound_kind == "grid-adaptive"
+
+
+def _tilted_metric():
+    """e^{x0} I on the flow x' = diag(1, -1) x: the local bound is
+    (2 + x0) / (2 ln 2), and the metric has no value at the four corners
+    and the center of the cell [-1, -0.5]^2 of the resolution-5 grid."""
+    def ev(x):
+        p = np.exp(x[..., 0])[..., None, None] * np.eye(2)
+        corner = np.isin(x[..., 0], (-1.0, -0.5)) & np.isin(x[..., 1], (-1.0, -0.5))
+        center = (x[..., 0] == -0.75) & (x[..., 1] == -0.75)
+        return np.where((corner | center)[..., None, None], np.nan, p)
+
+    def od(x):
+        return (x[..., 0] * np.exp(x[..., 0]))[..., None, None] * np.eye(2)
+
+    return MetricField.analytic(2, ev, od, label="tilted")
+
+
+def test_adaptive_refinement_splits_a_cell_without_kept_corner():
+    system = linear_ode_system(np.diag([1.0, -1.0]))
+    rep = bound(system, UNIT_BOX_2, _tilted_metric(), resolution=5, refine=True)
+    assert rep.refinements == 1 and rep.resolution == [9, 9]
+    assert rep.bound == pytest.approx(3.0 / (2.0 * LN2))
+    # the margin is twice the step of 0.5 / (2 ln 2) between neighbours along
+    # x0, so the cells with x0 <= -0.5 are ruled out, but for the one whose
+    # corners are all excluded
+    assert rep.refine_margin == pytest.approx(REFINE_MARGIN * 0.5 / (2.0 * LN2))
+    kept = rep.per_point[:, :2].tolist()
+    # the exclusions of both grids, in the finer grid's order
+    excluded = [e["state"] for e in rep.excluded]
+    assert excluded == [[-1.0, -1.0], [-1.0, -0.5], [-0.75, -0.75], [-0.5, -1.0], [-0.5, -0.5]]
+    assert [-0.75, -1.0] in kept and [-1.0, -0.75] in kept
+    assert [-0.75, -0.25] not in kept and [-0.75, 1.0] not in kept
+    assert [-0.25, 0.0] in kept
+    assert rep.bound_kind == "grid-adaptive-minus-excluded"
+    # the kept rows are rows of the whole 9 x 9 grid's table, in its order
+    uniform = bound(system, UNIT_BOX_2, _tilted_metric(), resolution=9)
+    order = _node_order(rep.per_point, uniform.per_point)
+    assert (order >= 0).all() and (np.diff(order) > 0).all()
+
+
+def test_bound_kind_and_margin_round_trip(tmp_path):
+    system = linear_ode_system(np.diag([1.0, -1.0]))
+    rep = bound(system, UNIT_BOX_2, _tilted_metric(), resolution=5, refine=True)
+    rep.write(tmp_path / "r")
+    text = json.loads((tmp_path / "r.report.json").read_text(encoding="utf-8"))
+    assert text["bound_kind"] == "grid-adaptive-minus-excluded"
+    assert text["refine_margin"] == rep.refine_margin
+    assert BoundReport.from_json(tmp_path / "r.report.json") == rep
+    plain = bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=3)
+    assert (plain.bound_kind, plain.refine_margin) == ("grid", None)
+    # a schema-3 report, which had neither field, is refused
+    old = plain.to_dict()
+    del old["bound_kind"], old["refine_margin"]
+    old.update(schema_version=3, kind="bound")
+    with pytest.raises(ConfigError, match=f"schema version 3.*reads schema {SCHEMA_VERSION}"):
+        BoundReport.from_dict(old)
+
+
 def test_report_round_trip_and_csv(tmp_path):
     sys_ = linear_map_system(np.diag([2.0, 0.5]))
     rep = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3)
@@ -636,7 +744,7 @@ def test_report_from_dict_rejects_other_schema():
     old = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
     del old["map_step"]
     old.update(schema_version=1, pdot_mode="analytic")
-    with pytest.raises(ConfigError, match="schema version 1.*reads schema 3"):
+    with pytest.raises(ConfigError, match=f"schema version 1.*reads schema {SCHEMA_VERSION}"):
         BoundReport.from_dict(old)
     other = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
     other.update(schema_version=SCHEMA_VERSION, kind="oracle")
@@ -654,7 +762,7 @@ def test_report_from_json_refuses_schema_2(tmp_path):
     old.update(created="2026-01-01T00:00:00+00:00", schema_version=2)
     path = tmp_path / "old.report.json"
     path.write_text(json.dumps(old))
-    with pytest.raises(ConfigError, match="schema version 2.*reads schema 3"):
+    with pytest.raises(ConfigError, match=f"schema version 2.*reads schema {SCHEMA_VERSION}"):
         BoundReport.from_json(path)
 
 

@@ -88,6 +88,18 @@ def inductive_barycenter(
     return bar
 
 
+def test_sym_halves_before_adding():
+    # m + m^T overflows, the sum of the halves does not
+    m = np.array([[1.3e308, 1.0e308], [1.7e308, 1.3e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sym(m)
+    assert np.isfinite(s).all() and s[0, 1] == s[1, 0] == pytest.approx(1.35e308)
+    # elsewhere it gives the bits of (m + m^T) / 2
+    a = np.random.default_rng(3).standard_normal((50, 4, 4)) * 1e3
+    assert sym(a).tobytes() == (0.5 * (a + np.swapaxes(a, -1, -2))).tobytes()
+
+
 def test_as_spd_symmetrizes_and_rejects():
     m = np.array([[2.0, 0.1], [0.0, 1.0]])
     p = as_spd(m)
