@@ -21,7 +21,7 @@ from .dynamics import CompactSet, SystemModel, grid_counts, propagate, sample_se
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
-from .spd import karcher_barycenter, power
+from .spd import karcher_barycenter
 
 Array = np.ndarray
 
@@ -463,54 +463,48 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
 # Minimizing metric sequences
 # ---------------------------------------------------------------------------
 
-def _inverse_factors(a: Array, reasons: list) -> Array:
-    """Factors F = V S^{-1} of the inverse-Gram atoms F F^T = (A^T A)^{-1},
-    from one SVD A = U S V^T of each of a stack (m, k, n, n) of Jacobian
-    products, k per sample row.  A row with a non-finite or numerically
-    singular product (condition number S_max/S_min at least 1/eps) gets a
-    reason, unless it already has one; such a product's factor is I."""
+def _gram_barycenters(a: Array, reasons: list, tol: float) -> Array:
+    """Unweighted Karcher barycenter of each row's Gram atoms A^T A, from a
+    stack (m, k, n, n) of Jacobian products, k per sample row, solved as one
+    batch with the factors A^T.  A row without a reason gets one when a
+    product is non-finite or numerically singular (condition number
+    S_max/S_min at least 1/eps), or when its barycenter does not converge;
+    rows with a reason get the identity."""
     eye = np.eye(a.shape[-1])
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    _, s, vt = np.linalg.svd(np.where(finite[..., None, None], a, eye))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = finite & (s[..., 0] / s[..., -1] < 1.0 / np.finfo(float).eps)
-        factors = np.where(ok[..., None, None], np.swapaxes(vt, -1, -2) / s[..., None, :], eye)
-    for i in np.flatnonzero(~ok.all(axis=1)):
-        if reasons[i] is None:
-            reasons[i] = ("minimizing metrics require an invertible Jacobian at "
-                          "every sample point; got a numerically singular one")
-    return factors
-
-
-def _inverted_barycenters(factors: Array, reasons: list, tol: float) -> Array:
-    """Inverse of the unweighted Karcher barycenter of each row's atoms
-    F F^T, from factors (m, k, n, n), solved as one batch.  A row whose
-    barycenter does not converge gets a reason; rows with a reason get the
-    identity."""
-    bars = np.broadcast_to(np.eye(factors.shape[-1]), factors[:, 0].shape).copy()
+    bars = np.broadcast_to(eye, a[:, 0].shape).copy()
     rows = np.flatnonzero([r is None for r in reasons])
-    if rows.size:
-        found, residual = karcher_barycenter(factors[rows], tol=tol)
-        converged = residual < tol
-        bars[rows[converged]] = found[converged]
-        for i, res in zip(rows[~converged], residual[~converged]):
-            reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
-                          f"iterations: gradient residual {res:.3e} bits "
-                          f"(tol {tol:.1e})")
-    return power(bars, -1.0)
+    a = a[rows]
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], a, eye), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (finite & (s[..., 0] / s[..., -1] < 1.0 / np.finfo(float).eps)).all(axis=1)
+    for i in rows[~ok]:
+        reasons[i] = ("minimizing metrics require an invertible Jacobian at "
+                      "every sample point; got a numerically singular one")
+    found, residual = karcher_barycenter(np.swapaxes(a[ok], -1, -2), tol=tol)
+    rows = rows[ok]
+    converged = residual < tol
+    bars[rows[converged]] = found[converged]
+    for i, res in zip(rows[~converged], residual[~converged]):
+        reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
+                      f"iterations: gradient residual {res:.3e} bits "
+                      f"(tol {tol:.1e})")
+    return bars
 
 
 def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
                       tol: float = 1e-7) -> MetricField:
-    """Tabulated metric whose value at x is the inverted unweighted Karcher
-    barycenter of the inverse-Gram atoms of the Jacobian products along the
-    orbit of x, one per node: for a map, the steps 0..N-1 (``horizon`` = N,
-    an integer at least 1); for a flow, ``time_samples`` equally spaced
-    times in [0, T] including both endpoints (``horizon`` = T > 0).  The
-    node at 0 gives the identity atom, so N = 1, or one time sample, yields
-    the identity metric.  A map's metric does not read ``time_samples``.  A
-    flow's metric carries its node spacing as ``step``, the h of the time-h
-    map its bound is measured on.
+    """Tabulated metric whose value at x is the unweighted Karcher barycenter
+    of the Gram atoms A^T A of the Jacobian products A along the orbit of x,
+    one per node: for a map, the steps 0..N-1 (``horizon`` = N, an integer
+    at least 1); for a flow, ``time_samples`` equally spaced times in [0, T]
+    including both endpoints (``horizon`` = T > 0).  The node at 0 gives the
+    identity atom, so N = 1, or one time sample, yields the identity metric.
+    Inversion is an isometry of the trace metric (Bhatia 2007, ch. 6), so
+    this is the inverse of the barycenter of the inverse-Gram atoms
+    (A^T A)^{-1} (Moakher 2005), computed with no inversion.  A map's metric
+    does not read ``time_samples``.  A flow's metric carries its node
+    spacing as ``step``, the h of the time-h map its bound is measured on.
 
     ``tol`` bounds the distance, in bits, from each computed barycenter to
     the true one; a point whose barycenter does not reach it, or whose
@@ -539,8 +533,7 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
                           "while building the minimizing metric")
-        factors = _inverse_factors(np.swapaxes(prop.jacobians, 0, 1), reasons)
-        return _inverted_barycenters(factors, reasons, tol), reasons
+        return _gram_barycenters(np.swapaxes(prop.jacobians, 0, 1), reasons, tol), reasons
 
     return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
 
@@ -655,9 +648,13 @@ def metric_change_constant(metric: MetricField, points) -> float:
     """Upper bound (bits) on how much switching between this metric and the
     Euclidean one can move a summed positive log-singular-value over the
     sampled set: the max over k of the extreme products of the k largest
-    singular values of P^{1/2} and of P^{-1/2}."""
-    p = metric.evaluate(np.asarray(points, dtype=float))
-    w = np.linalg.eigvalsh(p)                      # ascending, (m, n)
+    singular values of P^{1/2} and of P^{-1/2}, taken over the distinct
+    values of P.  Raises NumericError with the reason of the first point
+    that has no value."""
+    roots, _, _, why = metric.values(np.asarray(points, dtype=float))
+    if why:
+        raise NumericError(why[min(why)])
+    w = np.linalg.eigvalsh(roots[0])               # ascending, (k, n)
     half = 0.5 * np.log2(w[..., ::-1])             # log2 singulars of P^{1/2}, desc
     fwd = np.cumsum(half, axis=-1)                 # log2 omega_k(P^{1/2})
     bwd = np.cumsum(-half[..., ::-1], axis=-1)     # log2 omega_k(P^{-1/2})

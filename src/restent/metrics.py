@@ -108,9 +108,10 @@ class MetricField:
         for root, t in zip(roots[1:], (0.5, -0.5)):
             root[spd] = sym(_compose(u[spd], w[spd] ** t))
         failed = (ruled | ~spd)[inverse]
-        why = {i: rule_why[inverse[i]] if ruled[inverse[i]] else
-               f"metric value is not positive definite (eigenvalues {w[inverse[i]]})"
-               for i in np.flatnonzero(failed).tolist()}
+        bad = np.flatnonzero(failed)
+        why = {i: rule_why[k] if ruled[k] else "metric value is not finite" if not finite[k]
+               else f"metric value is not positive definite (eigenvalues {w[k]})"
+               for i, k in zip(bad.tolist(), inverse[bad].tolist())}
         return roots, inverse, failed, why
 
     def evaluate(self, x: Array) -> Array:

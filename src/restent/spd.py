@@ -27,8 +27,8 @@ EIG_FLOOR = 1e-12
 # Largest condition number of a matrix acting by congruence.
 CONGRUENCE_COND_LIMIT = 1e12
 # Iteration cap of karcher_barycenter.  Spread atoms take small steps: the
-# 16 inverse-Gram atoms of [[2,1],[0,1/2]] need 100 iterations at tol 1e-7,
-# random atoms 10-40 at tol 1e-13.
+# 16 Gram atoms of [[2,1],[0,1/2]] need 100 iterations at tol 1e-7, random
+# atoms 10-40 at tol 1e-13.
 KARCHER_MAX_ITER = 500
 LN2 = float(np.log(2.0))
 

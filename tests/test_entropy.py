@@ -13,6 +13,7 @@ from restent.dynamics import (
     linear_map_system,
     linear_ode_system,
     propagate,
+    SystemModel,
     sample_set,
 )
 from restent.entropy import (
@@ -20,8 +21,8 @@ from restent.entropy import (
     REFINE_MARGIN,
     REFINE_TOL,
     SCHEMA_VERSION,
-    _inverse_factors,
-    _inverted_barycenters,
+    _gram_barycenters,
+    _spectra,
     BoundReport,
     aitken_accelerate,
     bound,
@@ -34,8 +35,8 @@ from restent.entropy import (
     proximate_entropy,
 )
 from restent.metrics import LOG_ZERO, MetricField, metric_sv_values
-from restent import dynamics, spd
-from restent.spd import power
+from restent import dynamics, entropy, spd
+from restent.spd import karcher_barycenter, power
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)
@@ -233,31 +234,67 @@ def test_minimizing_metric_dt_singular_jacobian_rejected():
         metric.evaluate(np.array([0.1, 0.1]))
 
 
-def test_inverse_factors_of_a_product_that_is_singular_to_lu():
+def _henon(a=1.4, b=0.3):
+    def jacobian(x):
+        x0 = x[..., 0]
+        return np.stack([np.stack([-2.0 * a * x0, np.ones_like(x0)], axis=-1),
+                         np.stack([np.full_like(x0, b), np.zeros_like(x0)], axis=-1)], axis=-2)
+
+    return SystemModel(name="henon", time_type="discrete", dim=2, jacobian=jacobian,
+                       rhs=lambda x: np.stack([1.0 - a * x[..., 0] ** 2 + x[..., 1],
+                                               b * x[..., 0]], axis=-1))
+
+
+def test_gram_barycenters_of_a_product_that_is_singular_to_lu():
     # a Jacobian product of the Henon map (a = 1.4, b = 0.3): its condition
     # number 3.37e15 is below 1/eps, yet LU finds it exactly singular
     m = np.array([[1909.9705890715181, 1534.0803147935121],
                   [-5704.574312005024, -4581.890007310453]])
     reasons = [None]
-    factors = _inverse_factors(m[None, None], reasons)
-    assert reasons[0] is not None or np.isfinite(factors).all()
+    p = _gram_barycenters(m[None, None], reasons, 1e-7)
+    assert reasons[0] is not None or np.isfinite(p).all()
 
 
-def test_inverse_factors_give_the_inverse_gram_atoms():
+def test_gram_barycenters_are_the_karcher_means_of_the_gram_atoms():
     rng = np.random.default_rng(30)
     a = rng.standard_normal((4, 3, 3, 3))
     a[1, 2] = np.nan
     a[2, 0] = np.diag([1.0, 1.0, 0.0])
     reasons = [None] * 4
-    f = _inverse_factors(a, reasons)
+    p = _gram_barycenters(a, reasons, 1e-9)
     assert [r is None for r in reasons] == [True, False, False, True]
-    np.testing.assert_array_equal(f[1, 2], np.eye(3))
-    np.testing.assert_array_equal(f[2, 0], np.eye(3))
+    for i in (1, 2):
+        assert "invertible Jacobian" in reasons[i]
+        np.testing.assert_array_equal(p[i], np.eye(3))
     for i in (0, 3):
-        atoms = f[i] @ np.swapaxes(f[i], -1, -2)
-        gram = np.swapaxes(a[i], -1, -2) @ a[i]
-        np.testing.assert_allclose(atoms @ gram, np.broadcast_to(np.eye(3), gram.shape),
-                                   atol=1e-9)
+        bar, residual = karcher_barycenter(np.swapaxes(a[i], -1, -2), tol=1e-9)
+        assert residual < 1e-9
+        np.testing.assert_array_equal(p[i], bar)
+
+
+def test_an_indefinite_barycenter_excludes_its_row(monkeypatch):
+    real = entropy.karcher_barycenter
+
+    def first_row_indefinite(factors, weights=None, tol=1e-9):
+        bars, residual = real(factors, weights, tol)
+        bars[0], residual[0] = np.diag([1.0, -1.0]), 0.0
+        return bars, residual
+
+    monkeypatch.setattr(entropy, "karcher_barycenter", first_row_indefinite)
+    sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    rep = bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, 4), resolution=3)
+    assert rep.excluded == [{"state": [-1.0, -1.0], "reason":
+                             "metric value is not positive definite (eigenvalues [-1.  1.])"}]
+    assert len(rep.per_point) == 8
+
+
+def test_minimizing_metric_of_the_henon_map_is_accurate():
+    # reference: the same Karcher means in 50-digit mpmath arithmetic,
+    # solved to a gradient norm below 1e-35
+    values, ok, _ = _spectra(_henon(), minimizing_metric(_henon(), 12),
+                             np.array([[0.45875, -0.132]]))
+    assert ok.tolist() == [True]
+    assert positive_sum(values)[0] == pytest.approx(0.7880257818, abs=1e-6)
 
 
 def test_minimizing_metric_dt_clipped_nonnormal_case():
@@ -291,17 +328,16 @@ def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
 def _orbit_loop_metric(system, steps, x, tol=1e-7):
     """Reference minimizing metric of a map at the rows of x, as ``(P,
     reasons)``: the Jacobian products of lengths 0..steps-1 accumulated along
-    each orbit one map step at a time, then inverted and averaged like the
-    library's."""
+    each orbit one map step at a time, and the Karcher mean of their Gram
+    atoms."""
     prod = np.broadcast_to(np.eye(system.dim), (len(x), system.dim, system.dim))
     prods = [prod]
     for _ in range(steps - 1):
         prod = system.jacobian(x) @ prod
         x = system.rhs(x)
         prods.append(prod)
-    reasons = [None] * len(x)
-    factors = _inverse_factors(np.stack(prods, axis=1), reasons)
-    return _inverted_barycenters(factors, reasons, tol), reasons
+    p, residual = karcher_barycenter(np.swapaxes(np.stack(prods, axis=1), -1, -2), tol=tol)
+    return p, [None if r < tol else "not converged" for r in residual]
 
 
 @pytest.mark.parametrize("steps", [1, 2, 8])
