@@ -1,12 +1,7 @@
 """Command-line front end.
 
-Commands (each takes only the flags it reads; see ``build_parser``)
---------
-bound    one bound computation for a system + metric, JSON/CSV reports
-sweep    bound per horizon with the minimizing-metric sequence
-oracle   finite-time Lyapunov-exponent estimate with Aitken extrapolation
-lanford  full reproduction run for the built-in 3-D polynomial system
-props    randomized geometry/spectrum property suite
+Commands ``bound``, ``sweep``, ``oracle``, ``lanford`` and ``props``;
+``build_parser`` gives each its help and only the flags it reads.
 
 A ``--config`` file holds only the keys system, params, box and resolution,
 plus horizons for sweep and oracle; flags win over it.  Exit codes: 0

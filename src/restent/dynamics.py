@@ -326,16 +326,14 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     """Batched propagation over horizon t, optionally with the variational
     matrix and intermediate records.  Continuous-time flows use adaptive
     Dormand-Prince 8(5,3) (DOP853) steps whose error estimate is at most
-    ``STEP_TOL`` per step.  That bounds each step, not the returned state:
-    on the interior lanford rows at t = 40 the measured global error is
-    4e-11 in the state and 1.2e-9 in the flow Jacobian (relative to
-    1 + |entry|), both below ``STEP_TOL * t``.  Each record time gets its
-    own record, repeats included; a map's record times are whole steps.
-    Does not raise on blow-up; escaped points are frozen and flagged.
-    A flow's live rows stay packed in one block.  No row reads another, but
-    OpenBLAS rounds the stage sums by the batch's width and thread split:
-    a lanford row moves with its batch by up to 5e-15 (2 threads; none
-    with 1), and a row escaping at a NaN edge of its field by a few steps."""
+    ``STEP_TOL`` per step, which bounds each step, not the returned state
+    (``STEP_TOL`` states the measured global error).  Each record time gets
+    its own record, repeats included; a map's record times are whole steps.
+    Does not raise on blow-up; escaped points are frozen and flagged.  No
+    row reads another, but OpenBLAS rounds the stage sums by the batch's
+    width and thread split: a lanford row moves with its batch by up to
+    5e-15 (2 threads; none with 1), and a row escaping at a NaN edge of its
+    field by a few steps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
         raise ConfigError(f"state dimension {x0.shape[-1]} != system dimension {system.dim}")

@@ -189,12 +189,10 @@ def _distinct_numbers(table: Array) -> list:
     """Per column of the float array ``table``, ``(numbers, inverse)``: the
     column's distinct numbers, told apart by their bits so that -0.0 and
     each NaN keep their own text, and the index into them of each entry.
-    A grid's table repeats most of its numbers: the benchmark's 33,401-row
-    lanford and 161^2 diag(2, 0.5) tables hold 18,372 of 233,807 and 325 of
-    129,605 (counted per column), and both reports are written in 0.10 s on
-    2 vCPUs, against 0.6-0.75 s with one ``fmt`` per number and 0.7-1.2 s
-    were every number distinct.  Column by column, the sort's temporaries
-    are one column's size, not the table's."""
+    A grid's table repeats most of its numbers (the benchmark's 33,401-row
+    lanford table holds 18,372 of 233,807, counted per column), so each is
+    formatted once.  Column by column, the sort's temporaries are one
+    column's size, not the table's."""
     table = np.asarray(table, dtype=float)
     return [(bits.view(np.float64).tolist(), inverse)
             for bits, inverse in (np.unique(np.ascontiguousarray(column).view(np.int64),
@@ -253,23 +251,38 @@ def positive_sum(values: Array) -> Array:
 def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     """Metric spectra at a block of grid points, evaluated as one batch.
 
-    A flow with an orbital rule gets the generator spectrum.  Everything
-    else is measured on the time-h map (h = 1 for a map, ``metric.step`` for
-    a flow), between P(x) and P at the image, with the metric evaluated once
-    on the points stacked with their images; a flow's values are scaled by
-    2 ln 2 / h, to the units of the generator spectrum.  Returns
-    ``(values, ok, reasons)``: ``ok`` marks the points kept, ``reasons``
-    says why each other point is left out (its orbit blew up within the
-    step, or its Jacobian, metric values or Pdot are unusable), and
-    ``values`` holds the spectra of the kept points; both in grid order."""
+    A tabulated metric is measured on the time-h map (h = 1 for a map,
+    ``metric.step`` for a flow) from its rule's pairs alone, as half each
+    pair's ``vectorial_distance``: nothing is inverted or rooted, so no
+    floor on the condition number applies.  A flow's values are scaled by
+    2 ln 2 / h, to the units of the generator spectrum that other metrics
+    get on a flow; on a map, they are evaluated on the points stacked with
+    their images.  Returns ``(values, ok, reasons)``: the spectra of the
+    points kept, which ``ok`` marks, and why each other one is left out."""
     m = len(pts)
     discrete = system.time_type == "discrete"
-    if not discrete and metric.has_orbital:
-        images, jac, escaped = None, system.jacobian(pts), np.zeros(m, dtype=bool)
-    else:
-        h = 1.0 if discrete else metric.step
-        prop = propagate(system, pts, h, variational=True)
+    if metric.kind == "tabulated":
+        pairs, why = metric.eval_rule(pts)
+        finite = np.isfinite(pairs).all(axis=(-3, -2, -1))
+        ok = np.array([r is None for r in why], dtype=bool) & finite
+        try:
+            doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
+        except NumericError:             # factor row by row to find the failures
+            for i in np.flatnonzero(ok):
+                try:
+                    np.linalg.cholesky(pairs[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+            doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
+        reasons = [why[i] if why[i] is not None else "metric pair is not finite"
+                   if not finite[i] else "metric pair is not positive definite"
+                   for i in np.flatnonzero(~ok)]
+        return (0.5 if discrete else LN2 / metric.step) * doubled, ok, reasons
+    if discrete:
+        prop = propagate(system, pts, 1.0, variational=True)
         images, jac, escaped = prop.states, prop.jacobians, prop.escaped
+    else:
+        images, jac, escaped = None, system.jacobian(pts), np.zeros(m, dtype=bool)
     roots, inverse, failed, why = metric.values(
         pts if images is None else np.concatenate([pts, images]))
     finite = np.isfinite(jac).all(axis=(-2, -1))
@@ -286,8 +299,7 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
     at = inverse[:m][ok]          # each kept point's distinct metric value
     if images is None:
         return ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot), ok, reasons
-    values = metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at])
-    return (1.0 if discrete else 2.0 * LN2 / h) * values, ok, reasons
+    return metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at]), ok, reasons
 
 
 def _doubled(at: Array, counts: list, finer: list) -> Array:
@@ -424,27 +436,26 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
     bits/step for a map and bits per unit time for a flow.
 
     For a map it is the grid max of the summed positive log2 singular values
-    of the one-step Jacobian, measured between P(x) and P at the image.  For
-    a flow and a metric with an orbital rule Pdot, it is 1/(2 ln 2) times
-    the grid max of the summed positive eigenvalues of
-    P^{-1/2} (P J + J^T P + Pdot) P^{-1/2}.  A flow's metric without one
-    (the tabulated minimizing metrics) carries its node spacing
-    h = ``metric.step``, and the bound is the map bound of the time-h map
-    phi_h divided by h.  That is an upper bound because the paper's
-    discrete-time bound holds for the map phi_h with any metric, and
-    h_res(phi_h) = h * h_res(flow).  The summed positive log singular values
-    are subadditive along a product (Horn's inequality), so the time-h value
-    at x is at most the mean of the time-h/2 values at x and at
-    phi_{h/2} x, and as h -> 0 it tends to the value with the exact Pdot.
+    of the one-step Jacobian, measured between P(x) and P at the image (a
+    tabulated metric's pair, ``MetricField``).  For a flow and a metric with
+    an orbital rule Pdot, it is 1/(2 ln 2) times the grid max of the summed
+    positive eigenvalues of P^{-1/2} (P J + J^T P + Pdot) P^{-1/2}.  A
+    flow's tabulated metric carries its node spacing h = ``metric.step``,
+    and the bound is the map bound of the time-h map phi_h divided by h.
+    That is an upper bound because the paper's discrete-time bound holds for
+    the map phi_h with any metric, and h_res(phi_h) = h * h_res(flow).  The
+    summed positive log singular values are subadditive along a product
+    (Horn's inequality), so the time-h value at x is at most the mean of the
+    time-h/2 values at x and at phi_{h/2} x, and as h -> 0 it tends to the
+    value with the exact Pdot.
     ``refine`` refines the grid as ``REFINE_TOL`` describes.  The bound is
     then the max over the nodes evaluated, the finest grid's max wherever
     ``REFINE_MARGIN`` rules out only cells that cannot hold it: a heuristic,
     which the report's ``bound_kind`` names (``grid-adaptive``)."""
     discrete = system.time_type == "discrete"
     if not discrete and not metric.has_orbital and not (metric.step or 0.0) > 0.0:
-        raise ConfigError(f"metric '{metric.label}' has neither an orbital "
-                          "derivative nor a positive time step for the "
-                          "time-step map")
+        raise ConfigError(f"metric '{metric.label}' has neither an orbital derivative "
+                          "nor a positive time step for the time-step map")
     lattice = _Lattice(system, region, metric, grid_counts(resolution, region.dim))
     budget = DT_POINT_BUDGET if discrete else CT_POINT_BUDGET
     while refine and lattice.level < MAX_REFINES:
@@ -481,39 +492,42 @@ def _gram_barycenters(a: Array, reasons: list, tol: float) -> Array:
     for i in rows[~ok]:
         reasons[i] = ("minimizing metrics require an invertible Jacobian at "
                       "every sample point; got a numerically singular one")
-    found, residual = karcher_barycenter(np.swapaxes(a[ok], -1, -2), tol=tol)
-    rows = rows[ok]
+    a, rows = a[ok], rows[ok]          # one copy of the products during the solve
+    found, residual = karcher_barycenter(np.swapaxes(a, -1, -2), tol=tol)
     converged = residual < tol
     bars[rows[converged]] = found[converged]
     for i, res in zip(rows[~converged], residual[~converged]):
-        reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
-                      f"iterations: gradient residual {res:.3e} bits "
-                      f"(tol {tol:.1e})")
+        reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} iterations: "
+                      f"gradient residual {res:.3e} bits (tol {tol:.1e})")
     return bars
 
 
 def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
                       tol: float = 1e-7) -> MetricField:
     """Tabulated metric whose value at x is the unweighted Karcher barycenter
-    of the Gram atoms A^T A of the Jacobian products A along the orbit of x,
-    one per node: for a map, the steps 0..N-1 (``horizon`` = N, an integer
-    at least 1); for a flow, ``time_samples`` equally spaced times in [0, T]
-    including both endpoints (``horizon`` = T > 0).  The node at 0 gives the
-    identity atom, so N = 1, or one time sample, yields the identity metric.
-    Inversion is an isometry of the trace metric (Bhatia 2007, ch. 6), so
-    this is the inverse of the barycenter of the inverse-Gram atoms
-    (A^T A)^{-1} (Moakher 2005), computed with no inversion.  A map's metric
-    does not read ``time_samples``.  A flow's metric carries its node
-    spacing as ``step``, the h of the time-h map its bound is measured on.
+    B_0 of the Gram atoms A^T A of the Jacobian products A along the orbit
+    of x at nodes 0..N-1: for a map, the steps (``horizon`` = N, a whole
+    number at least 1; ``time_samples`` is not read); for a flow, N =
+    ``time_samples`` equally spaced times in [0, T] (``horizon`` = T > 0),
+    whose spacing h it carries as ``step``.  N = 1 gives the identity.
+    Inversion is a trace-metric isometry (Bhatia 2007, ch. 6), so B_0 is the
+    inverse of the barycenter of the inverse-Gram atoms (Moakher 2005),
+    computed with no inversion.  The orbit is recorded at one more node N
+    (step N, time T + h), and the rule's pair is (B_0, B_1), B_1 the
+    barycenter of nodes 1..N: Phi_h^T P(phi_h x) Phi_h, by congruence
+    equivariance.
 
-    ``tol`` bounds the distance, in bits, from each computed barycenter to
-    the true one; a point whose barycenter does not reach it, or whose
-    orbit escapes before the last node, is excluded with a reason."""
+    ``tol`` bounds the distance, in bits, from each window barycenter to the
+    exact one, so each log2 singular value of the time-h map moves by at
+    most ``tol`` bits (the vectorial triangle inequality, property
+    ``triangle-majorization``), ``tol``/h per unit time for a flow.  A point
+    whose barycenter does not reach it, or whose orbit escapes before the
+    last node, is excluded with a reason."""
     horizon = float(horizon)
     if system.time_type == "discrete":
         if not horizon.is_integer() or horizon < 1:
             raise ConfigError(f"steps must be a whole number of at least 1, got {horizon:g}")
-        nodes, label, step = np.arange(horizon), f"auto:N={int(horizon)}", None
+        nodes, label, step = np.arange(horizon + 1.0), f"auto:N={int(horizon)}", None
     else:
         time_samples = int(time_samples)
         if not 0.0 < horizon < np.inf:
@@ -521,11 +535,10 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
         if time_samples < 1:
             raise ConfigError("time_samples must be at least 1")
         label = f"auto:T={horizon:g}"
-        if time_samples == 1:
-            # single atom at s = 0: the barycenter is the identity everywhere
+        if time_samples == 1:         # the one atom at 0 is the identity
             return MetricField.constant(np.eye(system.dim), label=label)
-        nodes = np.linspace(0.0, horizon, time_samples)
         step = horizon / (time_samples - 1)
+        nodes = np.append(np.linspace(0.0, horizon, time_samples), horizon + step)
 
     def rule(x: Array) -> tuple:
         prop = propagate(system, x, nodes[-1], variational=True, record_at=nodes)
@@ -533,7 +546,9 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
         for i in np.flatnonzero(prop.escaped):
             reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
                           "while building the minimizing metric")
-        return _gram_barycenters(np.swapaxes(prop.jacobians, 0, 1), reasons, tol), reasons
+        a = np.swapaxes(prop.jacobians, 0, 1)
+        return np.stack([_gram_barycenters(window, reasons, tol)  # one by one: half the peak
+                         for window in (a[:, :-1], a[:, 1:])], axis=1), reasons
 
     return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
 

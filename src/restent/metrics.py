@@ -30,13 +30,11 @@ class MetricField:
     x -> Pdot(x) (per unit time).
 
     kind is one of "constant", "analytic", "tabulated".  Constant and
-    analytic rules map states (..., n) -> (..., n, n).  A tabulated rule maps
-    a batch of distinct states (m, n) to ``(P, reasons)``: P has shape
-    (m, n, n) and ``reasons[i]`` is None, or says why row i has no value.
-    Tabulated fields carry no orbital derivative, so every tabulated metric
-    is measured on the time-h map: h = 1 for a map, and for a flow the node
-    spacing ``step`` that a tabulated field built on a time grid carries.
-    """
+    analytic rules map states (..., n) -> (..., n, n).  A tabulated field
+    has no Pdot and is measured on the time-h map (h = 1 for a map, its
+    node spacing ``step`` for a flow): its rule maps states (m, n) to
+    ``(pairs, reasons)``, ``pairs[i]`` = (P(x), Phi_h^T P(phi_h x) Phi_h)
+    (the image's metric pulled back), ``reasons[i]`` None or why not."""
 
     dim: int
     kind: str
@@ -84,21 +82,18 @@ class MetricField:
         bit, and row i has ``roots[:, inverse[i]]``.  One ``eigh`` per distinct
         value checks it as ``as_spd`` does and gives the roots ``spd.power``
         gives (NaN if the check fails).  ``failed`` marks the rows without a
-        usable value, ``why`` gives each one's reason.  A tabulated rule runs
-        once per distinct row."""
+        usable value, ``why`` gives each one's reason.  P(x) of a tabulated
+        metric is the first of its pair."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[-1] != self.dim:
             raise ConfigError(f"expected states of shape (m, {self.dim}), got {x.shape}")
-        if self.kind == "tabulated":
-            first, inverse = _distinct(x)
-            values, rule_why = self.eval_rule(x[first])
-            values = sym(np.asarray(values, dtype=float))
-            ruled = np.array([r is not None for r in rule_why], dtype=bool)
-        else:
-            with np.errstate(all="ignore"):      # a non-finite value is refused below
-                p = sym(np.asarray(self.eval_rule(x), dtype=float))
-            first, inverse = _distinct(p)
-            values, ruled = p[first], np.zeros(len(first), dtype=bool)
+        with np.errstate(all="ignore"):          # a non-finite value is refused below
+            p = self.eval_rule(x)
+        p, rule_why = ((np.asarray(p[0])[:, 0], p[1]) if self.kind == "tabulated"
+                       else (p, [None] * len(x)))
+        p = sym(np.asarray(p, dtype=float))
+        first, inverse = _distinct(p)
+        values = p[first]
         finite = np.isfinite(values).all(axis=(-2, -1))
         w, u = np.full(values.shape[:-1], np.nan), np.full(values.shape, np.nan)
         w[finite], u[finite] = np.linalg.eigh(values[finite])
@@ -107,9 +102,10 @@ class MetricField:
         roots[0] = values
         for root, t in zip(roots[1:], (0.5, -0.5)):
             root[spd] = sym(_compose(u[spd], w[spd] ** t))
-        failed = (ruled | ~spd)[inverse]
+        ruled = np.array([r is not None for r in rule_why], dtype=bool)
+        failed = ruled | ~spd[inverse]
         bad = np.flatnonzero(failed)
-        why = {i: rule_why[k] if ruled[k] else "metric value is not finite" if not finite[k]
+        why = {i: rule_why[i] if ruled[i] else "metric value is not finite" if not finite[k]
                else f"metric value is not positive definite (eigenvalues {w[k]})"
                for i, k in zip(bad.tolist(), inverse[bad].tolist())}
         return roots, inverse, failed, why
@@ -118,9 +114,7 @@ class MetricField:
         """P at x; batched over leading axes of x.  Raises NumericError with
         the reason of the first row that has no value."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise ConfigError(f"state dimension {x.shape[-1]} != metric dimension {self.dim}")
-        roots, inverse, _, why = self.values(x.reshape(-1, self.dim))
+        roots, inverse, _, why = self.values(x.reshape(-1, x.shape[-1]))
         if why:
             raise NumericError(why[min(why)])
         return roots[0][inverse].reshape(x.shape + (self.dim,))

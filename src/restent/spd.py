@@ -4,13 +4,10 @@ All singular-value and distance logarithms are base 2 (bits).  Geodesics and
 distances take one SVD of the quotient of the end points' Cholesky factors:
 forming no matrix root and no Gram matrix, they square no condition number.
 
-Barycenters: ``karcher_barycenter`` solves whole batches of rows at once
-from factors of the atoms, and its tolerance bounds the distance to the true
-barycenter.
-
 Kernels that take stacks, batched over leading axes: ``power``,
 ``congruence``, ``geodesic``, ``log_singular_values``, ``vectorial_distance``,
-``distance``, ``lyapunov_solve``, and ``karcher_barycenter`` (rows of atoms).
+``distance``, ``lyapunov_solve``, and ``karcher_barycenter`` (rows of atoms,
+from their factors; its tolerance bounds the distance to the barycenter).
 
 Every function is pure and safe to call concurrently.
 """
@@ -178,7 +175,7 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
     def mean_log(g, w):
         """sum_i w_i log(G_i G_i^T), from the SVDs G_i = U S V^T as
         2 U log(S) U^T, and the singular values S."""
-        u, s, _ = np.linalg.svd(g)
+        u, s = np.linalg.svd(g)[:2]      # V^T goes at once: one stack less
         return sym(np.sum(w[..., None, None] * _compose(u, 2.0 * np.log(s)), axis=1)), s
 
     lam, q = np.linalg.eigh(mean_log(f, w)[0])

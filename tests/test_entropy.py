@@ -122,14 +122,34 @@ def test_ct_bound_lanford_lambda_closed_forms():
         assert np.allclose(row[3:6], expected, atol=1e-8)
 
 
-def _constant_rule(x):
-    return np.broadcast_to(np.eye(2), (len(x), 2, 2)), [None] * len(x)
+def pulled_back_rule(system, value, h=1.0, why=lambda row: None, batches=None):
+    """Tabulated rule of the metric x -> ``value(x)`` (states (m, n) to
+    (m, n, n)) on the time-h map of ``system``: per row, the pair of P(x)
+    and the image's metric pulled back, Phi^T P(phi_h x) Phi, from one
+    ``propagate``.  A row gets the reason ``why`` gives for it or for its
+    image, or one when its orbit blows up within the step; ``batches``, if
+    given, records every batch of rows asked for."""
+    def rule(x):
+        if batches is not None:
+            batches.append(x.tolist())
+        prop = propagate(system, x, h, variational=True)
+        jac = prop.jacobians
+        pairs = np.stack([value(x), np.swapaxes(jac, -1, -2) @ value(prop.states) @ jac], axis=1)
+        return pairs, [f"trajectory of '{system.name}' blew up within the map step at t={t:.6g}"
+                       if escaped else why(row) or why(image)
+                       for row, image, escaped, t in zip(x, prop.states, prop.escaped,
+                                                         prop.escape_times)]
+    return rule
+
+
+def _eye(x):
+    return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
 
 
 def test_ct_bound_requires_matching_time_type_and_pdot():
     ode = linear_ode_system(np.eye(2))
     # no orbital rule: the bound is taken on the time-step map
-    tab = MetricField.tabulated(2, _constant_rule, label="tab", step=0.25)
+    tab = MetricField.tabulated(2, pulled_back_rule(ode, _eye, 0.25), label="tab", step=0.25)
     rep = bound(ode, UNIT_BOX_2, tab, resolution=3)
     assert rep.map_step == 0.25
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-9)
@@ -140,19 +160,20 @@ def test_ct_bound_requires_matching_time_type_and_pdot():
 
 def test_ct_bound_rejects_tabulated_metric_without_step():
     ode = linear_ode_system(np.eye(2))
-    tab = MetricField.tabulated(2, _constant_rule, label="tab")
+    tab = MetricField.tabulated(2, pulled_back_rule(ode, _eye, 0.25), label="tab")
     with pytest.raises(ConfigError, match="time step"):
         bound(ode, UNIT_BOX_2, tab, resolution=3)
     # a discrete bound needs no step
-    rep = bound(linear_map_system(np.eye(2)), UNIT_BOX_2, tab, resolution=3)
+    identity_map = linear_map_system(np.eye(2))
+    tab = MetricField.tabulated(2, pulled_back_rule(identity_map, _eye), label="tab")
+    rep = bound(identity_map, UNIT_BOX_2, tab, resolution=3)
     assert rep.bound == 0.0
 
 
 def test_ct_bound_excludes_rows_that_escape_within_the_map_step():
     # e^{40 t} passes the blow-up guard before t = 0.5 unless x = 0
     fast = linear_ode_system(np.array([[40.0]]))
-    tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
-                                label="tab", step=0.5)
+    tab = MetricField.tabulated(1, pulled_back_rule(fast, _eye, 0.5), label="tab", step=0.5)
     rep = bound(fast, UNIT_BOX_1, tab, resolution=3)
     assert [e["state"] for e in rep.excluded] == [[-1.0], [1.0]]
     assert all("blew up within the map step" in e["reason"] for e in rep.excluded)
@@ -168,10 +189,9 @@ def test_per_point_is_the_float_table_of_the_kept_grid_points(case):
                     MetricField.identity(2), resolution=3)
     else:
         # as above: the orbits from -1 and +1 blow up within the map step
-        region = UNIT_BOX_1
-        tab = MetricField.tabulated(1, lambda x: (np.ones((len(x), 1, 1)), [None] * len(x)),
-                                    label="tab", step=0.5)
-        rep = bound(linear_ode_system(np.array([[40.0]])), region, tab, resolution=3)
+        region, fast = UNIT_BOX_1, linear_ode_system(np.array([[40.0]]))
+        tab = MetricField.tabulated(1, pulled_back_rule(fast, _eye, 0.5), label="tab", step=0.5)
+        rep = bound(fast, region, tab, resolution=3)
         assert rep.excluded
     dim, grid = region.dim, sample_set(region, 3).tolist()
     table = rep.per_point
@@ -187,11 +207,10 @@ def test_per_point_is_the_float_table_of_the_kept_grid_points(case):
 def test_dt_bound_flags_points_where_metric_is_undefined():
     sys_ = identity_system(1)
 
-    def partial(x):
-        reasons = ["metric value requested outside its domain"
-                   if np.any(np.abs(row) > 0.5) else None for row in x]
-        return np.eye(1) * (1.0 + x[:, 0] ** 2)[:, None, None], reasons
-
+    partial = pulled_back_rule(
+        sys_, lambda x: np.eye(1) * (1.0 + x[:, 0] ** 2)[:, None, None],
+        why=lambda row: "metric value requested outside its domain"
+        if np.any(np.abs(row) > 0.5) else None)
     metric = MetricField.tabulated(1, partial, label="partial")
     rep = bound(sys_, UNIT_BOX_1, metric, resolution=5)
     assert len(rep.excluded) == 2                 # the points at -1 and +1
@@ -283,8 +302,8 @@ def test_an_indefinite_barycenter_excludes_its_row(monkeypatch):
     monkeypatch.setattr(entropy, "karcher_barycenter", first_row_indefinite)
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
     rep = bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, 4), resolution=3)
-    assert rep.excluded == [{"state": [-1.0, -1.0], "reason":
-                             "metric value is not positive definite (eigenvalues [-1.  1.])"}]
+    assert rep.excluded == [{"state": [-1.0, -1.0],
+                             "reason": "metric pair is not positive definite"}]
     assert len(rep.per_point) == 8
 
 
@@ -313,6 +332,65 @@ def test_minimizing_metric_dt_clipped_nonnormal_case():
     assert abs(bounds[-1] - 1.0) < 0.05
 
 
+def test_minimizing_metric_of_a_clipped_nonnormal_map_needs_no_floor():
+    # at N = 24 the metric's condition number passes 1e12 (cond(A) = 4^N at
+    # the last node): the pair is measured without a floor on it, and every
+    # point is kept
+    sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
+    rep = bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, 24), resolution=5)
+    assert rep.excluded == [] and len(rep.per_point) == 25
+    assert 1.0 <= rep.bound <= 1.0 + 1e-4
+
+
+@pytest.mark.parametrize("case", ["jordan-auto8", "lanford-auto3"])
+def test_window_spectra_match_the_metric_at_the_image(case):
+    # P(x), P(phi_h x) and Phi_h through metric_sv_values: each window
+    # barycenter is within tol bits of the exact one, so each log2 singular
+    # value of the time-h map is within tol bits, tol / h per unit time
+    tol = 1e-7
+    if case == "jordan-auto8":
+        sys_, region, resolution, horizon = linear_map_system(JORDAN), UNIT_BOX_2, 4, 8
+    else:
+        sys_, region, resolution, horizon = lanford_system(A0), lanford_region(A0), 5, 3
+    metric = minimizing_metric(sys_, horizon, tol=tol)
+    pts = sample_set(region, resolution)
+    pairs, reasons = metric.eval_rule(pts)
+    assert pairs.shape == (len(pts), 2, sys_.dim, sys_.dim) and reasons == [None] * len(pts)
+    values, ok, _ = _spectra(sys_, metric, pts)
+    assert ok.all()
+    h = metric.step or 1.0
+    prop = propagate(sys_, pts, h, variational=True)
+    image = metric_sv_values(power(metric.evaluate(prop.states), 0.5), prop.jacobians,
+                             power(metric.evaluate(pts), -0.5)) / h
+    per_time = values if metric.step is None else values / (2.0 * LN2)
+    assert np.abs(per_time - image).max() <= tol / h
+
+
+def test_a_pair_that_is_not_finite_or_has_no_cholesky_factor_excludes_its_row():
+    # P = diag(1, 10^(10 x0)) on the map diag(2, 1/2): the pairs have
+    # condition numbers up to 1e20 and are kept, as nothing is inverted or
+    # rooted; the rows at (-1, 1) and (1, -1) have a NaN and an indefinite P
+    sys_ = linear_map_system(np.diag([2.0, 0.5]))
+
+    def value(x):
+        p = np.zeros((len(x), 2, 2))
+        p[:, 0, 0], p[:, 1, 1] = 1.0, 10.0 ** (10.0 * x[:, 0])
+        p[(x[:, 0] == -1.0) & (x[:, 1] == 1.0)] = np.nan
+        p[(x[:, 0] == 1.0) & (x[:, 1] == -1.0), 1, 1] = -1.0
+        return p
+
+    rep = bound(sys_, UNIT_BOX_2, MetricField.tabulated(2, pulled_back_rule(sys_, value)),
+                resolution=3)
+    assert rep.excluded == [
+        {"state": [-1.0, 1.0], "reason": "metric pair is not finite"},
+        {"state": [1.0, -1.0], "reason": "metric pair is not positive definite"}]
+    # log2 of the singular values 2 and 10^(5 x0) / 2
+    x0 = rep.per_point[:, 0]
+    expected = np.sort(np.column_stack([np.ones_like(x0), 5.0 * np.log2(10.0) * x0 - 1.0]))
+    np.testing.assert_allclose(rep.per_point[:, 2:4], expected[:, ::-1], rtol=1e-14, atol=0)
+    assert len(rep.per_point) == 7
+
+
 def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
     monkeypatch.setattr(spd, "KARCHER_MAX_ITER", 1)
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
@@ -326,18 +404,21 @@ def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):
 
 
 def _orbit_loop_metric(system, steps, x, tol=1e-7):
-    """Reference minimizing metric of a map at the rows of x, as ``(P,
-    reasons)``: the Jacobian products of lengths 0..steps-1 accumulated along
-    each orbit one map step at a time, and the Karcher mean of their Gram
-    atoms."""
+    """Reference minimizing metric of a map at the rows of x, as ``(pairs,
+    reasons)``: the Jacobian products of lengths 0..steps accumulated along
+    each orbit one map step at a time, and the Karcher means of the Gram
+    atoms of lengths 0..steps-1 and 1..steps."""
     prod = np.broadcast_to(np.eye(system.dim), (len(x), system.dim, system.dim))
     prods = [prod]
-    for _ in range(steps - 1):
+    for _ in range(steps):
         prod = system.jacobian(x) @ prod
         x = system.rhs(x)
         prods.append(prod)
-    p, residual = karcher_barycenter(np.swapaxes(np.stack(prods, axis=1), -1, -2), tol=tol)
-    return p, [None if r < tol else "not converged" for r in residual]
+    factors = np.swapaxes(np.stack(prods, axis=1), -1, -2)
+    bars, residuals = zip(*(karcher_barycenter(window, tol=tol)
+                            for window in (factors[:, :-1], factors[:, 1:])))
+    return np.stack(bars, axis=1), [None if r < tol else "not converged"
+                                    for r in np.max(residuals, axis=0)]
 
 
 @pytest.mark.parametrize("steps", [1, 2, 8])
@@ -346,10 +427,10 @@ def test_minimizing_metric_of_a_map_matches_the_orbit_loop(steps):
     x = sample_set(UNIT_BOX_2, 5)
     metric = minimizing_metric(sys_, steps)
     assert (metric.label, metric.horizon, metric.step) == (f"auto:N={steps}", steps, None)
-    p, reasons = metric.eval_rule(x)
+    pairs, reasons = metric.eval_rule(x)
     ref, ref_reasons = _orbit_loop_metric(sys_, steps, x)
     assert reasons == ref_reasons == [None] * len(x)
-    np.testing.assert_array_equal(p, ref)
+    np.testing.assert_array_equal(pairs, ref)
 
 
 @pytest.mark.parametrize("steps", [0, 2.5])
@@ -811,43 +892,41 @@ def test_bound_dominates_oracle_spot():
         assert rep.bound + 1e-9 >= v
 
 
-def _counting_rule(batches, undefined):
-    """Tabulated rule recording every batch of rows it is asked for; rows
-    where ``undefined`` holds get a reason instead of a value."""
-    def rule(x):
-        batches.append(x.tolist())
-        p = np.empty((len(x), 2, 2))
-        p[:, 0, 0] = 1.0 + x[:, 0] ** 2
-        p[:, 1, 1] = 1.0 + x[:, 1] ** 2
-        p[:, 0, 1] = p[:, 1, 0] = 0.3 * x[:, 1]
-        return p, ["outside the rule's domain" if undefined(row) else None for row in x]
-    return rule
+def _counting_value(x):
+    p = np.empty(x.shape[:-1] + (2, 2))
+    p[..., 0, 0] = 1.0 + x[..., 0] ** 2
+    p[..., 1, 1] = 1.0 + x[..., 1] ** 2
+    p[..., 0, 1] = p[..., 1, 0] = 0.3 * x[..., 1]
+    return p
 
 
-def _distinct(rows):
-    return len({tuple(r) for r in rows})
+def _counting_rule(batches, undefined, system, h=1.0):
+    """Tabulated rule of ``_counting_value`` on the time-h map of ``system``
+    recording every batch of rows it is asked for; rows where ``undefined``
+    holds at the row or at its image get a reason instead of a value."""
+    return pulled_back_rule(system, _counting_value, h, batches=batches,
+                            why=lambda row: "outside the rule's domain" if undefined(row) else None)
 
 
 def test_bound_core_matches_per_point_loop_discrete():
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
     batches = []
     metric = MetricField.tabulated(
-        2, _counting_rule(batches, lambda row: row[0] > 2.5), label="counting")
+        2, _counting_rule(batches, lambda row: row[0] > 2.5, sys_), label="counting")
     rep = bound(sys_, UNIT_BOX_2, metric, resolution=3)
     pts = sample_set(UNIT_BOX_2, 3)
-    # one rule call on 9 points and 9 images; the origin is its own image,
-    # so the rule sees 17 distinct rows
-    assert len(batches) == 1
-    assert len(batches[0]) == _distinct(batches[0]) == 17
+    # one rule call on the 9 points
+    assert batches == [pts.tolist()]
     # the image (3, 0.5) of (1, 1) is undefined: that point is excluded
     assert rep.excluded == [{"state": [1.0, 1.0], "reason": "outside the rule's domain"}]
     assert rep.per_point[:, :2].tolist() == pts[:-1].tolist()
     for row, x in zip(rep.per_point, pts[:-1]):
         p = metric.evaluate(x)
-        q = metric.evaluate(sys_.rhs(x))
+        q = _counting_value(sys_.rhs(x))
         values = metric_sv_values(power(q, 0.5), sys_.jacobian(x), power(p, -0.5))
-        assert row[2:4].tolist() == values.tolist()
-        assert row[-1] == float(positive_sum(values))
+        # the pair's Cholesky quotient has the same singular values
+        np.testing.assert_allclose(row[2:4], values, rtol=0.0, atol=1e-14)
+        assert row[-1] == float(positive_sum(row[2:4]))
 
 
 def test_bound_core_matches_per_point_loop_continuous():
@@ -855,15 +934,12 @@ def test_bound_core_matches_per_point_loop_continuous():
     batches = []
     h = 0.125
     metric = MetricField.tabulated(
-        2, _counting_rule(batches, lambda row: row[0] < -0.9 and row[1] < -0.9),
+        2, _counting_rule(batches, lambda row: row[0] < -0.9 and row[1] < -0.9, sys_, h),
         label="counting", step=h)
     rep = bound(sys_, UNIT_BOX_2, metric, resolution=3)
     pts = sample_set(UNIT_BOX_2, 3)
-    # one rule call on 9 points and their 9 images under the time-h map; the
-    # equilibrium at the origin flows onto itself bit for bit, so the rule
-    # sees 17 distinct rows
-    assert len(batches) == 1
-    assert len(batches[0]) == _distinct(batches[0]) == 17
+    # one rule call on the 9 points
+    assert batches == [pts.tolist()]
     assert rep.excluded == [{"state": [-1.0, -1.0], "reason": "outside the rule's domain"}]
     assert rep.map_step == h
     # a row propagated alone matches its batched propagation only to
@@ -872,11 +948,11 @@ def test_bound_core_matches_per_point_loop_continuous():
     for row, x, image, jac in zip(rep.per_point, pts[1:], prop.states[1:],
                                   prop.jacobians[1:]):
         p = metric.evaluate(x)
-        q = metric.evaluate(image)
+        q = _counting_value(image)
         values = 2.0 * LN2 / h * metric_sv_values(power(q, 0.5), jac, power(p, -0.5))
         assert row[:2].tolist() == x.tolist()
-        assert row[2:4].tolist() == values.tolist()
-        assert row[-1] == float(positive_sum(values) / (2.0 * LN2))
+        np.testing.assert_allclose(row[2:4], values, rtol=0.0, atol=1e-12)
+        assert row[-1] == float(positive_sum(row[2:4]) / (2.0 * LN2))
 
 
 JORDAN = np.array([[2.0, 1.0], [0.0, 2.0]])
@@ -893,8 +969,9 @@ BLOCK_CASES = {
     # of 7
     "counting": lambda: bound(
         linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]])), UNIT_BOX_2,
-        MetricField.tabulated(2, _counting_rule([], lambda row: row[0] == -0.5 and row[1] <= 0.0),
-                              label="counting"),
+        MetricField.tabulated(2, _counting_rule(
+            [], lambda row: row[0] == -0.5 and row[1] <= 0.0,
+            linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))), label="counting"),
         resolution=5),
 }
 
@@ -914,15 +991,17 @@ def test_bound_block_without_kept_points_does_not_raise(monkeypatch):
     monkeypatch.setattr(dynamics, "_BLOCK_ROWS", 3)
     batches = []
     # the first row of the grid, a block of its own, is left out entirely
-    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: row[0] == -1.0),
+    sys_ = linear_map_system(np.diag([0.5, 0.5]))
+    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: row[0] == -1.0, sys_),
                                    label="counting")
-    rep = bound(linear_map_system(np.diag([0.5, 0.5])), UNIT_BOX_2, metric, resolution=3)
+    rep = bound(sys_, UNIT_BOX_2, metric, resolution=3)
     assert [e["state"] for e in rep.excluded] == [[-1.0, -1.0], [-1.0, 0.0], [-1.0, 1.0]]
     assert len(rep.per_point) == 6 and len(batches) == 3
     batches.clear()
-    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: True), label="counting")
+    metric = MetricField.tabulated(2, _counting_rule(batches, lambda row: True, sys_),
+                                   label="counting")
     with pytest.raises(NumericError, match="every sample point was excluded"):
-        bound(linear_map_system(np.diag([0.5, 0.5])), UNIT_BOX_2, metric, resolution=3)
+        bound(sys_, UNIT_BOX_2, metric, resolution=3)
     # every block was evaluated before the one refusal
     assert len(batches) == 3
 

@@ -5,6 +5,7 @@ import scipy.linalg
 from restent.errors import ConfigError, NumericError
 from restent.dynamics import (
     CompactSet,
+    identity_system,
     lanford_region,
     lanford_system,
     linear_map_system,
@@ -21,6 +22,7 @@ from restent.metrics import (
 )
 from restent.spd import power, sym
 
+from test_entropy import pulled_back_rule
 from test_spd import rand_gl, rand_spd
 
 
@@ -165,7 +167,7 @@ def _map_and_analytic_spectra(system, region, metric, resolution, step):
     wrapped as a tabulated rule with that step) and with the metric's
     analytic orbital derivative."""
     table = MetricField.tabulated(
-        metric.dim, lambda x: (metric.evaluate(x), [None] * len(x)), step=step)
+        metric.dim, pulled_back_rule(system, metric.evaluate, step), step=step)
     by_map = bound(system, region, table, resolution)
     exact = bound(system, region, metric, resolution)
     assert (by_map.map_step, exact.map_step) == (step, None)
@@ -277,20 +279,18 @@ def test_spectra_invariant_under_metric_scaling():
         assert np.allclose(c1, c2, atol=1e-10)
 
 
-def test_tabulated_metric_deduplicates_rows_and_rejects_analytic_pdot():
+def test_tabulated_metric_values_are_the_first_of_each_pair_and_reject_analytic_pdot():
     calls = []
-
-    def rule(x):
-        calls.append(x.tolist())
-        return np.eye(2) * (1.0 + x[:, :1, None] ** 2), [None] * len(x)
-
-    metric = MetricField.tabulated(2, rule, label="dedup")
+    rule = pulled_back_rule(linear_map_system(np.diag([2.0, 3.0])),
+                            lambda x: np.eye(2) * (1.0 + x[:, :1, None] ** 2), batches=calls)
+    metric = MetricField.tabulated(2, rule, label="pairs")
     x = np.array([[0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [-0.0, 0.0]])
     roots, inverse, failed, why = metric.values(x)
     p = roots[0][inverse]
-    # one rule call on the distinct rows, compared bit for bit (-0.0 != 0.0)
-    assert calls == [[[0.5, 0.0], [0.0, 0.0], [-0.0, 0.0]]]
-    assert len(roots[0]) == 3 and inverse.tolist() == [0, 1, 0, 2]
+    # one rule call on every row; its values of P are told apart bit for
+    # bit, and 1 + 0.0 ** 2 and 1 + (-0.0) ** 2 are the same bits
+    assert calls == [x.tolist()]
+    assert len(roots[0]) == 2 and inverse.tolist() == [0, 1, 0, 1]
     assert failed.tolist() == [False] * 4 and why == {}
     assert np.array_equal(p[0], p[2]) and np.array_equal(p[0], 1.25 * np.eye(2))
     assert np.array_equal(metric.evaluate(x), p)
@@ -438,8 +438,8 @@ def test_metric_values_reasons_per_row_on_a_mixed_stack():
         assert row_failed.tolist() == [failed[i]] and row_why.get(0) == why.get(i)
     assert np.array_equal(p, sym(ev(x)), equal_nan=True)
     # a tabulated rule's own reason comes before the positive definiteness check
-    tabulated = MetricField.tabulated(
-        2, lambda s: (ev(s), ["far" if row[1] > 2 else None for row in s]), label="mixed")
+    tabulated = MetricField.tabulated(2, pulled_back_rule(
+        identity_system(2), ev, why=lambda row: "far" if row[1] > 2 else None), label="mixed")
     *_, failed, why = tabulated.values(x)
     assert why == {**expected, 3: "far"}
     assert np.flatnonzero(failed).tolist() == [1, 2, 3, 4, 5]

@@ -475,15 +475,19 @@ def test_karcher_residual_bounds_distance_to_barycenter(n, k):
 
 
 def test_karcher_clipped_nonnormal_atoms_converge_without_warning():
-    # the 8 inverse-Gram atoms of auto:N=8 on [[2,1],[0,1/2]], condition
-    # numbers up to about 6e8
+    # the atoms of auto:N=8 on [[2,1],[0,1/2]]: the 8 inverse-Gram atoms
+    # (condition numbers up to about 6e8), and the Gram atoms of the factors
+    # (M^j)^T that minimizing_metric passes, in both of its windows, nodes
+    # 0..7 and 1..8 (9e9 at node 8)
     m = np.array([[2.0, 1.0], [0.0, 0.5]])
-    factors = np.array([np.linalg.inv(np.linalg.matrix_power(m, j)) for j in range(8)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bar, residual = karcher_barycenter(factors, tol=3e-6)
-    assert residual < 3e-6
-    as_spd(bar)                              # raises unless positive definite
+    powers = [np.linalg.matrix_power(m, j) for j in range(9)]
+    gram = np.array([p.T for p in powers])
+    for factors in (np.array([np.linalg.inv(p) for p in powers[:8]]), gram[:8], gram[1:]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bar, residual = karcher_barycenter(factors, tol=3e-6)
+        assert residual < 3e-6
+        as_spd(bar)                          # raises unless positive definite
 
 
 def test_karcher_agrees_with_inductive_reference():
