@@ -5,10 +5,9 @@ States are row vectors; every rhs/jacobian rule is vectorized over leading
 axes, so a sample grid, or a block of one, propagates as one batch.
 Continuous-time flows use the Dormand-Prince 8(5,3) pair (DOP853), each row
 with a step size chosen from its embedded error estimates; the variational
-matrix (the flow Jacobian) is integrated jointly with the state, on the
-same steps.
-Trajectories whose norm exceeds the blow-up guard are frozen at their last
-admissible state and reported with the escape time.
+matrix (the flow Jacobian) is integrated jointly with the state, on the same
+steps.  Trajectories whose norm exceeds the blow-up guard are frozen at their
+last admissible state and reported with the escape time.
 """
 from __future__ import annotations
 
@@ -24,7 +23,9 @@ Array = np.ndarray
 # error estimate accepted per adaptive step (abs and rel).  It bounds each
 # step, not the global error; measured on the 485 interior lanford rows at
 # resolution 11 to t = 40, the state error is 4e-11 and the flow-Jacobian
-# error 1.2e-9 (relative to 1 + |entry|), both below STEP_TOL * t
+# error 1.2e-9 (relative to 1 + |entry|), both below STEP_TOL * t.  Records
+# read off the continuous extension between step ends are within 1e-8: 4.3e-9
+# on the spot check's 100 lanford records to t = 5, 3.4e-10 for flow Jacobians
 STEP_TOL = 1e-10
 FIRST_STEP = STEP_TOL ** 0.125  # first adaptive trial step for unit-scale dynamics
 MIN_STEP = 1e-12           # step floor, relative to max(1, horizon)
@@ -40,36 +41,57 @@ MEMBERSHIP_RTOL = 1e-6
 _BLOCK_ROWS = 4096
 
 # Dormand-Prince 8(5,3) pair DOP853 (Prince & Dormand 1981; Hairer, Norsett &
-# Wanner, Solving ODEs I, Sec. II.10, code dop853.f), as the shortest decimals
-# that round-trip to its double coefficients.  Row s of _A combines stages
-# 0..s-1 into the input of stage s, and _B gives the eighth-order solution.
-# _E5 and _E3 weight the stages into the fifth- and third-order error
-# estimates.  The rhs at the new point has weight 0 in both and is the next
-# step's first stage (FSAL).
-_A = np.array([[0] * 12, [0.05260015195876773] + [0] * 11,
-               [0.0197250569845379, 0.0591751709536137] + [0] * 10,
-               [0.02958758547680685, 0, 0.08876275643042054] + [0] * 9,
-               [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792] + [0] * 8,
-               [0.037037037037037035, 0, 0, 0.17082860872947386,
-                0.12546768756682242] + [0] * 7,
-               [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
-                -0.017578125] + [0] * 6,
-               [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
-                -0.015319437748624402, 0.008273789163814023] + [0] * 5,
-               [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
-                27.59209969944671, 20.154067550477894, -43.48988418106996] + [0] * 4,
-               [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
-                21.230051448181193, 15.279233632882423, -33.28821096898486,
-                -0.020331201708508627, 0, 0, 0],
-               [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
-                -8.149787010746927, -18.52006565999696, 22.739487099350505,
-                2.4936055526796523, -3.0467644718982196, 0, 0],
-               [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
-                -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-                -8.87285693353063, 12.360567175794303, 0.6433927460157636, 0]])
-_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
-               -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
-               0.20136540080403034, 0.04471061572777259])
+# Wanner, Solving ODEs I, Secs. II.6 and II.10, code dop853.f), as the shortest
+# decimals that round-trip to its double coefficients.  Row s of _A combines
+# stages 0..s-1 into the input of stage s: row 12 gives the eighth-order
+# solution, whose rhs is the next step's first stage (FSAL), rows 13..15 the
+# continuous extension's extra stages, which _D weights into its last four
+# vectors.  _E5 and _E3 weight the stages into the 5th- and 3rd-order errors.
+_A = np.array([row + [0] * (16 - len(row)) for row in [
+    [], [0.05260015195876773], [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724,
+     -9.15095847217987]]])
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564]])
 _E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
                 -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
                 0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
@@ -186,38 +208,60 @@ def _packed_field(system: SystemModel, variational: bool):
     return packed
 
 
-def _dop853_stages(field, y: Array, k: Array, h: Array) -> Array:
-    """Stages 1..11 of one DOP853 step from rows y, steps h (m, 1) and k[0] =
-    field(y): fills k[1:], forming each stage sum in place, and returns the
-    eighth-order solution."""
-    flat = k.reshape(12, -1)
-    for s in range(1, 12):
+def _dop853_stages(field, y: Array, k: Array, h: Array, stages=range(1, 13)) -> Array:
+    """The stage sums y + h * (_A[s, :s] @ k[:s]) of DOP853 steps from rows y
+    with steps h (m, 1), for each s of ``stages`` in turn, formed in place:
+    the field there fills k[s], and sum 12, the eighth-order solution, is
+    returned.  k[0] = field(y); stages 13..15 also need k[12] = field there."""
+    flat = k.reshape(len(k), -1)
+    for s in stages:
         g = (_A[s, :s] @ flat[:s]).reshape(y.shape)
-        field(np.add(y, np.multiply(h, g, out=g), out=g), k[s])
-    g = (_B @ flat).reshape(y.shape)
-    return np.add(y, np.multiply(h, g, out=g), out=g)
+        np.add(y, np.multiply(h, g, out=g), out=g)
+        if s == 12:
+            return g
+        field(g, k[s])
+
+
+def _dop853_dense(field, y0: Array, y1: Array, k: Array, h: Array, at: Array,
+                  x: Array) -> Array:
+    """DOP853's continuous extension of order 7 (dop853.f's contd8) on steps
+    y0 -> y1 of lengths h (q, 1) with stages k[:13] (k[12] = field(y1)):
+    fills k[13:16] and returns rows ``at`` at fractions ``x`` of their steps,
+    y0 plus x, x(1-x), x^2(1-x), ... times the extension's seven vectors."""
+    _dop853_stages(field, y0, k, h, range(13, 16))
+    dy = y1 - y0
+    f = np.concatenate([[dy, h * k[0] - dy, 2.0 * dy - h * (k[0] + k[12])],
+                        h * (_D @ k.reshape(16, -1)).reshape((4,) + y0.shape)])
+    u = x * (1.0 - x)
+    coef = np.array([x, u, u * x, u * u, u * u * x, u ** 3, u ** 3 * x])
+    # gathered along the flat (row, entry) axis: twice as fast as f[:, at]
+    cols = (at[:, None] * y0.shape[1] + np.arange(y0.shape[1])).ravel()
+    g = f.reshape(7, -1)[:, cols].reshape(7, len(x), -1)
+    return y0[at] + np.einsum("kp,kpw->pw", coef, g)
 
 
 def _integrate_continuous(system, x0, t, variational, record_at):
     """Dormand-Prince 8(5,3) (DOP853) propagation of the state (and
-    variational matrix).
+    variational matrix) over [0, t].
 
     The live rows step together, packed, each with its own clock and step
     size, so a row that needs short steps (one about to blow up, say) does
     not hold back the others.  ``rows`` maps them to the outputs; a row
-    leaves, in one compaction at the top of an iteration, once it has its
-    last record or has escaped.  A row's step is adapted so that Hairer's
-    error estimate, built from the embedded fifth- and third-order
-    estimates in a mixed absolute/relative max-norm over the row, stays
-    below ``STEP_TOL`` per step.  Steps land exactly on every record time.
-    Returns (states, jacobians, escaped, escape times, accepted steps per
-    row, rejected steps per row)."""
+    leaves, in one compaction at the top of an iteration, once it reaches t
+    or has escaped.  A row's step is adapted so that Hairer's error
+    estimate, built from the embedded fifth- and third-order estimates in a
+    mixed absolute/relative max-norm over the row, stays below ``STEP_TOL``
+    per step.  A step lands exactly on the last record time it covers; only
+    a step that passes some computes the extra stages that read them off
+    the continuous extension (error at ``STEP_TOL``).  Returns (states,
+    jacobians, escaped, escape times, accepted and rejected steps per row)."""
     m, n = x0.shape
     y = (np.concatenate([x0, np.broadcast_to(np.eye(n).ravel(), (m, n * n))], axis=1)
          if variational else x0.copy())
     field = _packed_field(system, variational)
-    marks = np.array(record_at if record_at is not None else [t], dtype=float)
-    r = len(marks)
+    # the record times, then t and a sentinel past it
+    marks = np.array([*(record_at or []), t, np.inf], dtype=float)
+    r = len(marks) - 1
     out = np.empty((r,) + y.shape)
     rows = np.arange(m)                   # output row of each live row
     nxt = np.zeros(m, dtype=int)          # index of each row's next record time
@@ -233,10 +277,7 @@ def _integrate_continuous(system, x0, t, variational, record_at):
         k0 = field(y, np.empty_like(y))
         while True:
             # record rows on their next record time (repeatedly, for repeats)
-            while True:
-                due = np.flatnonzero((nxt < r) & (now >= marks[np.minimum(nxt, r - 1)]))
-                if not len(due):
-                    break
+            while len(due := np.flatnonzero(now >= marks[nxt])):
                 out[nxt[due], rows[due]] = y[due]
                 nxt[due] += 1
             leave = nxt == r
@@ -250,9 +291,15 @@ def _integrate_continuous(system, x0, t, variational, record_at):
                     v[stay] for v in (rows, y, k0, nxt, now, h, grow))
             if not len(rows):
                 break
-            left = marks[nxt] - now
-            land = left <= h * (1.0 + 1e-9)
-            hs = np.where(land, left, h)
+            # the last record time within reach, exactly by marks - now <= reach
+            reach = h * (1.0 + 1e-9)
+            last = np.searchsorted(marks, now + reach, side="right") - 1
+            while (up := marks[last + 1] - now <= reach).any():
+                last += up
+            while (down := (last >= nxt) & (marks[last] - now > reach)).any():
+                last -= down
+            land = last >= nxt
+            hs = np.where(land, marks[last] - now, h)
             k = stages[:12 * y.size].reshape((12,) + y.shape)
             k[0] = k0
             y_new = _dop853_stages(field, y, k, hs[:, None])
@@ -274,17 +321,32 @@ def _integrate_continuous(system, x0, t, variational, record_at):
             grow = np.where(ok, MAX_GROWTH, 1.0)
             rejected[rows[~ok]] += 1
             accepted[rows[ok]] += 1
-            now = np.where(ok, np.where(land, marks[nxt], now + hs), now)
+            start = now
+            now = np.where(ok, np.where(land, marks[last], now + hs), now)
             gone = np.flatnonzero(ok & new)
             times[rows[gone]] = now[gone]
             keep = ok & ~new
+            # kept steps that passed record times before the one they landed on
+            passed = np.flatnonzero(keep & (marks[nxt] < now))
+            y0 = y[passed]
             if keep.all():
                 y = y_new
                 field(y, k0)                  # first stage of the next step
             elif keep.any():
                 y[keep] = y_new = y_new[keep]
                 k0[keep] = field(y_new, np.empty_like(y_new))
-    res = out if record_at is not None else out[0]
+            if len(passed):
+                stop = np.searchsorted(marks, now[passed])
+                count = stop - nxt[passed]
+                at = np.repeat(np.arange(len(passed)), count)
+                which = nxt[passed][at] + np.arange(len(at)) - (np.cumsum(count) - count)[at]
+                kp = np.concatenate([k[:, passed], k0[None, passed],
+                                     np.empty((3, len(passed), y.shape[1]))])
+                out[which, rows[passed[at]]] = _dop853_dense(
+                    field, y0, y[passed], kp, hs[passed, None], at,
+                    (marks[which] - start[passed[at]]) / hs[passed[at]])
+                nxt[passed] = stop
+    res = out[:-1] if record_at is not None else out[0]
     jacs = res[..., n:].reshape(res.shape[:-1] + (n, n)) if variational else None
     return res[..., :n], jacs, ~np.isnan(times), times, accepted, rejected
 
@@ -296,28 +358,26 @@ def _integrate_discrete(system, x0, t, variational, record_at):
     v = np.broadcast_to(np.eye(n), (m, n, n)).copy() if variational else None
     escaped = np.zeros(m, dtype=bool)
     times = np.full(m, np.nan)
-    marks = [] if record_at is None else [int(round(r)) for r in record_at]
-    records = {}       # step -> (states, Jacobians) at that step
-    if 0 in marks:
-        records[0] = (x.copy(), None if v is None else v.copy())
-    for k in range(1, steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            xn = system.rhs(x)
-            vn = system.jacobian(x) @ v if variational else None
-        new = _blown(xn) & ~escaped
-        escaped |= new
-        times[new] = float(k)
-        xn[escaped] = x[escaped]
+    marks = np.round(record_at if record_at is not None else [t])
+    states = np.empty((len(marks),) + x.shape)
+    jacs = np.empty((len(marks),) + v.shape) if variational else None
+    for k in range(steps + 1):
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                xn = system.rhs(x)
+                vn = system.jacobian(x) @ v if variational else None
+            new = _blown(xn) & ~escaped
+            escaped |= new
+            times[new] = float(k)
+            xn[escaped] = x[escaped]
+            if variational:
+                vn[escaped] = v[escaped]
+            x, v = xn, vn
+        states[marks == k] = x
         if variational:
-            vn[escaped] = v[escaped]
-        x, v = xn, vn
-        if k in marks:
-            records[k] = (x.copy(), None if v is None else v.copy())
-    if record_at is not None:
-        states = np.stack([records[k][0] for k in marks])
-        jacs = np.stack([records[k][1] for k in marks]) if variational else None
-    else:
-        states, jacs = x, v
+            jacs[marks == k] = v
+    if record_at is None:
+        states, jacs = states[0], (jacs[0] if variational else None)
     return states, jacs, escaped, times, np.full(m, steps), np.zeros(m, dtype=int)
 
 
@@ -328,7 +388,9 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
     Dormand-Prince 8(5,3) (DOP853) steps whose error estimate is at most
     ``STEP_TOL`` per step, which bounds each step, not the returned state
     (``STEP_TOL`` states the measured global error).  Each record time gets
-    its own record, repeats included; a map's record times are whole steps.
+    its own record, repeats included: a flow's step lands on the last record
+    time it covers and reads the ones it passes off the continuous extension
+    (also stated at ``STEP_TOL``); a map's record times are whole steps.
     Does not raise on blow-up; escaped points are frozen and flagged.  No
     row reads another, but OpenBLAS rounds the stage sums by the batch's
     width and thread split: a lanford row moves with its batch by up to
@@ -421,8 +483,10 @@ class InvarianceReport:
 def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
                           horizon) -> InvarianceReport:
     """Iterate every grid point over the horizon and report which orbits
-    leave the set.  Forward invariance itself is a modeling assumption; this
-    is the sampled surrogate."""
+    leave the set, checked at each step of a map and at 10 to 200 record
+    times of a flow, most read off the continuous extension within 1e-8
+    (``STEP_TOL``), far inside ``MEMBERSHIP_RTOL``.  Forward invariance
+    itself is a modeling assumption; this is the sampled surrogate."""
     pts = sample_set(region, resolution)
     horizon = _check_horizon(system, horizon)
     if system.time_type == "discrete":

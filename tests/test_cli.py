@@ -460,6 +460,15 @@ def test_invariance_check_passes_at_heteroclinic_parameter(tmp_path, capsys):
     assert "fraction 0.0000" in capsys.readouterr().out
 
 
+def test_map_spot_check_over_no_steps_exits_zero(tmp_path, capsys):
+    stem = str(tmp_path / "inv-none")
+    code = run(["bound", "--system", "linmap", "--matrix", "diag:2,0.5",
+                "--metric", "identity", "--resolution", "3", "--check-invariance",
+                "--check-horizon", "0", "--out", stem])
+    assert code == 0
+    assert "invariance spot check: 0/9 escaped" in capsys.readouterr().out
+
+
 def test_sweep_nonnormal_map(tmp_path, capsys):
     stem = str(tmp_path / "sw")
     code = run(["sweep", "--system", "linmap", "--matrix", "[[2,1],[0,2]]",

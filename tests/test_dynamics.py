@@ -214,15 +214,77 @@ def test_a_row_propagates_as_it_would_alone():
 
 
 def test_dop853_tableau_matches_the_reference_coefficients():
+    # all 16 rows of A: the 12 stages, the solution (row 12, B) and the
+    # three extra stages of the continuous extension, and its matrix D
     ref = dop853_coefficients
-    np.testing.assert_array_equal(dynamics._A, ref.A[:12, :12])
-    np.testing.assert_array_equal(dynamics._B, ref.B)
+    np.testing.assert_array_equal(dynamics._A, ref.A)
+    np.testing.assert_array_equal(dynamics._A[12, :12], ref.B)
+    np.testing.assert_array_equal(dynamics._D, ref.D)
     # the reference carries a thirteenth (FSAL) weight, zero in both estimates
     np.testing.assert_array_equal(dynamics._E5, ref.E5[:12])
     np.testing.assert_array_equal(dynamics._E3, ref.E3[:12])
     assert ref.E5[12] == 0 and ref.E3[12] == 0
-    assert np.max(np.abs(dynamics._A.sum(axis=1) - ref.C[:12])) <= 1e-15
-    assert abs(dynamics._B.sum() - 1.0) <= 1e-15
+    assert np.max(np.abs(dynamics._A[:12].sum(axis=1) - ref.C[:12])) <= 1e-15
+    assert np.max(np.abs(dynamics._A[13:].sum(axis=1) - ref.C[13:])) <= 1e-15
+    assert abs(dynamics._A[12].sum() - 1.0) <= 1e-15
+
+
+def _spot_check_rows():
+    """The resolution-9 lanford grid of the spot check and its 100 record
+    times to t = 5."""
+    return sample_set(lanford_region(A_DEFAULT), 9), np.linspace(0.05, 5.0, 100)
+
+
+def test_dense_records_take_the_controllers_steps(dop853):
+    # a step lands on the last record time it covers and reads the ones it
+    # passes off the continuous extension: 100 record times no longer force
+    # 100 steps, and every record stays within 1e-8 of a tight reference
+    sys_ = lanford_system(A_DEFAULT)
+    pts, marks = _spot_check_rows()
+    prop = propagate(sys_, pts, 5.0, record_at=marks)
+    assert prop.accepted.max() < 34
+    ref = dop853(sys_, pts, 5.0, record_at=marks).states
+    assert np.max(np.abs(prop.states - ref) / (1.0 + np.abs(ref))) <= 1e-8
+
+
+def test_dense_variational_records_within_the_stated_error(dop853):
+    sys_ = lanford_system(A_DEFAULT)
+    pts, _ = _spot_check_rows()
+    nodes = np.linspace(0.0, 3.0, 64)
+    prop = propagate(sys_, pts, 3.0, variational=True, record_at=nodes)
+    assert prop.accepted.max() < 63
+    ref = dop853(sys_, pts, 3.0, variational=True, record_at=nodes)
+    for got, want in ((prop.states, ref.states), (prop.jacobians, ref.jacobians)):
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-8
+
+
+def test_sparse_records_are_landed_on_bit_for_bit():
+    # no two of the oracle's record times share a step, so each is landed on
+    # exactly as a run to that horizon lands on it
+    sys_ = lanford_system(A_DEFAULT)
+    pts = sample_set(lanford_region(A_DEFAULT), 7)
+    prop = propagate(sys_, pts, 40.0, variational=True, record_at=[5.0, 10.0, 20.0, 40.0])
+    alone = propagate(sys_, pts, 5.0, variational=True)
+    np.testing.assert_array_equal(prop.states[0], alone.states)
+    np.testing.assert_array_equal(prop.jacobians[0], alone.jacobians)
+
+
+@pytest.mark.parametrize("factory", [linear_ode_system, linear_map_system], ids=["flow", "map"])
+def test_an_empty_record_list_gives_no_records(factory):
+    # the rows still run to the horizon: the row from 1e7 grows past the
+    # blow-up guard, at t = ln 10 in the flow and at step 1 of the map
+    system = factory(np.diag([10.0, 1.0, 1.0]) if factory is linear_map_system else np.eye(3))
+    x0 = np.array([[0.1, 0.1, 0.1], [1e7, 0.0, 0.0]])
+    prop = propagate(system, x0, 3.0, variational=True, record_at=[])
+    assert prop.states.shape == (0, 2, 3)
+    assert prop.jacobians.shape == (0, 2, 3, 3)
+    assert prop.escaped.tolist() == [False, True]
+
+
+def test_a_map_spot_check_over_no_steps_reports_none_escaped():
+    report = invariance_spot_check(linear_map_system(np.diag([2.0, 0.5])),
+                                   CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0))), 3, 0)
+    assert (report.n_points, report.n_escaped, report.first_exit) == (9, 0, [])
 
 
 def test_record_times_are_hit_and_must_not_decrease():

@@ -82,6 +82,54 @@ def test_singular_jacobian_sentinel():
     assert positive_sum(values) == pytest.approx(1.0)
 
 
+def _two_by_two_cases():
+    rng = np.random.default_rng(29)
+    plain = rng.standard_normal((2000, 2, 2))
+    u, v = rng.standard_normal((2, 500, 2))
+    graded = np.array([[1e150, 1.0], [1.0, 1e-150]])
+    return {
+        "random": plain,
+        "scaled-up": plain * 1e150,
+        "scaled-down": plain * 1e-150,
+        "graded": plain * graded,
+        "graded-rows": plain * graded[:, :1],
+        "rank-1": u[:, :, None] * v[:, None, :],
+        "near-overflow": rng.uniform(-0.4e308, 0.4e308, (500, 2, 2)),
+        "near-underflow": plain * 1e-300,
+    }
+
+
+@pytest.mark.parametrize("name", list(_two_by_two_cases()))
+def test_two_by_two_singular_values_match_lapack(name):
+    # the closed form: the larger value relative to itself, the smaller
+    # one relative to the larger, finite wherever LAPACK's are
+    m = _two_by_two_cases()[name]
+    ref = np.linalg.svd(m, compute_uv=False)
+    got = metrics._sv2(m)
+    assert np.isfinite(ref).all() and np.isfinite(got).all()
+    assert (got[:, 0] >= got[:, 1]).all() and (got[:, 1] >= 0).all()
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 2e-15 * ref[:, 0])
+    assert np.all(np.abs(got[:, 1] - ref[:, 1]) <= 4 * eps * ref[:, 0])
+    if name == "near-underflow":
+        # |det| is below the smallest double here, the smaller value is not
+        assert (m[:, 0, 0] * m[:, 1, 1] == 0).all() and (got[:, 1] > 0).all()
+
+
+def test_two_by_two_closed_form_exact_cases_and_the_path_by_dimension():
+    assert metrics._sv2(np.diag([2.0, 0.5])).tolist() == [2.0, 0.5]
+    assert metrics._sv2(np.zeros((2, 2))).tolist() == [0.0, 0.0]
+    assert metric_sv_values(np.eye(2), np.diag([2.0, 0.5]), np.eye(2)).tolist() == [1.0, -1.0]
+    assert metric_sv_values(np.eye(2), np.zeros((2, 2)), np.eye(2)).tolist() == [LOG_ZERO] * 2
+    with pytest.raises(NumericError):
+        metric_sv_values(np.eye(2), np.full((2, 2), np.nan), np.eye(2))
+    # other dimensions stay on LAPACK
+    a = np.random.default_rng(3).standard_normal((4, 3, 3))
+    np.testing.assert_array_equal(
+        metric_sv_values(np.eye(3), a, np.eye(3)),
+        np.log2(np.linalg.svd(np.eye(3) @ a @ np.eye(3), compute_uv=False)))
+
+
 def test_ct_spectrum_euclidean_case():
     rng = np.random.default_rng(33)
     j = rng.standard_normal((3, 3))
