@@ -45,14 +45,16 @@ DT_POINT_BUDGET = 2_000_000
 CT_POINT_BUDGET = 8_000_000
 # A split rules out a cell when its largest kept corner is below the best
 # local bound by more than REFINE_MARGIN times the largest step in local bound
-# between kept grid neighbours.  A point of a cell is half a step per axis
-# from its nearest corner, so a function whose steps are those of the grid
-# differs there by at most d/2 steps in d dimensions; 2 covers d <= 3 with
-# room for curvature.  Measured on lanford-exp refined from resolution 21 to 41
-# at a = 2/3 (2-vCPU host): factor 1 evaluates 8,560 of the grid's 33,401
-# points, 2 evaluates 16,373 and 3 23,201, in 17, 24 and 33 ms against 53 ms
-# for the whole grid; each factor gives the whole grid's bound, here and from
-# resolution 20 (to 77) at a = 2/3, 0.75 and 1.
+# between kept grid neighbours on the edges of the cell and of the cells
+# around it.  A point of a cell is half a step per axis from its nearest
+# corner, so a function whose steps are those of the grid differs there by at
+# most d/2 steps in d dimensions; 2 covers d <= 3 with room for curvature.
+# Measured on lanford-exp refined from resolution 21 to 41 at a = 2/3 (2-vCPU
+# host): factor 1 evaluates 5,070 of the grid's 33,401 points, 2 evaluates
+# 7,630 and 3 12,926, in 9, 15 and 18 ms against 43 ms for the whole grid;
+# each factor gives the whole grid's bound, here and from resolution 20 (to
+# 77) at a = 2/3, 0.75 and 1.  One margin for the whole grid, its largest
+# step anywhere, evaluated 16,373 points at factor 2.
 REFINE_MARGIN = 2.0
 # |f(x)| accepted at an equilibrium, relative to 1 + |x|
 EQUILIBRIUM_TOL = 1e-8
@@ -74,7 +76,8 @@ class BoundReport:
     flow) and its local bound.  ``bound_kind`` says what the bound is a max
     over: ``grid`` (every point of the grid), ``grid-adaptive`` (the points
     that refinement evaluated), either one ``-minus-excluded`` (the kept
-    points only).  ``refine_margin`` is the margin of the last split."""
+    points only).  ``refine_margin`` is the largest per-cell margin of the
+    last split (``_Lattice.split``)."""
 
     system: str
     params: dict
@@ -157,7 +160,7 @@ def write_report(stem, kind: str, payload: dict, header=None, table=()) -> tuple
         table = np.asarray(table, dtype=float).reshape(-1, len(header))
         numbers = _distinct_numbers(table)
         fh.write(json.dumps({**report, "columns": list(header)})[:-1] + ', "per_point": [')
-        _write_rows(fh, numbers, _json_float, "[%s]" % ", ".join(["%s"] * len(header)), ", ")
+        _write_rows(fh, numbers, _json_float, "[", ", ", "]", ", ")
         fh.write("]}\n")
     paths += (f"{stem}.points.csv",)
     _write_table(paths[1], header, table, numbers)
@@ -176,8 +179,7 @@ def _write_table(path, header: list, table, numbers=None) -> None:
     table = np.asarray(table, dtype=float).reshape(-1, len(header))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        _write_rows(fh, numbers or _distinct_numbers(table), "%.17g".__mod__,
-                    ",".join(["%s"] * len(header)) + "\r\n")
+        _write_rows(fh, numbers or _distinct_numbers(table), "%.17g".__mod__, "", ",", "\r\n")
 
 
 def _json_float(v: float) -> str:
@@ -199,19 +201,27 @@ def _distinct_numbers(table: Array) -> list:
                                             return_inverse=True) for column in table.T)]
 
 
-def _write_rows(fh, columns: list, fmt, row: str, sep: str = "") -> None:
-    """The rows of a table given as its ``_distinct_numbers``, each filled
-    into the ``%s`` template ``row`` with its numbers as ``fmt`` spells them
-    (once per distinct number of a column), joined by ``sep``.  One ``%``
-    fills a block of ``_BLOCK_ROWS`` rows, its texts taken from those of the
-    distinct numbers: a large table never is one string, or one array of
-    texts, in memory."""
-    texts = [np.array(list(map(fmt, numbers)), dtype=object) for numbers, _ in columns]
+def _write_rows(fh, columns: list, fmt, opening: str, sep: str, close: str,
+                between: str = "") -> None:
+    """The rows of a table given as its ``_distinct_numbers``: each row is
+    ``opening``, its numbers as ``fmt`` spells them joined by ``sep``, then
+    ``close``; rows are joined by ``between``.  Each distinct number of a
+    column is spelled once, with its column's separators attached: the
+    first column's texts start with ``between + opening``, the last
+    column's end with ``close`` and the others' with ``sep``.  A block of
+    ``_BLOCK_ROWS`` rows is one ``"".join`` of the texts it gathers, and
+    the table's first text is written without ``between``: a large table
+    never is one string, or one array of texts, in memory."""
+    texts = []
+    for j, (numbers, _) in enumerate(columns):
+        head, tail = between + opening if j == 0 else "", close if j == len(columns) - 1 else sep
+        texts.append(np.array([head + text + tail for text in map(fmt, numbers)], dtype=object))
     for start in range(0, len(columns[0][1]), dynamics._BLOCK_ROWS):
         block = np.column_stack([text[inverse[start:start + dynamics._BLOCK_ROWS]]
-                                 for text, (_, inverse) in zip(texts, columns)])
-        fh.write((sep if start else "")
-                 + sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+                                 for text, (_, inverse) in zip(texts, columns)]).ravel().tolist()
+        if not start:
+            block[0] = block[0][len(between):]
+        fh.write("".join(block))
 
 
 @dataclass
@@ -308,6 +318,12 @@ def _doubled(at: Array, counts: list, finer: list) -> Array:
     return np.ravel_multi_index(tuple(2 * i for i in np.unravel_index(at, counts)), finer)
 
 
+def _ends(a: Array, axis: int) -> tuple:
+    """Views of ``a`` without its last and without its first entry along ``axis``."""
+    head = (slice(None),) * axis
+    return a[head + (slice(None, -1),)], a[head + (slice(1, None),)]
+
+
 class _Lattice:
     """A bound's lattice of sample points, as refinement splits it.
 
@@ -366,22 +382,38 @@ class _Lattice:
         """Double the lattice (c -> 2c - 1 per axis) and evaluate the new
         nodes of the live cells that may hold a larger local bound.
 
-        The margin is ``REFINE_MARGIN`` times the largest difference in
-        local bound between kept lattice neighbours along any axis (infinite
+        A cell's margin is ``REFINE_MARGIN`` times the largest difference
+        in local bound between kept lattice neighbours on the edges of the
+        cell and of its 3^d - 1 neighbouring cells (infinite when there is
+        none), so a steep step keeps only the cells beside it alive.
+        ``margin``, the report's ``refine_margin``, is the largest finite
+        one: ``REFINE_MARGIN`` times the lattice's largest step (infinite
         when no two neighbours are kept).  A live cell is split, its halves
         live, when none of its corners is kept or when its largest kept
-        corner plus the margin reaches ``best``.  The nodes of its halves
+        corner plus its margin reaches ``best``.  The nodes of its halves
         that are not nodes of the coarse lattice are evaluated."""
         dim = len(self.counts)
         local = np.full(self.counts, np.nan)         # NaN off the kept nodes
         for table, at, _, _ in self.found:
             local.flat[at] = table[:, -1]
-        largest = max(float(np.max(step, initial=-np.inf, where=~np.isnan(step)))
-                      for step in (np.abs(np.diff(local, axis=k)) for k in range(dim)))
-        self.margin = REFINE_MARGIN * largest if largest >= 0.0 else np.inf
-        for _ in range(dim):      # largest kept corner of each cell, axis by axis
-            local = np.moveaxis(np.fmax(local[:-1], local[1:]), 0, -1)
-        split = self.live & ~(local + self.margin < self.best)
+        margin = np.full([c - 1 for c in self.counts], np.nan)   # NaN: no step
+        for k in range(dim):      # largest step on each cell's edges along axis k
+            step = np.abs(np.diff(local, axis=k))
+            for other in set(range(dim)) - {k}:
+                step = np.fmax(*_ends(step, other))
+            margin = np.fmax(margin, step)
+        for k in range(dim):      # and on its neighbours' edges, axis by axis
+            near = margin.copy()
+            lower, upper = _ends(near, k)
+            np.fmax(upper, _ends(margin, k)[0], out=upper)
+            np.fmax(lower, _ends(margin, k)[1], out=lower)
+            margin = near
+        margin *= REFINE_MARGIN
+        largest = float(np.max(margin, initial=-np.inf, where=~np.isnan(margin)))
+        self.margin = largest if largest >= 0.0 else np.inf
+        for k in range(dim):      # largest kept corner of each cell, axis by axis
+            local = np.fmax(*_ends(local, k))
+        split = self.live & ~(local + margin < self.best)   # a NaN corner or margin splits
         coarse, self.counts = self.counts, [2 * c - 1 for c in self.counts]
         self.found = [(table, _doubled(at, coarse, self.counts), excluded,
                        _doubled(lost, coarse, self.counts))

@@ -679,7 +679,10 @@ def test_adaptive_refinement_gives_the_uniform_bound(a, counts):
     # every row is a row of the uniform table, bit for bit and in its order
     order = _node_order(rep.per_point, uniform.per_point)
     assert (order >= 0).all() and (np.diff(order) > 0).all()
-    assert len(rep.per_point) < len(uniform.per_point) / 2
+    # per-cell margins evaluate 7,630 of 33,401 rows from 21 at a = 2/3 and
+    # 11,895 of 229,549 from 20: shares 0.228 and 0.052 at most (a whole-grid
+    # margin evaluated 0.49 and 0.12)
+    assert len(rep.per_point) <= {21: 0.23, 20: 0.06}[counts] * len(uniform.per_point)
 
 
 def test_adaptive_refinement_of_tied_values_evaluates_every_node():
@@ -727,6 +730,40 @@ def test_adaptive_refinement_splits_a_cell_without_kept_corner():
     assert rep.bound_kind == "grid-adaptive-minus-excluded"
     # the kept rows are rows of the whole 9 x 9 grid's table, in its order
     uniform = bound(system, UNIT_BOX_2, _tilted_metric(), resolution=9)
+    order = _node_order(rep.per_point, uniform.per_point)
+    assert (order >= 0).all() and (np.diff(order) > 0).all()
+
+
+def _cliff_metric():
+    """e^{h(x0)} I on the flow x' = diag(1, -1) x, h = 40 (u - 3/4 - 3/4
+    ln(4u/3)) with u = max(x0, 3/4): Pdot = 40 max(0, x0 - 3/4) P, so the
+    local bound is flat, 1 / ln 2, for x0 <= 3/4 and rises steeply to
+    10 / ln 2 at x0 = 1."""
+    def ev(x):
+        u = np.maximum(x[..., 0], 0.75)
+        return np.exp(40.0 * (u - 0.75 - 0.75 * np.log(u / 0.75)))[..., None, None] * np.eye(2)
+
+    def od(x):
+        return 40.0 * np.maximum(0.0, x[..., 0] - 0.75)[..., None, None] * ev(x)
+
+    return MetricField.analytic(2, ev, od, label="cliff")
+
+
+def test_adaptive_refinement_rules_out_flat_cells_beside_a_steep_one():
+    system = linear_ode_system(np.diag([1.0, -1.0]))
+    rep = bound(system, UNIT_BOX_2, _cliff_metric(), resolution=5, refine=True)
+    uniform = bound(system, UNIT_BOX_2, _cliff_metric(), resolution=9)
+    assert rep.refinements == 1 and rep.resolution == [9, 9]
+    assert rep.bound == uniform.bound == pytest.approx(10.0 / LN2)
+    # the one steep step, from 1 / ln 2 at x0 = 1/2 to 10 / ln 2 at x0 = 1
+    assert rep.refine_margin == pytest.approx(REFINE_MARGIN * 9.0 / LN2)
+    # the cells with x0 >= 1/2 and their neighbours, x0 >= 0, are split; the
+    # flat cells beyond, x0 <= 0, are ruled out, though a margin for the
+    # whole grid would keep them: 25 coarse nodes and the 30 new ones at x0 >= 0
+    kept = rep.per_point[:, :2].tolist()
+    assert [0.75, 0.0] in kept and [0.25, 0.25] in kept
+    assert [-0.25, 0.0] not in kept and [-0.75, 0.75] not in kept
+    assert len(kept) == 25 + 30
     order = _node_order(rep.per_point, uniform.per_point)
     assert (order >= 0).all() and (np.diff(order) > 0).all()
 
@@ -854,6 +891,28 @@ def test_report_json_rows_are_the_points_csv_rows(tmp_path, report_tables, rows)
     assert columns == header == _points_table(rep)[0]
     assert np.array_equal(json_rows, csv_rows, equal_nan=True)
     assert np.array_equal(json_rows, rep.per_point, equal_nan=True)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, _BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [[], [1.5], [1.5, -0.0, np.nan, np.inf, 1.5, 1e-300, -np.inf]],
+                         ids=["empty", "one-row", "edge-values"])
+def test_one_column_table(tmp_path, monkeypatch, csv_table, report_tables, block_rows, rows):
+    # the first column is also the last: each text opens and closes its row
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+    table = np.array(rows, dtype=float).reshape(-1, 1)
+    entropy._write_table(tmp_path / "t.csv", ["v"], table)
+    csv_table(tmp_path / "ref.csv", ["v"], table.tolist())
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    stem = tmp_path / "r"
+    entropy.write_report(stem, "bound", {"note": 1}, ["v"], table)
+    text = (tmp_path / "r.report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report) + "\n"
+    assert list(report) == ["schema_version", "kind", "created", "note", "columns", "per_point"]
+    assert (tmp_path / "r.points.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    (columns, json_rows), (header, csv_rows) = report_tables(stem)
+    assert columns == header == ["v"]
+    assert json_rows.tobytes() == csv_rows.tobytes() == table.tobytes()
 
 
 def test_report_from_dict_rejects_other_schema():

@@ -187,6 +187,107 @@ def test_orbital_derivative_symmetry_check_does_not_depend_on_the_batch():
         np.zeros((1, 2))).tolist() == [large.tolist()]
 
 
+def _isclose_both_ways(pdot):
+    """The symmetry check as ``np.isclose`` of each finite value against its
+    transpose, over every entry."""
+    finite = pdot[np.isfinite(pdot).all(axis=(-2, -1))]
+    scale = np.maximum(1.0, np.abs(finite).max(axis=(-2, -1), keepdims=True, initial=0.0))
+    with np.errstate(over="ignore"):
+        return bool(np.isclose(finite, np.swapaxes(finite, -1, -2), atol=1e-9 * scale).all())
+
+
+def _accepts(pdot):
+    try:
+        _with_pdot(lambda x: pdot).orbital_derivative(np.zeros((len(pdot), 2)))
+    except NumericError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("a", [3.0, -2.5, 1e-3, 0.0, 7e5])
+@pytest.mark.parametrize("diagonal", [0.0, 50.0])
+def test_pdot_symmetry_check_is_isclose_both_ways(a, diagonal):
+    # off-diagonal pairs a, b stepped one ulp at a time across the tolerance
+    # |a - b| <= 1e-9 scale + 1e-5 min(|a|, |b|), with a above and below
+    sign = np.copysign(1.0, a) if a else 1.0
+    near = a + sign * (1e-9 * max(1.0, diagonal, abs(a)) + 1e-5 * abs(a))
+    scale = max(1.0, diagonal, abs(near))      # the largest entry, b near the edge
+    edge = a + sign * (1e-9 * scale + 1e-5 * abs(a))
+    seen = set()
+    for b in edge + np.arange(-40, 41) * np.spacing(edge):
+        for pair in ((a, b), (b, a)):
+            pdot = np.array([[[diagonal, pair[0]], [pair[1], -diagonal]]])
+            verdict = _accepts(pdot)
+            assert verdict == _isclose_both_ways(pdot), (a, b)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_pdot_symmetry_check_of_one_dimension_and_of_nonfinite_rows():
+    one = MetricField.analytic(1, MetricField.identity(1).evaluate,
+                               lambda x: np.array([[[1e300]], [[-0.0]], [[np.nan]]]))
+    assert one.orbital_derivative(np.zeros((3, 1)))[:2].tolist() == [[[1e300]], [[-0.0]]]
+    # rows with inf or NaN are not checked, however asymmetric; the caller
+    # excludes them
+    nonfinite = np.array([[[np.nan, 1.0], [0.0, 0.0]], [[0.0, np.inf], [5.0, 0.0]],
+                          [[1.0, 2.0], [2.0, 1.0]]])
+    assert _accepts(nonfinite) and _isclose_both_ways(nonfinite)
+    bad = np.concatenate([nonfinite, [[[0.0, 1.0], [0.0, 0.0]]]])
+    assert not _accepts(bad) and not _isclose_both_ways(bad)
+    # 1e308 beside -1e308 overflows |a - b| to inf, refused as isclose refuses it
+    huge = np.array([[[0.0, 1e308], [-1e308, 0.0]]])
+    assert not _accepts(huge) and not _isclose_both_ways(huge)
+
+
+def _distinct_by_bytes(a):
+    """The reference grouping of ``metrics._distinct``: a sort of each row's bytes."""
+    rows = np.ascontiguousarray(a, dtype=float).reshape(len(a), int(np.prod(np.shape(a)[1:])))
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
+def _nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _one_bit_apart():
+    base = np.random.default_rng(5).standard_normal((6, 2, 2))
+    flipped = base.copy()
+    flipped.reshape(-1).view(np.uint64)[[3, 17]] ^= np.uint64(1)
+    return np.concatenate([base, flipped, base[::-1]])
+
+
+DISTINCT_CASES = {
+    "signed-zeros": np.array([[[0.0, -0.0], [-0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]],
+                              [[-0.0, -0.0], [-0.0, -0.0]], [[0.0, -0.0], [-0.0, 0.0]]]),
+    "nan-payloads": np.array([[[_nan_with_payload(p), 1.0], [1.0, 2.0]]
+                              for p in (0, 1, 2, 1, 0, 1 << 40)]),
+    "one-bit-apart": _one_bit_apart(),
+    "empty": np.empty((0, 3, 3)),
+    "1x1": np.array([[[2.0]], [[-0.0]], [[2.0]], [[np.nan]], [[0.0]], [[-0.0]]]),
+    "9x9": np.random.default_rng(6).integers(0, 2, (40, 9, 9)).astype(float),
+    "lanford": sym(lanford_metric().eval_rule(sample_set(lanford_region(), 9))),
+}
+
+
+@pytest.mark.parametrize("weights", ["hashed", "ones", "zeros"])
+@pytest.mark.parametrize("case", list(DISTINCT_CASES))
+def test_distinct_matches_the_byte_sort(monkeypatch, case, weights):
+    # ones make rows that are permutations of each other share a key, zeros
+    # make every row share one: the bitwise check must fall back on the sort
+    if weights != "hashed":
+        monkeypatch.setattr(metrics, "_ROW_WEIGHTS", np.full(
+            64, weights == "ones", dtype=np.uint64))
+    a = DISTINCT_CASES[case]
+    first, inverse = metrics._distinct(a)
+    ref_first, ref_inverse = _distinct_by_bytes(a)
+    assert first.dtype == ref_first.dtype and inverse.dtype == ref_inverse.dtype
+    assert first.tolist() == ref_first.tolist() and inverse.tolist() == ref_inverse.tolist()
+    assert a[first][inverse].tobytes() == a.tobytes()
+
+
 def test_bound_refuses_an_asymmetric_pdot():
     # the rule's own output is checked, before it is symmetrized
     metric = _with_pdot(lambda x: np.broadcast_to([[0.0, 5.0], [0.0, 0.0]],
