@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Commands ``bound``, ``sweep``, ``oracle``, ``lanford`` and ``props``;
-``build_parser`` gives each its help and only the flags it reads.
+Commands ``bound``, ``sweep``, ``oracle``, ``lanford`` and ``props``: the
+parser gives each its ``run`` function, its help and only the flags it reads.
 
 A ``--config`` file holds only the keys system, params, box and resolution,
 plus horizons for sweep and oracle; flags win over it.  Exit codes: 0
@@ -337,12 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "metric-adapted singular values",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, text in (
-        ("bound", "compute one entropy bound"),
-        ("sweep", "bound per horizon with auto metrics"),
-        ("oracle", "finite-time Lyapunov-exponent estimate"),
-        ("lanford", "reproduction run for the built-in 3-D system"),
-        ("props", "randomized property suite"))}
+    commands = {}
+    for name, run, text in (
+            ("bound", cmd_bound, "compute one entropy bound"),
+            ("sweep", cmd_sweep, "bound per horizon with auto metrics"),
+            ("oracle", cmd_oracle, "finite-time Lyapunov-exponent estimate"),
+            ("lanford", cmd_lanford, "reproduction run for the built-in 3-D system"),
+            ("props", cmd_props, "randomized property suite")):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(run=run)
 
     def flag(names, *args, **kwargs):   # each command takes the flags it reads
         for name in names.split():
@@ -380,19 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-    "oracle": cmd_oracle,
-    "lanford": cmd_lanford,
-    "props": cmd_props,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()        # a closed reader shows here, not at exit
         return code
     except BrokenPipeError:

@@ -11,7 +11,7 @@ last admissible state and reported with the escape time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -437,30 +437,33 @@ def grid_counts(resolution, dim: int) -> list:
     return counts
 
 
-def lattice_points(region: CompactSet, counts: list, index: Array) -> tuple:
+def lattice_points(region: CompactSet, counts: list, index) -> tuple:
     """The nodes of the uniform lattice of ``counts`` points per axis over
-    the box whose row-major flat indices are ``index`` (increasing), as
-    ``(pts, index)`` of those the constraint keeps.  A node's coordinates
-    are those of ``np.linspace`` on each axis, and halving the step is
-    exact, so node i of c points per axis is node 2i of 2c - 1, bit for bit."""
+    the box whose row-major flat indices are ``index`` (increasing; an array
+    or a ``range``), as ``(pts, index)`` of those the constraint keeps, built
+    and filtered ``_BLOCK_ROWS`` at a time.  A node's coordinates are those
+    of ``np.linspace`` on each axis, and halving the step is exact, so node
+    i of c points per axis is node 2i of 2c - 1, bit for bit."""
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(region.bounds, counts)]
-    pts = np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(index, counts))],
-                   axis=-1)
-    if region.constraint is None:
-        return pts, index
-    inside = np.asarray(region.constraint(pts), dtype=bool)
-    return pts[inside], index[inside]
+    pts, kept = [np.empty((0, len(counts)))], [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(index), _BLOCK_ROWS):
+        at = index[start:start + _BLOCK_ROWS]
+        at = np.arange(at.start, at.stop, at.step) if isinstance(at, range) else at
+        block = np.stack([axis[i] for axis, i in zip(axes, np.unravel_index(at, counts))], -1)
+        if region.constraint is not None:
+            inside = np.asarray(region.constraint(block), dtype=bool)
+            block, at = block[inside], at[inside]
+        pts.append(block)
+        kept.append(at)
+    return np.concatenate(pts), np.concatenate(kept)
 
 
 def sample_set(region: CompactSet, resolution) -> Array:
     """Uniform grid over the box in row-major order, filtered by the
-    constraint.  ``resolution`` is a per-axis count or a single count.  The
-    box is built and filtered ``_BLOCK_ROWS`` rows at a time."""
+    constraint: the ``lattice_points`` of the whole lattice.  ``resolution``
+    is a per-axis count or a single count."""
     counts = grid_counts(resolution, region.dim)
-    total = int(np.prod(counts, dtype=np.int64))
-    pts = np.concatenate([
-        lattice_points(region, counts, np.arange(start, min(start + _BLOCK_ROWS, total)))[0]
-        for start in range(0, total, _BLOCK_ROWS)])
+    pts = lattice_points(region, counts, range(int(np.prod(counts, dtype=np.int64))))[0]
     if len(pts) == 0:
         raise ConfigError("constraint excluded every grid point")
     return pts
@@ -570,18 +573,12 @@ def linear_ode_system(matrix) -> SystemModel:
 
 
 def identity_system(dim: int = 2) -> SystemModel:
-    if int(dim) < 1:
+    """The identity map x -> x of dimension ``dim``: the ``linmap`` of the
+    unit matrix, named ``identity`` and parametrised by ``dim``."""
+    n = _whole_count(dim)
+    if n < 1:
         raise ConfigError(f"the identity system needs dimension >= 1, got {dim}")
-
-    def rhs(x: Array) -> Array:
-        return np.asarray(x, dtype=float).copy()
-
-    def jac(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(dim), x.shape[:-1] + (dim, dim)).copy()
-
-    return SystemModel(name="identity", time_type="discrete", dim=int(dim),
-                       rhs=rhs, jacobian=jac, params={"dim": int(dim)})
+    return replace(_linear_factories(np.eye(n), "discrete", "identity"), params={"dim": n})
 
 
 def builtin_systems() -> dict:

@@ -21,11 +21,10 @@ from .dynamics import CompactSet, SystemModel, grid_counts, propagate, sample_se
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
-from .spd import karcher_barycenter
+from .spd import LN2, karcher_barycenter
 
 Array = np.ndarray
 
-LN2 = float(np.log(2.0))
 SCHEMA_VERSION = 4
 UNITS = {"discrete": "bits/step", "continuous": "bits/time"}   # by time type
 # Refinement doubles the resolution (c -> 2c - 1 per axis) until the bound
@@ -318,10 +317,14 @@ def _doubled(at: Array, counts: list, finer: list) -> Array:
     return np.ravel_multi_index(tuple(2 * i for i in np.unravel_index(at, counts)), finer)
 
 
-def _ends(a: Array, axis: int) -> tuple:
-    """Views of ``a`` without its last and without its first entry along ``axis``."""
-    head = (slice(None),) * axis
-    return a[head + (slice(None, -1),)], a[head + (slice(1, None),)]
+def _cells(a: Array, axes) -> Array:
+    """``np.fmax`` of each pair of neighbours along each of ``axes`` in turn:
+    per cell (by lower corner), the largest non-NaN value of ``a`` at its
+    corners along ``axes``, NaN where there is none; exact in any order."""
+    for k in axes:
+        head = (slice(None),) * k
+        a = np.fmax(a[head + (slice(None, -1),)], a[head + (slice(1, None),)])
+    return a
 
 
 class _Lattice:
@@ -330,41 +333,36 @@ class _Lattice:
     ``counts`` points per axis span the box.  ``live`` marks the cells (by
     lower corner, ``counts - 1`` per axis) that a split may still halve:
     every cell of the first lattice (``True``), then the halves of the
-    cells split.
-    ``found`` holds, per level, the table of the kept nodes, their flat
-    node indices, the excluded nodes and theirs, each in node order and
-    indexed on the current lattice.  ``best`` is the largest local bound
-    and ``level`` the number of splits."""
+    cells split.  ``table`` holds the rows of the kept nodes and ``at``
+    their flat node indices, ``excluded`` the entries of the excluded nodes
+    and ``lost`` theirs, each in the order the nodes were evaluated: node
+    order within each split, and the indices on the current lattice.
+    ``best`` is the largest local bound and ``level`` the number of splits."""
 
     def __init__(self, system: SystemModel, region: CompactSet, metric: MetricField,
                  counts: list):
         self.system, self.region, self.metric, self.counts = system, region, metric, counts
         self.live = True
-        self.best, self.level, self.margin, self.found = -np.inf, 0, None, []
+        self.best, self.level, self.margin = -np.inf, 0, None
+        self.table, self.at = np.empty((0, 2 * len(counts) + 1)), np.empty(0, dtype=np.int64)
+        self.excluded, self.lost = [], np.empty(0, dtype=np.int64)
         self._evaluate(range(int(np.prod(counts, dtype=np.int64))))
-        table, _, excluded, _ = self.found[0]
-        if not len(table) and not excluded:
+        if not len(self.table) and not self.excluded:
             raise ConfigError("constraint excluded every grid point")
-        if not len(table):
+        if not len(self.table):
             raise NumericError("every sample point was excluded; no bound available")
 
     def _evaluate(self, index) -> None:
-        """Adds the level of the nodes of increasing flat indices ``index``
-        (an array, or the range of the whole lattice) that the region keeps.
-        The nodes are built and filtered, and their spectra evaluated,
-        ``_BLOCK_ROWS`` at a time: no row's arithmetic depends on the rows
-        beside it, so the blocks join, in node order, into the table one
-        batch would give."""
-        dim, rows = len(self.counts), dynamics._BLOCK_ROWS
-        found = [dynamics.lattice_points(self.region, self.counts,
-                                         np.asarray(index[start:start + rows]))
-                 for start in range(0, len(index), rows)]
-        pts = np.concatenate([np.empty((0, dim))] + [p for p, _ in found])
-        index = np.concatenate([np.empty(0, dtype=np.int64)] + [i for _, i in found])
-        del found                 # the blocks go before the spectra's temporaries
-        tables, kept, reasons = [np.empty((0, 2 * dim + 1))], [np.zeros(0, dtype=bool)], []
-        for start in range(0, len(pts), rows):
-            block = pts[start:start + rows]
+        """Evaluates the nodes of increasing flat indices ``index`` (an
+        array, or the range of the whole lattice) that the region keeps,
+        and appends their rows to ``table`` and ``excluded``.  Their
+        spectra are evaluated ``_BLOCK_ROWS`` nodes at a time: no row's
+        arithmetic depends on the rows beside it, so the blocks join, in
+        node order, into the table one batch would give."""
+        pts, index = dynamics.lattice_points(self.region, self.counts, index)
+        tables, kept, reasons = [self.table], [np.zeros(0, dtype=bool)], []
+        for start in range(0, len(pts), dynamics._BLOCK_ROWS):
+            block = pts[start:start + dynamics._BLOCK_ROWS]
             values, ok, why = _spectra(self.system, self.metric, block)
             locals_ = positive_sum(values)
             if self.system.time_type == "continuous":
@@ -372,15 +370,16 @@ class _Lattice:
             tables.append(np.column_stack([block[ok], values, locals_]))
             kept.append(ok)
             reasons += why
-        table, kept = np.concatenate(tables), np.concatenate(kept)
-        self.best = max(self.best, float(np.max(table[:, -1], initial=-np.inf)))
-        self.found.append((table, index[kept], [
-            {"state": state, "reason": reason}
-            for state, reason in zip(pts[~kept].tolist(), reasons)], index[~kept]))
+        self.table, kept = np.concatenate(tables), np.concatenate(kept)
+        self.at, self.lost = np.append(self.at, index[kept]), np.append(self.lost, index[~kept])
+        self.excluded += [{"state": state, "reason": reason}
+                          for state, reason in zip(pts[~kept].tolist(), reasons)]
+        self.best = float(np.max(self.table[:, -1], initial=-np.inf))
 
     def split(self) -> None:
-        """Double the lattice (c -> 2c - 1 per axis) and evaluate the new
-        nodes of the live cells that may hold a larger local bound.
+        """Double the lattice (c -> 2c - 1 per axis), re-index ``at`` and
+        ``lost`` on it, and evaluate the new nodes of the live cells that
+        may hold a larger local bound.
 
         A cell's margin is ``REFINE_MARGIN`` times the largest difference
         in local bound between kept lattice neighbours on the edges of the
@@ -392,32 +391,20 @@ class _Lattice:
         live, when none of its corners is kept or when its largest kept
         corner plus its margin reaches ``best``.  The nodes of its halves
         that are not nodes of the coarse lattice are evaluated."""
-        dim = len(self.counts)
+        dim, axes = len(self.counts), range(len(self.counts))
         local = np.full(self.counts, np.nan)         # NaN off the kept nodes
-        for table, at, _, _ in self.found:
-            local.flat[at] = table[:, -1]
+        local.flat[self.at] = self.table[:, -1]
         margin = np.full([c - 1 for c in self.counts], np.nan)   # NaN: no step
-        for k in range(dim):      # largest step on each cell's edges along axis k
-            step = np.abs(np.diff(local, axis=k))
-            for other in set(range(dim)) - {k}:
-                step = np.fmax(*_ends(step, other))
-            margin = np.fmax(margin, step)
-        for k in range(dim):      # and on its neighbours' edges, axis by axis
-            near = margin.copy()
-            lower, upper = _ends(near, k)
-            np.fmax(upper, _ends(margin, k)[0], out=upper)
-            np.fmax(lower, _ends(margin, k)[1], out=lower)
-            margin = near
-        margin *= REFINE_MARGIN
+        for k in axes:            # largest step on each cell's edges along axis k
+            margin = np.fmax(margin, _cells(np.abs(np.diff(local, axis=k)), set(axes) - {k}))
+        # and on its neighbours' edges: one cell of NaN around, reduced twice
+        margin = REFINE_MARGIN * _cells(np.pad(margin, 1, constant_values=np.nan), [*axes, *axes])
         largest = float(np.max(margin, initial=-np.inf, where=~np.isnan(margin)))
         self.margin = largest if largest >= 0.0 else np.inf
-        for k in range(dim):      # largest kept corner of each cell, axis by axis
-            local = np.fmax(*_ends(local, k))
-        split = self.live & ~(local + margin < self.best)   # a NaN corner or margin splits
+        split = self.live & ~(_cells(local, axes) + margin < self.best)  # a NaN one splits
         coarse, self.counts = self.counts, [2 * c - 1 for c in self.counts]
-        self.found = [(table, _doubled(at, coarse, self.counts), excluded,
-                       _doubled(lost, coarse, self.counts))
-                      for table, at, excluded, lost in self.found]
+        self.at, self.lost = (_doubled(self.at, coarse, self.counts),
+                              _doubled(self.lost, coarse, self.counts))
         self.live = np.zeros([c - 1 for c in self.counts], dtype=bool)
         need = np.zeros(self.counts, dtype=bool)
         corners = list(itertools.product((0, 1), repeat=dim))
@@ -430,14 +417,12 @@ class _Lattice:
         self._evaluate(np.flatnonzero(need))
 
     def report(self) -> BoundReport:
-        """The report of every level's rows, the kept and the excluded
-        nodes each merged in row-major node order."""
-        table, _, excluded, _ = self.found[0]
+        """The report of the rows evaluated, the kept and the excluded nodes
+        each sorted by node index after a split (the first lattice's are)."""
+        table, excluded = self.table, self.excluded
         if self.level:
-            tables, kept_at, excluded, lost = zip(*self.found)
-            table = np.concatenate(tables)[np.argsort(np.concatenate(kept_at))]
-            excluded = [e for level in excluded for e in level]
-            excluded = [excluded[i] for i in np.argsort(np.concatenate(lost))]
+            table = table[np.argsort(self.at)]
+            excluded = [excluded[i] for i in np.argsort(self.lost)]
         best = table[np.argmax(table[:, -1])]
         continuous = self.system.time_type == "continuous"
         return BoundReport(
@@ -618,7 +603,7 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
         for k, t in enumerate(horizons):
             sv = np.linalg.svd(prop.jacobians[k], compute_uv=False)
             with np.errstate(divide="ignore"):
-                lam = np.where(sv > 0.0, np.log2(np.maximum(sv, 1e-300)), -np.inf) / t
+                lam = np.where(sv > 0.0, np.log2(sv), -np.inf) / t
             # escaped-by-t points are additionally masked per horizon
             esc_t = prop.escaped & (prop.escape_times <= t + 1e-12)
             sums = positive_sum(np.where(np.isfinite(lam), lam, 0.0))

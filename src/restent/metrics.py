@@ -188,7 +188,7 @@ def metric_sv_values(q_half: Array, jac: Array, p_ihalf: Array) -> Array:
     if not np.all(np.isfinite(sv)):
         raise NumericError("non-finite singular values in metric spectrum")
     with np.errstate(divide="ignore"):
-        out = np.where(sv > 0.0, np.log2(np.maximum(sv, 1e-300)), LOG_ZERO)
+        out = np.where(sv > 0.0, np.log2(sv), LOG_ZERO)
     return out
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError
 from .metrics import metric_sv_values
 from .spd import (
+    LN2,
+    _compose,
     congruence,
     distance,
     geodesic,
@@ -25,8 +27,6 @@ from .spd import (
     sym,
     vectorial_distance,
 )
-
-LN2 = float(np.log(2.0))
 
 
 @dataclass
@@ -51,7 +51,7 @@ def random_spd(draws):
     """SPD matrices q diag(exp(v)) q^T from stacked ``_spd_draw`` arrays."""
     draws = np.asarray(draws)
     q, _ = np.linalg.qr(draws[..., :-1, :])
-    return sym((q * np.exp(draws[..., -1:, :])) @ np.swapaxes(q, -1, -2))
+    return sym(_compose(q, np.exp(draws[..., -1, :])))
 
 
 def random_gl(rng, n):
@@ -74,7 +74,7 @@ def _instances(rng, n, count, *draws):
 def _sym_fn(a, f):
     """f of symmetric matrices through their eigen-decompositions: u f(w) u^T."""
     w, u = np.linalg.eigh(sym(a))
-    return sym((u * f(w)[..., None, :]) @ np.swapaxes(u, -1, -2))
+    return sym(_compose(u, f(w)))
 
 
 def _expm_small(a):

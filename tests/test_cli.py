@@ -214,14 +214,15 @@ def test_nonfinite_horizon_is_config_error(tmp_path, capsys, argv):
     {"system": "lanford", "params": [1]},
     {"system": "lanford", "params": {"a": "x"}},
     {"system": "identity", "params": {"dim": 0}},
+    {"system": "identity", "params": {"dim": 2.5}},
     [1],
     {"name": "identity"},
     {"system": "identity", "horizons": [1]},
     {"system": "identity", "params": {"dim": 2}, "resolution": [2.5, 3]},
     {"system": "identity", "params": {"dim": 2}, "resolution": 0},
-], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim", "config-not-an-object",
-        "name-alias-key", "horizons-key-on-bound", "fractional-resolution",
-        "zero-resolution"])
+], ids=["unknown-key", "not-an-object", "bad-value", "zero-dim", "fractional-dim",
+        "config-not-an-object", "name-alias-key", "horizons-key-on-bound",
+        "fractional-resolution", "zero-resolution"])
 def test_bad_config_params_is_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))

@@ -115,6 +115,17 @@ def test_jacobian_consistency_finite_differences():
             assert np.max(np.abs(fd - jac[..., i]) / scale) < 1e-5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identity_system_is_the_unit_linmap(n):
+    ident, linmap = identity_system(n), linear_map_system(np.eye(n))
+    assert (ident.name, ident.time_type, ident.dim, ident.params) == (
+        "identity", "discrete", n, {"dim": n})
+    pts = sample_set(CompactSet(bounds=((-1.0, 1.0),) * n), 5)
+    assert ident.rhs(pts).tobytes() == linmap.rhs(pts).tobytes()
+    assert ident.jacobian(pts).tobytes() == linmap.jacobian(pts).tobytes()
+    np.testing.assert_array_equal(ident.rhs(pts), pts)
+
+
 def test_blowup_guard_reports_escape(dop853):
     sys_ = lanford_system(A_DEFAULT)
     bad = np.array([0.5, 0.5, -0.5])       # z < 0 escapes in finite time

@@ -545,6 +545,18 @@ def test_lyapunov_oracle_identity_map():
     assert len(res.states) and len(res.exponents[0]) == 2
 
 
+def test_lyapunov_oracle_keeps_tiny_singular_values():
+    # at t = 40 the smaller singular value is 1e-320, a subnormal: its
+    # exponent is log2(1e-8) = -26.575, not log2(1e-300) / 40 = -24.914
+    res = lyapunov_oracle(linear_map_system(np.diag([1.5, 1e-8])), UNIT_BOX_2,
+                          horizons=(10, 40), resolution=2)
+    np.testing.assert_allclose(res.exponents[:, 1], np.log2(1e-8), rtol=1e-6)
+    res = lyapunov_oracle(linear_map_system(np.diag([1.5, 0.0])), UNIT_BOX_2,
+                          horizons=(10, 40), resolution=2)
+    assert (res.exponents[:, 1] == -np.inf).all()
+    assert res.values == pytest.approx([np.log2(1.5)] * 2, rel=1e-12)
+
+
 def test_lyapunov_oracle_excludes_blowups():
     sys_ = lanford_system(A0)
     box = CompactSet(bounds=((-0.4, 0.4), (-0.4, 0.4), (-0.3, 0.5)))
@@ -1015,6 +1027,18 @@ def test_bound_core_matches_per_point_loop_continuous():
 
 
 JORDAN = np.array([[2.0, 1.0], [0.0, 2.0]])
+def _excluded_on_two_levels(resolution, refine=False):
+    """The counting metric on diag(2, 0.5), undefined at (1, 1) and at the
+    nodes (-0.5, y) with y <= 0.  Refined from resolution 3, (1, 1) is
+    excluded on the first lattice and the others on the doubled one, which
+    puts them before it in node order."""
+    sys_ = linear_map_system(np.diag([2.0, 0.5]))
+    rule = _counting_rule([], lambda row: row.tolist() == [1.0, 1.0]
+                          or (row[0] == -0.5 and row[1] <= 0.0), sys_)
+    return bound(sys_, UNIT_BOX_2, MetricField.tabulated(2, rule, label="counting"),
+                 resolution=resolution, refine=refine)
+
+
 BLOCK_CASES = {
     "lanford-exp": lambda: bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0),
                                  resolution=13),
@@ -1032,6 +1056,7 @@ BLOCK_CASES = {
             [], lambda row: row[0] == -0.5 and row[1] <= 0.0,
             linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))), label="counting"),
         resolution=5),
+    "counting-refined": lambda: _excluded_on_two_levels(3, refine=True),
 }
 
 
@@ -1044,6 +1069,15 @@ def test_bound_blocks_change_no_result(monkeypatch, case):
     if case == "counting":
         states = [e["state"] for e in ref.excluded]
         assert [-0.5, -0.5] in states and [-0.5, 0.0] in states
+    if case == "counting-refined":
+        # the kept and the excluded rows of both levels, each merged into a
+        # node-ordered subsequence of the uniform grid's
+        uniform = _excluded_on_two_levels(ref.resolution)
+        assert ref.refinements == 1 and ref.excluded[-1]["state"] == [1.0, 1.0]
+        order = _node_order(ref.per_point, uniform.per_point)
+        assert (order >= 0).all() and (np.diff(order) > 0).all()
+        lost = [uniform.excluded.index(e) for e in ref.excluded]
+        assert len(lost) == 4 and lost == sorted(set(lost))
 
 
 def test_bound_block_without_kept_points_does_not_raise(monkeypatch):

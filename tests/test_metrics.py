@@ -82,6 +82,16 @@ def test_singular_jacobian_sentinel():
     assert positive_sum(values) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [2, 3])   # the 2x2 closed form and LAPACK
+def test_tiny_singular_values_keep_their_logarithm(n):
+    # below 1e-300 a singular value is not clipped: log2(1e-305) = -1013.19
+    jac = np.diag([2.0] + [1.0] * (n - 2) + [1e-305])
+    values = metric_sv_values(np.eye(n), jac, np.eye(n))
+    assert values[0] == 1.0 and values[-1] == np.log2(1e-305)
+    jac[-1, -1] = 0.0
+    assert metric_sv_values(np.eye(n), jac, np.eye(n))[-1] == LOG_ZERO
+
+
 def _two_by_two_cases():
     rng = np.random.default_rng(29)
     plain = rng.standard_normal((2000, 2, 2))
