@@ -171,8 +171,10 @@ def _build_metric(spec, system, args):
     if spec == "identity":
         return MetricField.identity(system.dim)
     if spec.startswith("constant:"):
-        return MetricField.constant(_parse_matrix(spec[len("constant:"):]),
-                                    label="constant")
+        try:
+            return MetricField.constant(_parse_matrix(spec[len("constant:"):]))
+        except NumericError as exc:          # not a square SPD matrix
+            raise ConfigError(f"metric {spec!r}: {exc}") from exc
     if spec == "lanford-exp":
         if system.name != "lanford":
             raise ConfigError("the lanford-exp metric only fits the lanford system")
@@ -231,13 +233,12 @@ def cmd_sweep(args) -> int:
     if not horizons:
         raise ConfigError("sweep needs a nonempty --horizons list")
     horizons = _parse_horizons(horizons)
-    if system.time_type == "discrete" and not all(h.is_integer() for h in horizons):
-        raise ConfigError(f"horizons of a discrete system are step counts, got {horizons}")
     options = _auto_options(system, args)
+    # every horizon's metric first: a bad horizon is refused before any file is written
+    metrics = [minimizing_metric(system, h, **options) for h in horizons]
     stem = args.out or f"sweep_{system.name}"
     bounds = []
-    for h in horizons:
-        metric = minimizing_metric(system, h, **options)
+    for h, metric in zip(horizons, metrics):
         report = bound(system, region, metric, resolution, refine=args.refine)
         bounds.append(report.bound)
         report.write(f"{stem}.h{h:g}")

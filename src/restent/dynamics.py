@@ -6,8 +6,9 @@ axes, so a sample grid, or a block of one, propagates as one batch.
 Continuous-time flows use the Dormand-Prince 8(5,3) pair (DOP853), each row
 with a step size chosen from its embedded error estimates; the variational
 matrix (the flow Jacobian) is integrated jointly with the state, on the same
-steps.  Trajectories whose norm exceeds the blow-up guard are frozen at their
-last admissible state and reported with the escape time.
+steps.  Maps iterate the same packed rows.  Trajectories whose norm exceeds
+the blow-up guard, or whose state or Jacobian stops being finite, are frozen
+at their last admissible state and reported with the escape time.
 """
 from __future__ import annotations
 
@@ -186,11 +187,15 @@ def _check_horizon(system: SystemModel, t, what: str = "horizon") -> float:
     return t
 
 
-def _blown(x: Array) -> Array:
-    """Rows whose state is not finite or lies outside the blow-up guard."""
+def _blown(y: Array, n: int) -> Array:
+    """Both steppers' escape rule: rows of packed ``y`` whose state (first
+    ``n`` entries) passes the blow-up guard, or with an entry not finite:
+    their row sum is not (under a fifth of ``np.isfinite``'s cost), and so are
+    rows whose entries come within the row width of the float maximum."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("...i,...i->...", x, x)
-    return ~np.isfinite(sq) | (sq > BLOWUP_NORM ** 2)
+        x = y[:, :n]
+        return (np.einsum("ij,ij->i", x, x) > BLOWUP_NORM ** 2) | ~np.isfinite(
+            y @ np.ones(y.shape[1]))
 
 
 def _packed_field(system: SystemModel, variational: bool):
@@ -240,27 +245,23 @@ def _dop853_dense(field, y0: Array, y1: Array, k: Array, h: Array, at: Array,
     return y0[at] + np.einsum("kp,kpw->pw", coef, g)
 
 
-def _integrate_continuous(system, x0, t, variational, record_at):
-    """Dormand-Prince 8(5,3) (DOP853) propagation of the state (and
-    variational matrix) over [0, t].
+def _integrate_continuous(field, y, n, t, marks):
+    """Dormand-Prince 8(5,3) (DOP853) steps of ``field`` from the packed
+    rows ``y`` (state of ``n`` entries first, overwritten) over [0, t].
 
-    The live rows step together, packed, each with its own clock and step
-    size, so a row that needs short steps (one about to blow up, say) does
-    not hold back the others.  ``rows`` maps them to the outputs; a row
-    leaves, in one compaction at the top of an iteration, once it reaches t
+    The live rows step together, each with its own clock and step size, so
+    a row that needs short steps (one about to blow up, say) does not hold
+    back the others.  ``rows`` maps them to the outputs; a row leaves, in
+    one compaction at the top of an iteration, once it passes the last mark
     or has escaped.  A row's step is adapted so that Hairer's error
     estimate, built from the embedded fifth- and third-order estimates in a
     mixed absolute/relative max-norm over the row, stays below ``STEP_TOL``
-    per step.  A step lands exactly on the last record time it covers; only
-    a step that passes some computes the extra stages that read them off
-    the continuous extension (error at ``STEP_TOL``).  Returns (states,
-    jacobians, escaped, escape times, accepted and rejected steps per row)."""
-    m, n = x0.shape
-    y = (np.concatenate([x0, np.broadcast_to(np.eye(n).ravel(), (m, n * n))], axis=1)
-         if variational else x0.copy())
-    field = _packed_field(system, variational)
-    # the record times, then t and a sentinel past it
-    marks = np.array([*(record_at or []), t, np.inf], dtype=float)
+    per step.  A step lands exactly on the last mark it covers; only a step
+    that passes some computes the extra stages that read them off the
+    continuous extension (error at ``STEP_TOL``).  Returns (records at the
+    ``marks``, escape times or NaN, accepted and rejected steps per row)."""
+    m = len(y)
+    marks = np.append(np.asarray(marks, dtype=float), np.inf)    # and a sentinel
     r = len(marks) - 1
     out = np.empty((r,) + y.shape)
     rows = np.arange(m)                   # output row of each live row
@@ -313,7 +314,7 @@ def _integrate_continuous(system, x0, t, variational, record_at):
             ratio[~np.isfinite(ratio)] = np.inf
             # at the step floor, a row that still misses the target escapes
             ok = (ratio <= 1.0) | (hs <= floor)
-            new = _blown(y_new[:, :n]) | (ratio > 1.0)
+            new = _blown(y_new, n) | (ratio > 1.0)
             fac = np.minimum(grow, np.maximum(MIN_GROWTH, SAFETY * ratio ** -0.125))
             # a step cut short to land on a record time does not shrink the
             # next one
@@ -346,56 +347,47 @@ def _integrate_continuous(system, x0, t, variational, record_at):
                     field, y0, y[passed], kp, hs[passed, None], at,
                     (marks[which] - start[passed[at]]) / hs[passed[at]])
                 nxt[passed] = stop
-    res = out[:-1] if record_at is not None else out[0]
-    jacs = res[..., n:].reshape(res.shape[:-1] + (n, n)) if variational else None
-    return res[..., :n], jacs, ~np.isnan(times), times, accepted, rejected
+    return out, times, accepted, rejected
 
 
-def _integrate_discrete(system, x0, t, variational, record_at):
-    m, n = x0.shape
-    steps = int(round(t))
-    x = x0.copy()
-    v = np.broadcast_to(np.eye(n), (m, n, n)).copy() if variational else None
-    escaped = np.zeros(m, dtype=bool)
+def _integrate_discrete(field, y, n, t, marks):
+    """The map ``field`` iterated t times on the packed rows ``y``, each
+    frozen at the step ``_blown`` flags it; returns what
+    ``_integrate_continuous`` returns, no step rejected."""
+    m = len(y)
+    marks = np.round(marks)
+    out = np.empty((len(marks),) + y.shape)
     times = np.full(m, np.nan)
-    marks = np.round(record_at if record_at is not None else [t])
-    states = np.empty((len(marks),) + x.shape)
-    jacs = np.empty((len(marks),) + v.shape) if variational else None
-    for k in range(steps + 1):
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                xn = system.rhs(x)
-                vn = system.jacobian(x) @ v if variational else None
-            new = _blown(xn) & ~escaped
-            escaped |= new
-            times[new] = float(k)
-            xn[escaped] = x[escaped]
-            if variational:
-                vn[escaped] = v[escaped]
-            x, v = xn, vn
-        states[marks == k] = x
-        if variational:
-            jacs[marks == k] = v
-    if record_at is None:
-        states, jacs = states[0], (jacs[0] if variational else None)
-    return states, jacs, escaped, times, np.full(m, steps), np.zeros(m, dtype=int)
+    steps = int(round(t))
+    out[marks == 0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            new = field(y, np.empty_like(y))
+            times[_blown(new, n) & np.isnan(times)] = k
+            gone = ~np.isnan(times)
+            new[gone] = y[gone]
+            y = new
+            out[marks == k] = y
+    return out, times, np.full(m, steps), np.zeros(m, dtype=int)
 
 
 def propagate(system: SystemModel, x0, t, variational: bool = False,
               record_at: Optional[Sequence[float]] = None) -> Propagation:
     """Batched propagation over horizon t, optionally with the variational
-    matrix and intermediate records.  Continuous-time flows use adaptive
-    Dormand-Prince 8(5,3) (DOP853) steps whose error estimate is at most
-    ``STEP_TOL`` per step, which bounds each step, not the returned state
-    (``STEP_TOL`` states the measured global error).  Each record time gets
-    its own record, repeats included: a flow's step lands on the last record
-    time it covers and reads the ones it passes off the continuous extension
-    (also stated at ``STEP_TOL``); a map's record times are whole steps.
-    Does not raise on blow-up; escaped points are frozen and flagged.  No
-    row reads another, but OpenBLAS rounds the stage sums by the batch's
-    width and thread split: a lanford row moves with its batch by up to
-    5e-15 (2 threads; none with 1), and a row escaping at a NaN edge of its
-    field by a few steps."""
+    matrix and intermediate records: it packs each row (the state, then the
+    flat variational matrix), runs the time type's stepper on
+    ``_packed_field`` and unpacks the records.  Continuous-time flows use
+    adaptive Dormand-Prince 8(5,3) (DOP853) steps whose error estimate is at
+    most ``STEP_TOL`` per step, which bounds each step, not the returned
+    state (``STEP_TOL`` states the measured global error).  Each record time
+    gets its own record, repeats included: a flow's step lands on the last
+    record time it covers and reads the ones it passes off the continuous
+    extension (also stated at ``STEP_TOL``); a map's record times are whole
+    steps.  Does not raise on blow-up: a row that ``_blown`` flags is frozen
+    and flagged.  No row reads another, but OpenBLAS rounds the stage sums
+    by the batch's width and thread split: a lanford row moves with its
+    batch by up to 5e-15 (2 threads; none with 1), and a row escaping at a
+    NaN edge of its field by a few steps."""
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != system.dim:
         raise ConfigError(f"state dimension {x0.shape[-1]} != system dimension {system.dim}")
@@ -406,11 +398,16 @@ def propagate(system: SystemModel, x0, t, variational: bool = False,
             raise ConfigError("record times must lie within [0, horizon]")
         if sorted(record_at) != record_at:
             raise ConfigError("record times must be nondecreasing")
-    if system.time_type == "discrete":
-        result = _integrate_discrete(system, x0, t, variational, record_at)
-    else:
-        result = _integrate_continuous(system, x0, t, variational, record_at)
-    return Propagation(*result)
+    m, n = x0.shape
+    y = np.zeros((m, n + n * n if variational else n))
+    y[:, :n] = x0
+    y[:, n::n + 1] = 1.0           # the variational matrix, flat, starts as the identity
+    step = _integrate_discrete if system.time_type == "discrete" else _integrate_continuous
+    out, times, accepted, rejected = step(_packed_field(system, variational), y, n, t,
+                                          [*(record_at or []), t])
+    out = out[:-1] if record_at is not None else out[-1]
+    jacs = out[..., n:].reshape(out.shape[:-1] + (n, n)) if variational else None
+    return Propagation(out[..., :n], jacs, ~np.isnan(times), times, accepted, rejected)
 
 
 def _whole_count(value) -> int:

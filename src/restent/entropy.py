@@ -469,6 +469,8 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
     then the max over the nodes evaluated, the finest grid's max wherever
     ``REFINE_MARGIN`` rules out only cells that cannot hold it: a heuristic,
     which the report's ``bound_kind`` names (``grid-adaptive``)."""
+    if metric.dim != system.dim:
+        raise ConfigError(f"metric dimension {metric.dim} != system dimension {system.dim}")
     discrete = system.time_type == "discrete"
     if not discrete and not metric.has_orbital and not (metric.step or 0.0) > 0.0:
         raise ConfigError(f"metric '{metric.label}' has neither an orbital derivative "
@@ -543,7 +545,8 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
     horizon = float(horizon)
     if system.time_type == "discrete":
         if not horizon.is_integer() or horizon < 1:
-            raise ConfigError(f"steps must be a whole number of at least 1, got {horizon:g}")
+            raise ConfigError("steps must be a whole number of at least 1 (a map's "
+                              f"horizons are step counts), got {horizon:g}")
         nodes, label, step = np.arange(horizon + 1.0), f"auto:N={int(horizon)}", None
     else:
         time_samples = int(time_samples)
@@ -583,33 +586,35 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     the horizon series.  A map's horizons are step counts and its values
     are in bits/step; a flow's are in bits per unit time.
 
-    Points are propagated and reduced in blocks of ``_BLOCK_ROWS``, so
-    memory grows with the grid only by the kept states and exponents.
-    Blown-up samples are flagged and excluded.  On lanford at resolution
-    11, the 30 rows near the separatrix surface (level at least -1e-3)
-    shadow the heteroclinic connection: their states at t = 40 differ from
-    a scipy DOP853 reference (rtol 1e-13) by 4.9e-2, so their exponents
-    depend on the integrator, and QR renormalisation would not make them
+    Points are propagated in blocks of ``_BLOCK_ROWS``, so memory grows with
+    the grid only by the kept states and exponents.  A block is reduced in
+    one pass over all horizons: one SVD of the stacked records, exponents
+    log2(sv)/t, each horizon's max over the rows not escaped by then.
+    Escaped rows (a state past the guard or a Jacobian not finite) are
+    excluded, so every record is finite.  On lanford at resolution 11, the
+    30 rows near the separatrix surface (level at least -1e-3) shadow the
+    heteroclinic connection: their states at t = 40 differ from a scipy
+    DOP853 reference (rtol 1e-13) by 4.9e-2, so their exponents depend on
+    the integrator, and QR renormalisation would not make them
     reproducible."""
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise ConfigError("horizons must be positive")
     pts = sample_set(region, resolution)
+    t = np.array(horizons)[:, None]
     values = np.full(len(horizons), -np.inf)
     states, exponents, excluded = [], [], []
     for start in range(0, len(pts), dynamics._BLOCK_ROWS):
         block = pts[start:start + dynamics._BLOCK_ROWS]
         prop = propagate(system, block, horizons[-1], variational=True, record_at=horizons)
-        for k, t in enumerate(horizons):
-            sv = np.linalg.svd(prop.jacobians[k], compute_uv=False)
-            with np.errstate(divide="ignore"):
-                lam = np.where(sv > 0.0, np.log2(sv), -np.inf) / t
-            # escaped-by-t points are additionally masked per horizon
-            esc_t = prop.escaped & (prop.escape_times <= t + 1e-12)
-            sums = positive_sum(np.where(np.isfinite(lam), lam, 0.0))
-            values[k] = np.maximum(values[k], np.max(np.where(esc_t, -np.inf, sums)))
+        with np.errstate(divide="ignore"):
+            lam = np.log2(np.linalg.svd(prop.jacobians, compute_uv=False)) / t[..., None]
+        # rows that escaped by each horizon, (horizons, rows)
+        gone = prop.escape_times <= t + 1e-12
+        values = np.maximum(values, np.max(positive_sum(lam), axis=1, initial=-np.inf,
+                                           where=~gone))
         states.append(block[~prop.escaped])
-        exponents.append(lam[~prop.escaped])     # lam of the last horizon
+        exponents.append(lam[-1][~prop.escaped])
         excluded += [(start + int(i), float(prop.escape_times[i]))
                      for i in np.nonzero(prop.escaped)[0]]
     if len(excluded) == len(pts):

@@ -19,9 +19,6 @@ from .spd import EIG_FLOOR, _compose, as_spd, sym
 
 Array = np.ndarray
 
-# Stand-in for log2(0) when a singular Jacobian is admitted for bound-only
-# use; annihilated by the max{0, .} in every bound formula.
-LOG_ZERO = -1e18
 # Odd multipliers of the row keys of ``_distinct``, reused cyclically past 64
 # entries: the powers of 2^64 / golden ratio (Knuth's multiplicative hashing),
 # so a change in one entry of a row always changes its key.
@@ -33,11 +30,11 @@ class MetricField:
     """Rule x -> P(x) plus, when available, the orbital derivative rule
     x -> Pdot(x) (per unit time).
 
-    kind is one of "constant", "analytic", "tabulated".  Constant and
-    analytic rules map states (..., n) -> (..., n, n).  A tabulated field
-    has no Pdot and is measured on the time-h map (h = 1 for a map, its
-    node spacing ``step`` for a flow): its rule maps states (m, n) to
-    ``(pairs, reasons)``, ``pairs[i]`` = (P(x), Phi_h^T P(phi_h x) Phi_h)
+    kind is "analytic" (a constant metric is an analytic one) or
+    "tabulated".  Analytic rules map states (..., n) -> (..., n, n).  A
+    tabulated field has no Pdot and is measured on the time-h map (h = 1
+    for a map, its node spacing ``step`` for a flow): its rule maps states
+    (m, n) to ``(pairs, reasons)``, ``pairs[i]`` = (P(x), Phi_h^T P(phi_h x) Phi_h)
     (the image's metric pulled back), ``reasons[i]`` None or why not."""
 
     dim: int
@@ -61,7 +58,7 @@ class MetricField:
             x = np.asarray(x, dtype=float)
             return np.zeros(x.shape[:-1] + (n, n))
 
-        return MetricField(dim=n, kind="constant", label=label, eval_rule=ev, orbital_rule=od)
+        return MetricField.analytic(n, ev, od, label=label)
 
     @staticmethod
     def identity(dim: int) -> "MetricField":
@@ -180,16 +177,15 @@ def metric_sv_values(q_half: Array, jac: Array, p_ihalf: Array) -> Array:
     given ``q_half`` = Q^{1/2} and ``p_ihalf`` = P^{-1/2}; batched.  For
     n = 2 they have a closed form (``_sv2``: against LAPACK on 200,000
     random matrices, the larger is within 1.0e-15 relative and the smaller
-    within 2.4 eps of the larger), and LAPACK's SVD gives the others.
-
-    Zero singular values map to the LOG_ZERO sentinel (bound-only use)."""
+    within 2.4 eps of the larger), and LAPACK's SVD gives the others.  A
+    zero singular value gives -inf, which no positive part counts, as in
+    the oracle's exponents."""
     b = q_half @ jac @ p_ihalf
     sv = _sv2(b) if b.shape[-1] == 2 else np.linalg.svd(b, compute_uv=False)
     if not np.all(np.isfinite(sv)):
         raise NumericError("non-finite singular values in metric spectrum")
     with np.errstate(divide="ignore"):
-        out = np.where(sv > 0.0, np.log2(sv), LOG_ZERO)
-    return out
+        return np.log2(sv)
 
 
 def _sv2(m: Array) -> Array:

@@ -443,6 +443,35 @@ def test_oracle_names_the_last_horizon_when_every_point_blows_up(tmp_path, capsy
         "numeric failure: every sample point blew up by the last horizon t=10")
 
 
+@pytest.mark.parametrize("matrix,horizons,last", [
+    ("[[1e100,0],[0,0.5]]", "1,2,4", "4"),
+    ("diag:1e30,0.5", "20", "20"),
+], ids=["jacobian-overflows-at-t4", "jacobian-overflows-before-t20"])
+def test_map_oracle_excludes_rows_whose_jacobian_overflows(tmp_path, capsys, matrix,
+                                                            horizons, last):
+    # the rows from x0 = 0 keep a bounded state while their Jacobian passes
+    # the float maximum: they escape at that step, as every other row did at
+    # the first, instead of reading 0 bits/step or failing in the SVD
+    code = run(["oracle", "--system", "linmap", "--matrix", matrix, "--resolution", "3",
+                "--horizons", horizons, "--out", str(tmp_path / "orc")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        f"numeric failure: every sample point blew up by the last horizon t={last}")
+
+
+def test_constant_metric_that_cannot_serve_the_system_is_config_error(tmp_path, capsys):
+    base = ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--resolution", "3",
+            "--out", str(tmp_path / "const")]
+    assert run(base + ["--metric", "constant:diag:1,1,1"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: metric dimension 3 != system dimension 2")
+    assert run(base + ["--metric", "constant:[[1,0],[0,-1]]"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: metric 'constant:[[1,0],[0,-1]]': "
+                          "matrix is not positive definite")
+    assert not os.path.exists(tmp_path / "const.report.json")
+
+
 def test_exit_code_invariance_failure(tmp_path, capsys):
     stem = str(tmp_path / "inv")
     code = run(["bound", "--system", "lanford", "--a", "1.0",

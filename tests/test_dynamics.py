@@ -138,6 +138,17 @@ def test_blowup_guard_reports_escape(dop853):
     assert abs(prop.escape_times[0] - dop853(sys_, bad, 20.0).escape_time) < 1e-2
 
 
+def test_a_map_row_whose_jacobian_overflows_escapes_at_that_step():
+    # from (0, 1) the state of diag(1e200, 0.5) stays bounded, but the
+    # Jacobian's first entry passes the float maximum at step 2: the row
+    # escapes there, frozen at its step-1 state and Jacobian, as a flow's does
+    prop = propagate(linear_map_system(np.diag([1e200, 0.5])), [[0.0, 1.0]], 3,
+                     variational=True)
+    assert prop.escaped.tolist() == [True] and prop.escape_times.tolist() == [2.0]
+    assert prop.states.tolist() == [[0.0, 0.5]]
+    assert prop.jacobians.tolist() == [[[1e200, 0.0], [0.0, 0.5]]]
+
+
 def _interior_lanford_rows():
     """The resolution-11 lanford grid points off the separatrix surface."""
     pts = sample_set(lanford_region(A_DEFAULT), 11)

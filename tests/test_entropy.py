@@ -34,7 +34,7 @@ from restent.entropy import (
     positive_sum,
     proximate_entropy,
 )
-from restent.metrics import LOG_ZERO, MetricField, metric_sv_values
+from restent.metrics import MetricField, metric_sv_values
 from restent import dynamics, entropy, spd
 from restent.spd import karcher_barycenter, power
 
@@ -156,6 +156,13 @@ def test_ct_bound_requires_matching_time_type_and_pdot():
     rep = bound(ode, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     assert rep.map_step is None
     assert rep.bound == pytest.approx(2.0 / LN2, abs=1e-12)
+
+
+def test_bound_refuses_a_metric_of_another_dimension():
+    # refused before anything is evaluated, naming both dimensions
+    with pytest.raises(ConfigError, match="metric dimension 3 != system dimension 2"):
+        bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2, MetricField.identity(3),
+              resolution=3)
 
 
 def test_ct_bound_rejects_tabulated_metric_without_step():
@@ -656,6 +663,16 @@ def test_refinement_loop_converges_and_reports():
     assert rep.resolution[0] > 5
 
 
+def test_refinement_stops_at_the_point_budget(monkeypatch):
+    # 9 x 9 = 81 nodes of the first doubled lattice exceed a budget of 50
+    monkeypatch.setattr(entropy, "DT_POINT_BUDGET", 50)
+    with pytest.warns(RuntimeWarning, match="refinement stopped by the point budget"):
+        rep = bound(linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]])), UNIT_BOX_2,
+                    MetricField.identity(2), resolution=5, refine=True)
+    assert rep.refinements == 0 and rep.bound_kind == "grid"
+    assert rep.resolution == [5, 5] and len(rep.per_point) == 25
+
+
 def _uniform_refinement(system, region, metric, counts):
     """The bound of refinement that evaluates every node of each doubled
     grid, as a bound without refinement on the grid where it stops."""
@@ -831,7 +848,7 @@ def _stamped(rep, created):
             **d, "columns": header, "per_point": rows}
 
 
-EDGE_VALUES = [-0.0, 1.0, 5e-324, 1e-300, 1.0 / 3.0, 1e22, 2.0 ** 53 + 2, LOG_ZERO,
+EDGE_VALUES = [-0.0, 1.0, 5e-324, 1e-300, 1.0 / 3.0, 1e22, 2.0 ** 53 + 2, -1e18,
                -1.5e-7, 123456789.0, np.inf, -np.inf, np.nan]
 
 
