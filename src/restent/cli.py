@@ -5,10 +5,10 @@ parser gives each its ``run`` function, its help and only the flags it reads.
 
 A ``--config`` file holds only the keys system, params, box and resolution,
 plus horizons for sweep and oracle; flags win over it.  Exit codes: 0
-success, 1 configuration or usage error (an unknown flag or key, or a system
-parameter the system does not take), 2 numeric failure, 3 invariance
-spot-check failure, 4 property violation, 141 (128 + SIGPIPE) standard
-output closed by its reader.
+success, 1 configuration or usage error (an unknown flag or key, a system
+parameter the system does not take, or an --out in no writable directory),
+2 numeric failure, 3 invariance spot-check failure, 4 property violation,
+141 (128 + SIGPIPE) standard output closed by its reader.
 """
 from __future__ import annotations
 
@@ -387,6 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        folder = os.path.dirname(args.out or "") or "."      # every command takes --out
+        if args.out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"--out {args.out!r}: no writable directory {folder!r}")
         code = args.run(args)
         sys.stdout.flush()        # a closed reader shows here, not at exit
         return code

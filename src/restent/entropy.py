@@ -294,21 +294,25 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
         images, jac, escaped = None, system.jacobian(pts), np.zeros(m, dtype=bool)
     roots, inverse, failed, why = metric.values(
         pts if images is None else np.concatenate([pts, images]))
-    finite = np.isfinite(jac).all(axis=(-2, -1))
-    ok = ~(escaped | failed.reshape(-1, m).any(axis=0)) & finite
+    ok = ~(escaped | failed.reshape(-1, m).any(axis=0))
+    measured, at = np.flatnonzero(ok), inverse[:m][ok]   # each one's distinct metric value
     if images is None:
         pdot = metric.orbital_derivative(pts[ok])
-        live = np.isfinite(pdot).all(axis=(-2, -1))
-        ok[ok], pdot = live, pdot[live]
+        values = ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot)
+    else:
+        values = metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at])
+    lost = np.isnan(values[:, 0])          # a matrix the spectrum refused
+    culprit = {i: "non-finite Jacobian" if not np.isfinite(jac[i]).all()
+               else "non-finite orbital derivative" if images is None
+               and not np.isfinite(pdot[j]).all()
+               else f"metric-adapted {'generator' if images is None else 'Jacobian'} overflows"
+               for i, j in zip(measured[lost].tolist(), np.flatnonzero(lost).tolist())}
+    ok[measured[lost]] = False
     reasons = [(f"trajectory of '{system.name}' blew up within the map step "
                 f"at t={prop.escape_times[i]:.6g}") if escaped[i]
-               else why.get(i) or why.get(m + i)
-               or f"non-finite {'orbital derivative' if finite[i] else 'Jacobian'}"
+               else why.get(i) or why.get(m + i) or culprit[i]
                for i in np.flatnonzero(~ok).tolist()]
-    at = inverse[:m][ok]          # each kept point's distinct metric value
-    if images is None:
-        return ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot), ok, reasons
-    return metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at]), ok, reasons
+    return (values[~lost] if lost.any() else values), ok, reasons
 
 
 def _doubled(at: Array, counts: list, finer: list) -> Array:
@@ -493,34 +497,6 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
 # Minimizing metric sequences
 # ---------------------------------------------------------------------------
 
-def _gram_barycenters(a: Array, reasons: list, tol: float) -> Array:
-    """Unweighted Karcher barycenter of each row's Gram atoms A^T A, from a
-    stack (m, k, n, n) of Jacobian products, k per sample row, solved as one
-    batch with the factors A^T.  A row without a reason gets one when a
-    product is non-finite or numerically singular (condition number
-    S_max/S_min at least 1/eps), or when its barycenter does not converge;
-    rows with a reason get the identity."""
-    eye = np.eye(a.shape[-1])
-    bars = np.broadcast_to(eye, a[:, 0].shape).copy()
-    rows = np.flatnonzero([r is None for r in reasons])
-    a = a[rows]
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    s = np.linalg.svd(np.where(finite[..., None, None], a, eye), compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (finite & (s[..., 0] / s[..., -1] < 1.0 / np.finfo(float).eps)).all(axis=1)
-    for i in rows[~ok]:
-        reasons[i] = ("minimizing metrics require an invertible Jacobian at "
-                      "every sample point; got a numerically singular one")
-    a, rows = a[ok], rows[ok]          # one copy of the products during the solve
-    found, residual = karcher_barycenter(np.swapaxes(a, -1, -2), tol=tol)
-    converged = residual < tol
-    bars[rows[converged]] = found[converged]
-    for i, res in zip(rows[~converged], residual[~converged]):
-        reasons[i] = (f"barycenter not converged after {spd.KARCHER_MAX_ITER} iterations: "
-                      f"gradient residual {res:.3e} bits (tol {tol:.1e})")
-    return bars
-
-
 def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
                       tol: float = 1e-7) -> MetricField:
     """Tabulated metric whose value at x is the unweighted Karcher barycenter
@@ -539,9 +515,10 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
     ``tol`` bounds the distance, in bits, from each window barycenter to the
     exact one, so each log2 singular value of the time-h map moves by at
     most ``tol`` bits (the vectorial triangle inequality, property
-    ``triangle-majorization``), ``tol``/h per unit time for a flow.  A point
-    whose barycenter does not reach it, or whose orbit escapes before the
-    last node, is excluded with a reason."""
+    ``triangle-majorization``), ``tol``/h per unit time for a flow.  A row
+    whose orbit escapes before the last node, whose product one window's
+    ``karcher_barycenter`` refuses or whose residual stays at ``tol`` or above
+    is excluded with a reason, and holds the identity from that window on."""
     horizon = float(horizon)
     if system.time_type == "discrete":
         if not horizon.is_integer() or horizon < 1:
@@ -562,13 +539,21 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
 
     def rule(x: Array) -> tuple:
         prop = propagate(system, x, nodes[-1], variational=True, record_at=nodes)
-        reasons = [None] * len(x)
-        for i in np.flatnonzero(prop.escaped):
-            reasons[i] = (f"trajectory escaped at t={prop.escape_times[i]:.6g} "
-                          "while building the minimizing metric")
+        reasons = [f"trajectory escaped at t={t:.6g} while building the minimizing metric"
+                   if gone else None for gone, t in zip(prop.escaped, prop.escape_times)]
         a = np.swapaxes(prop.jacobians, 0, 1)
-        return np.stack([_gram_barycenters(window, reasons, tol)  # one by one: half the peak
-                         for window in (a[:, :-1], a[:, 1:])], axis=1), reasons
+        bars = np.broadcast_to(np.eye(system.dim), (len(x), 2, system.dim, system.dim)).copy()
+        for k, window in enumerate((a[:, :-1], a[:, 1:])):    # one by one: half the peak
+            rows = np.flatnonzero([r is None for r in reasons])
+            found, residual = karcher_barycenter(np.swapaxes(window[rows], -1, -2), tol=tol)
+            done = residual < tol
+            bars[rows, k] = np.where(done[:, None, None], found, np.eye(system.dim))
+            for i, res in zip(rows[~done].tolist(), residual[~done]):
+                reasons[i] = ("minimizing metrics require an invertible Jacobian at every "
+                              "sample point; got a numerically singular one" if res == np.inf
+                              else f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
+                              f"iterations: gradient residual {res:.3e} bits (tol {tol:.1e})")
+        return bars, reasons
 
     return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
 

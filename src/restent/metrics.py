@@ -179,13 +179,18 @@ def metric_sv_values(q_half: Array, jac: Array, p_ihalf: Array) -> Array:
     random matrices, the larger is within 1.0e-15 relative and the smaller
     within 2.4 eps of the larger), and LAPACK's SVD gives the others.  A
     zero singular value gives -inf, which no positive part counts, as in
-    the oracle's exponents."""
-    b = q_half @ jac @ p_ihalf
+    the oracle's exponents.  A row whose product is not finite as computed
+    (it overflows, or an input is not finite) is not decomposed: its values
+    are NaN, and no warning is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = q_half @ jac @ p_ihalf
+    refused = ~np.isfinite(b).all(axis=(-2, -1))
+    b[refused] = 0.0
     sv = _sv2(b) if b.shape[-1] == 2 else np.linalg.svd(b, compute_uv=False)
-    if not np.all(np.isfinite(sv)):
-        raise NumericError("non-finite singular values in metric spectrum")
     with np.errstate(divide="ignore"):
-        return np.log2(sv)
+        values = np.log2(sv)
+    values[refused] = np.nan
+    return values
 
 
 def _sv2(m: Array) -> Array:
@@ -203,7 +208,14 @@ def _sv2(m: Array) -> Array:
 
 def ct_spectrum_values(p: Array, p_ihalf: Array, jac: Array, pdot: Array) -> Array:
     """Eigenvalues (nonincreasing) of P^{-1/2} (P J + J^T P + Pdot) P^{-1/2},
-    given P, ``p_ihalf`` = P^{-1/2} and a symmetric Pdot; batched."""
-    core = p @ jac + np.swapaxes(jac, -1, -2) @ p + pdot
-    w = np.linalg.eigvalsh(sym(p_ihalf @ core @ p_ihalf))
-    return w[..., ::-1]
+    given P, ``p_ihalf`` = P^{-1/2} and a symmetric Pdot; batched.  A row
+    whose symmetrized generator is not finite as computed (it overflows, or
+    an input is not finite) is not decomposed: its values are NaN, and no
+    warning is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sym(p_ihalf @ (p @ jac + np.swapaxes(jac, -1, -2) @ p + pdot) @ p_ihalf)
+    refused = ~np.isfinite(s).all(axis=(-2, -1))
+    s[refused] = 0.0
+    w = np.linalg.eigvalsh(s)[..., ::-1]
+    w[refused] = np.nan
+    return w

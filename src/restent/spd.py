@@ -162,7 +162,9 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
     bits, from the returned bar to the true barycenter.  A row stops once
     its residual is below ``tol``; a row still at or above it after
     ``KARCHER_MAX_ITER`` steps is returned as it stands, and the caller
-    decides what to do with it.
+    decides what to do with it.  A row with a factor not finite, or with
+    s_max / s_min at least 1/eps (s_min lost in rounding), is refused by the
+    start's SVDs and never iterated: its bar is NaN, its residual inf.
     """
     f = np.asarray(factors, dtype=float)
     single = f.ndim == 3
@@ -172,19 +174,24 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
         raise NumericError(f"expected factors of shape (r, k, n, n), got {f.shape}")
     w = np.broadcast_to(_normalized_weights(weights, f.shape[1], len(f)), f.shape[:2])
 
-    def mean_log(g, w):
-        """sum_i w_i log(G_i G_i^T), from the SVDs G_i = U S V^T as
-        2 U log(S) U^T, and the singular values S."""
-        u, s = np.linalg.svd(g)[:2]      # V^T goes at once: one stack less
-        return sym(np.sum(w[..., None, None] * _compose(u, 2.0 * np.log(s)), axis=1)), s
+    def mean_log(u, s, w):       # sum_i w_i log(G_i G_i^T), G_i = U S V^T: 2 U log(S) U^T
+        return sym(np.sum(w[..., None, None] * _compose(u, 2.0 * np.log(s)), axis=1))
 
-    lam, q = np.linalg.eigh(mean_log(f, w)[0])
+    finite = np.isfinite(f).all(axis=(-2, -1))
+    # V^T goes at once: one stack less; the identity replaces a factor not finite
+    u, s = np.linalg.svd(f if finite.all() else
+                         np.where(finite[..., None, None], f, np.eye(f.shape[-1])))[:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refused = ~(finite & (s[..., 0] / s[..., -1] < 1.0 / np.finfo(float).eps)).all(axis=1)
+    s[refused] = 1.0                                     # their start is the identity
+    lam, q = np.linalg.eigh(mean_log(u, s, w))
     root = _compose(q, np.exp(0.5 * lam))                # X^{1/2}
     iroot = _compose(q, np.exp(-0.5 * lam))              # X^{-1/2}
     residual = np.full(len(f), np.inf)
-    active = np.arange(len(f))
+    active = np.flatnonzero(~refused)
     for it in range(KARCHER_MAX_ITER + 1):
-        grad, s = mean_log(iroot[active][:, None] @ f[active], w[active])
+        u, s = np.linalg.svd(iroot[active][:, None] @ f[active])[:2]
+        grad = mean_log(u, s, w[active])
         residual[active] = np.linalg.norm(grad, axis=(-2, -1)) / LN2
         go_on = ~(residual[active] < tol)
         active = active[go_on]
@@ -203,6 +210,7 @@ def karcher_barycenter(factors, weights=None, tol: float = 1e-9) -> tuple:
         root[active] = _compose(p, ell)
         iroot[active] = _compose(p, 1.0 / ell)
     bars = sym(root @ root)
+    bars[refused] = np.nan
     return (bars[0], residual[0]) if single else (bars, residual)
 
 

@@ -105,6 +105,22 @@ def test_exit_code_config_error(capsys):
                 "--metric", "auto:x"]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--metric", "identity",
+     "--resolution", "3"],
+    ["props", "--instances", "1"]])
+def test_out_in_no_directory_is_config_error(tmp_path, capsys, command):
+    # refused before anything is computed; a file is no directory either
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x", tmp_path / "file" / "x"):
+        assert run(command + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: --out {str(out)!r}: "
+                                       "no writable directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_zero_time_samples_is_config_error(tmp_path, capsys):
     code = run(["bound", "--system", "lanford", "--metric", "auto:1",
                 "--time-samples", "0", "--resolution", "2",

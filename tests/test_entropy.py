@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from restent.entropy import (
     REFINE_MARGIN,
     REFINE_TOL,
     SCHEMA_VERSION,
-    _gram_barycenters,
     _spectra,
     BoundReport,
     aitken_accelerate,
@@ -271,31 +271,36 @@ def _henon(a=1.4, b=0.3):
                                                b * x[..., 0]], axis=-1))
 
 
-def test_gram_barycenters_of_a_product_that_is_singular_to_lu():
-    # a Jacobian product of the Henon map (a = 1.4, b = 0.3): its condition
-    # number 3.37e15 is below 1/eps, yet LU finds it exactly singular
-    m = np.array([[1909.9705890715181, 1534.0803147935121],
-                  [-5704.574312005024, -4581.890007310453]])
-    reasons = [None]
-    p = _gram_barycenters(m[None, None], reasons, 1e-7)
-    assert reasons[0] is not None or np.isfinite(p).all()
+SINGULAR = ("minimizing metrics require an invertible Jacobian at every sample point; "
+            "got a numerically singular one")
 
 
-def test_gram_barycenters_are_the_karcher_means_of_the_gram_atoms():
-    rng = np.random.default_rng(30)
-    a = rng.standard_normal((4, 3, 3, 3))
-    a[1, 2] = np.nan
-    a[2, 0] = np.diag([1.0, 1.0, 0.0])
-    reasons = [None] * 4
-    p = _gram_barycenters(a, reasons, 1e-9)
-    assert [r is None for r in reasons] == [True, False, False, True]
-    for i in (1, 2):
-        assert "invertible Jacobian" in reasons[i]
-        np.testing.assert_array_equal(p[i], np.eye(3))
-    for i in (0, 3):
-        bar, residual = karcher_barycenter(np.swapaxes(a[i], -1, -2), tol=1e-9)
-        assert residual < 1e-9
-        np.testing.assert_array_equal(p[i], bar)
+def _singular_from(x0):
+    """The map x -> (x0 + 1, x1/2): its Jacobian is diag(2, 1/2), but
+    diag(2, 0) from x0 = 1 on."""
+    def jacobian(x):
+        return np.stack([np.diag([2.0, 0.0 if x0_ >= 1.0 else 0.5]) for x0_ in x[..., 0]])
+
+    return SystemModel(name="singular-from", time_type="discrete", dim=2, jacobian=jacobian,
+                       rhs=lambda x: np.stack([x[..., 0] + 1.0, 0.5 * x[..., 1]], axis=-1))
+
+
+def test_minimizing_metric_refuses_each_window_on_its_own():
+    # auto:2 records the products I, A_1, A_2 A_1 and solves the windows
+    # (I, A_1) and (A_1, A_2 A_1): from x0 = 0 only the last product is
+    # singular, so the row keeps its window-0 bar, gets the identity in
+    # window 1 and the singular reason; from x0 = 1 both windows are refused
+    x = np.array([[-1.0, 0.5], [0.0, 0.5], [1.0, 0.5]])
+    pairs, reasons = minimizing_metric(_singular_from(1.0), 2).eval_rule(x)
+    assert reasons == [None, SINGULAR, SINGULAR]
+    first = [np.eye(2), np.diag([2.0, 0.5])]
+    for window, factors in enumerate((first, first[1:] + [np.diag([4.0, 0.25])])):
+        bar, residual = karcher_barycenter(np.array(factors), tol=1e-7)
+        assert residual < 1e-7
+        np.testing.assert_array_equal(pairs[0, window], bar)
+    np.testing.assert_array_equal(pairs[1, 0], karcher_barycenter(np.array(first), tol=1e-7)[0])
+    for row, window in ((1, 1), (2, 0), (2, 1)):
+        np.testing.assert_array_equal(pairs[row, window], np.eye(2))
 
 
 def test_an_indefinite_barycenter_excludes_its_row(monkeypatch):
@@ -396,6 +401,50 @@ def test_a_pair_that_is_not_finite_or_has_no_cholesky_factor_excludes_its_row():
     expected = np.sort(np.column_stack([np.ones_like(x0), 5.0 * np.log2(10.0) * x0 - 1.0]))
     np.testing.assert_allclose(rep.per_point[:, 2:4], expected[:, ::-1], rtol=1e-14, atol=0)
     assert len(rep.per_point) == 7
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_flow_whose_generator_overflows_is_excluded_without_warnings(dim):
+    # J = diag(1e308, -1, ...) is finite, but J + J^T overflows at every point
+    sys_ = linear_ode_system(np.diag([1e308] + [-1.0] * (dim - 1)))
+    box = CompactSet(bounds=((-1.0, 1.0),) * dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, ok, reasons = _spectra(sys_, MetricField.identity(dim), sample_set(box, 3))
+        with pytest.raises(NumericError, match="every sample point was excluded"):
+            bound(sys_, box, MetricField.identity(dim), resolution=3)
+    assert values.shape == (0, dim) and not ok.any()
+    assert reasons == ["metric-adapted generator overflows"] * 3 ** dim
+
+
+def test_a_map_whose_metric_adapted_jacobian_overflows_is_excluded_without_warnings():
+    # Q^{1/2} A P^{-1/2} = 1e305 is finite, but Q^{1/2} A = 3.2e310 is not
+    sys_ = linear_map_system(np.diag([1e305, 0.5, 0.5]))
+    metric = MetricField.constant(np.diag([1e11, 1.0, 1.0]))
+    box = CompactSet(bounds=((-1.0, 1.0),) * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, ok, reasons = _spectra(sys_, metric, sample_set(box, 3))
+        with pytest.raises(NumericError, match="every sample point was excluded"):
+            bound(sys_, box, metric, resolution=3)
+    # the rows off x0 = 0 blow up within the step, the others overflow
+    assert not ok.any() and reasons.count("metric-adapted Jacobian overflows") == 9
+    assert sum(r.startswith("trajectory of") for r in reasons) == 18
+
+
+def test_a_map_row_whose_metric_adapted_jacobian_overflows_leaves_the_others():
+    # diag(2, 1/2) measured in diag(1e11, 1), but 1e305 in place of 2 where x0 > 0.9
+    def jacobian(x):
+        return np.stack([np.diag([1e305 if x0 > 0.9 else 2.0, 0.5]) for x0 in x[..., 0]])
+
+    sys_ = SystemModel(name="partial", time_type="discrete", dim=2, jacobian=jacobian,
+                       rhs=lambda x: x * np.array([2.0, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = bound(sys_, UNIT_BOX_2, MetricField.constant(np.diag([1e11, 1.0])), resolution=3)
+    assert rep.bound == pytest.approx(1.0, abs=1e-12) and len(rep.per_point) == 6
+    assert rep.excluded == [{"state": [1.0, x1], "reason": "metric-adapted Jacobian overflows"}
+                            for x1 in (-1.0, 0.0, 1.0)]
 
 
 def test_unconverged_barycenter_is_excluded_with_reason(monkeypatch):

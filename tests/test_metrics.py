@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -130,13 +132,34 @@ def test_two_by_two_closed_form_exact_cases_and_the_path_by_dimension():
     assert metrics._sv2(np.zeros((2, 2))).tolist() == [0.0, 0.0]
     assert metric_sv_values(np.eye(2), np.diag([2.0, 0.5]), np.eye(2)).tolist() == [1.0, -1.0]
     assert metric_sv_values(np.eye(2), np.zeros((2, 2)), np.eye(2)).tolist() == [-np.inf] * 2
-    with pytest.raises(NumericError):
-        metric_sv_values(np.eye(2), np.full((2, 2), np.nan), np.eye(2))
+    assert np.isnan(metric_sv_values(np.eye(2), np.full((2, 2), np.nan), np.eye(2))).all()
     # other dimensions stay on LAPACK
     a = np.random.default_rng(3).standard_normal((4, 3, 3))
     np.testing.assert_array_equal(
         metric_sv_values(np.eye(3), a, np.eye(3)),
         np.log2(np.linalg.svd(np.eye(3) @ a @ np.eye(3), compute_uv=False)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_spectrum_refuses_the_rows_whose_matrix_is_not_finite(n):
+    # the product or generator is checked before it is decomposed: eigvalsh
+    # gives finite values ([0, -0]) for [[inf, nan], [nan, 1]], LAPACK's SVD
+    # fails on the whole stack; -inf of a zero singular value stays
+    rng = np.random.default_rng(5)
+    jac = rng.standard_normal((4, n, n))
+    jac[1, 0, 0], jac[2] = 1e308, np.nan
+    jac[3, :, -1] = 0.0
+    q_half = np.diag([1e11] + [1.0] * (n - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sv = metric_sv_values(q_half, jac, np.eye(n))
+        ct = ct_spectrum_values(np.eye(n), np.eye(n), jac, np.zeros((n, n)))
+    for values in (sv, ct):
+        assert np.isnan(values[1:3]).all() and not np.isnan(values[[0, 3]]).any()
+    np.testing.assert_array_equal(sv[[0, 3]], metric_sv_values(q_half, jac[[0, 3]], np.eye(n)))
+    assert sv[3, -1] == -np.inf
+    np.testing.assert_array_equal(ct[[0, 3]], ct_spectrum_values(
+        np.eye(n), np.eye(n), jac[[0, 3]], np.zeros((n, n))))
 
 
 def test_ct_spectrum_euclidean_case():

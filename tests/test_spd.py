@@ -439,6 +439,57 @@ def test_karcher_batch_equals_rows_one_by_one():
         assert res == residual
 
 
+def test_karcher_refuses_rows_it_cannot_average(monkeypatch):
+    # a NaN factor, an inf entry, an exactly singular factor and one of
+    # condition number 1e17 (above 1/eps): refused from the start's SVDs,
+    # bar NaN and residual inf, and never iterated; 1e15 is averaged
+    rng = np.random.default_rng(30)
+    f = rng.standard_normal((6, 3, 3, 3))
+    f[1, 2] = np.nan
+    f[2, 0] = np.diag([1.0, 1.0, 0.0])
+    f[3, 1, 0, 0] = np.inf
+    f[4, 2] = np.diag([1.0, 1.0, 1e-17])
+    f[5, 0] = np.diag([1.0, 1.0, 1e-15])
+    shapes, real = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: (
+        shapes.append(np.shape(a)), real(a, *args, **kw))[1])
+    bars, residuals = karcher_barycenter(f, tol=1e-9)
+    monkeypatch.undo()
+    refused = [1, 2, 3, 4]
+    assert np.isnan(bars[refused]).all() and (residuals[refused] == np.inf).all()
+    # after the start's SVD of every factor, only the rows 0 and 5 are decomposed
+    assert shapes[0] == f.shape and all(s[0] <= 2 for s in shapes[1:])
+    for i in (0, 5):
+        alone, res = karcher_barycenter(f[i:i + 1], tol=1e-9)
+        assert res[0] < 1e-9
+        np.testing.assert_array_equal(bars[i], alone[0])
+        assert residuals[i] == res[0]
+
+
+def test_karcher_refuses_a_batch_it_cannot_average_at_all():
+    f = np.array([[np.eye(2), np.zeros((2, 2))], [np.full((2, 2), np.nan), np.eye(2)]])
+    bars, residuals = karcher_barycenter(f)
+    assert np.isnan(bars).all() and bars.shape == (2, 2, 2)
+    assert residuals.tolist() == [np.inf, np.inf]
+    # the single-row form refuses in the same way
+    bar, residual = karcher_barycenter(f[0])
+    assert bar.shape == (2, 2) and np.isnan(bar).all() and residual == np.inf
+    bar, residual = karcher_barycenter(f[0, :1])
+    np.testing.assert_array_equal(bar, np.eye(2))
+    assert residual < 1e-9
+
+
+def test_karcher_of_a_henon_product_that_is_singular_to_lu():
+    # a Jacobian product of the Henon map (a = 1.4, b = 0.3): its condition
+    # number 3.37e15 is below 1/eps, yet LU finds it exactly singular; the
+    # factor A^T is averaged, or refused (with OpenBLAS its computed s_min
+    # is 3.9e-13, 2e16 below s_max), but never gives a non-finite bar
+    m = np.array([[1909.9705890715181, 1534.0803147935121],
+                  [-5704.574312005024, -4581.890007310453]])
+    bar, residual = karcher_barycenter(m.T[None], tol=1e-7)
+    assert (residual == np.inf and np.isnan(bar).all()) or np.isfinite(bar).all()
+
+
 def test_karcher_weights_per_row_equal_rows_one_by_one():
     rng = np.random.default_rng(26)
     factors = _factors([[rand_spd(rng, 3, spread=2.0) for _ in range(4)] for _ in range(5)])
