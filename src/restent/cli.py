@@ -158,8 +158,7 @@ def _auto_options(system, args) -> dict:
     if system.time_type == "discrete" and args.time_samples is not None:
         raise ConfigError("--time-samples applies to flows only; a map's auto:N "
                           "metric has one node per step")
-    options = {"tol": _positive(args.bar_tol, "bar-tol"),
-               "time_samples": args.time_samples}
+    options = {"tol": args.bar_tol, "time_samples": args.time_samples}
     return {k: v for k, v in options.items() if v is not None}
 
 
@@ -232,7 +231,7 @@ def cmd_sweep(args) -> int:
     horizons = args.horizons or cfg.get("horizons")
     if not horizons:
         raise ConfigError("sweep needs a nonempty --horizons list")
-    horizons = _parse_horizons(horizons)
+    horizons = sorted(_parse_horizons(horizons))     # the verdict reads them in order
     options = _auto_options(system, args)
     # every horizon's metric first: a bad horizon is refused before any file is written
     metrics = [minimizing_metric(system, h, **options) for h in horizons]

@@ -65,7 +65,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class BoundReport:
     """Evaluated entropy bound over a sampled compact set.
 
@@ -95,39 +95,6 @@ class BoundReport:
     map_step: Optional[float] = None   # h of the time-h map, else None
     bound_kind: str = "grid"
     refine_margin: Optional[float] = None
-
-    def __eq__(self, other) -> bool:
-        """Every field by value, the table as ``to_dict`` spells it."""
-        if not isinstance(other, BoundReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def to_dict(self) -> dict:
-        """Plain-data view: the per-point rows as nested lists; the other
-        fields are the report's own, not copies."""
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["per_point"] = np.asarray(self.per_point, dtype=float).tolist()
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "BoundReport":
-        """The report ``write`` wrote: its stamps and ``columns`` are
-        dropped, its rows become the float table."""
-        version, kind = d.get("schema_version"), d.get("kind")
-        if (version, kind) != (SCHEMA_VERSION, "bound"):
-            raise ConfigError(f"report has schema version {version}, kind {kind!r}; "
-                              f"this version of restent reads schema {SCHEMA_VERSION}, "
-                              "kind 'bound'")
-        d = {k: v for k, v in d.items()
-             if k not in ("schema_version", "kind", "created", "columns")}
-        d["per_point"] = np.array(d.get("per_point", []), dtype=float).reshape(
-            -1, 2 * len(d["maximizer"]) + 1)
-        return BoundReport(**d)
-
-    @staticmethod
-    def from_json(path) -> "BoundReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return BoundReport.from_dict(json.load(fh))
 
     def write(self, stem) -> tuple:
         """``write_report`` of this report, its table headed by the state,
@@ -518,7 +485,11 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
     ``triangle-majorization``), ``tol``/h per unit time for a flow.  A row
     whose orbit escapes before the last node, whose product one window's
     ``karcher_barycenter`` refuses or whose residual stays at ``tol`` or above
-    is excluded with a reason, and holds the identity from that window on."""
+    is excluded with a reason, and holds the identity from that window on.
+    ``tol`` must satisfy 0 < tol < inf; at inf every window would pass as
+    converged at its log-Euclidean start."""
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"barycenter tolerance must be positive and finite, got {tol:g}")
     horizon = float(horizon)
     if system.time_type == "discrete":
         if not horizon.is_integer() or horizon < 1:

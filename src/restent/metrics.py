@@ -113,15 +113,6 @@ class MetricField:
                for i, k in zip(bad.tolist(), inverse[bad].tolist())}
         return roots, inverse, failed, why
 
-    def evaluate(self, x: Array) -> Array:
-        """P at x; batched over leading axes of x.  Raises NumericError with
-        the reason of the first row that has no value."""
-        x = np.asarray(x, dtype=float)
-        roots, inverse, _, why = self.values(x.reshape(-1, x.shape[-1]))
-        if why:
-            raise NumericError(why[min(why)])
-        return roots[0][inverse].reshape(x.shape + (self.dim,))
-
     @property
     def has_orbital(self) -> bool:
         return self.orbital_rule is not None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -23,7 +24,6 @@ from restent.entropy import (
     REFINE_TOL,
     SCHEMA_VERSION,
     _spectra,
-    BoundReport,
     aitken_accelerate,
     bound,
     lanford_closed_form,
@@ -237,7 +237,8 @@ def test_lyapunov_oracle_discrete_blowup_masked():
 def test_minimizing_metric_dt_first_step_is_identity():
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 2.0]]))
     p1 = minimizing_metric(sys_, 1)
-    assert np.allclose(p1.evaluate(np.array([0.3, -0.7])), np.eye(2))
+    roots, *_ = p1.values(np.array([[0.3, -0.7]]))
+    assert np.allclose(roots[0], np.eye(2))
     rep_auto = bound(sys_, UNIT_BOX_2, p1, resolution=2)
     rep_id = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=2)
     assert rep_auto.bound == pytest.approx(rep_id.bound, abs=1e-12)
@@ -247,7 +248,8 @@ def test_minimizing_metric_dt_scalar_chain():
     sys_ = linear_map_system(np.array([[2.0]]))
     for n in (2, 4, 6):
         metric = minimizing_metric(sys_, n, tol=1e-12)
-        value = metric.evaluate(np.array([0.2]))[0, 0]
+        roots, *_ = metric.values(np.array([[0.2]]))
+        value = roots[0].item()
         assert value == pytest.approx(2.0 ** (n - 1), rel=1e-8)
         rep = bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(1.0, abs=1e-8)
@@ -256,8 +258,8 @@ def test_minimizing_metric_dt_scalar_chain():
 def test_minimizing_metric_dt_singular_jacobian_rejected():
     sys_ = linear_map_system(np.array([[1.0, 0.0], [0.0, 0.0]]))
     metric = minimizing_metric(sys_, 3)
-    with pytest.raises(NumericError, match="invertible"):
-        metric.evaluate(np.array([0.1, 0.1]))
+    *_, failed, why = metric.values(np.array([[0.1, 0.1]]))
+    assert failed.tolist() == [True] and "invertible" in why[0]
 
 
 def _henon(a=1.4, b=0.3):
@@ -372,8 +374,9 @@ def test_window_spectra_match_the_metric_at_the_image(case):
     assert ok.all()
     h = metric.step or 1.0
     prop = propagate(sys_, pts, h, variational=True)
-    image = metric_sv_values(power(metric.evaluate(prop.states), 0.5), prop.jacobians,
-                             power(metric.evaluate(pts), -0.5)) / h
+    (_, q_half, _), at_image, *_ = metric.values(prop.states)
+    (_, _, p_ihalf), at_point, *_ = metric.values(pts)
+    image = metric_sv_values(q_half[at_image], prop.jacobians, p_ihalf[at_point]) / h
     per_time = values if metric.step is None else values / (2.0 * LN2)
     assert np.abs(per_time - image).max() <= tol / h
 
@@ -495,6 +498,17 @@ def test_minimizing_metric_of_a_map_needs_a_whole_positive_step_count(steps):
         minimizing_metric(linear_map_system(np.diag([2.0, 0.5])), steps)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("system", [linear_map_system(np.diag([2.0, 0.5])),
+                                    linear_ode_system(np.diag([0.5, -0.3]))],
+                         ids=["map", "flow"])
+def test_minimizing_metric_needs_a_positive_finite_tolerance(system, tol):
+    # at inf every window would pass as converged at its log-Euclidean
+    # start; at 0, -1 or NaN none would, and every row would be excluded
+    with pytest.raises(ConfigError, match="barycenter tolerance must be positive and finite"):
+        minimizing_metric(system, 2, tol=tol)
+
+
 def test_map_bound_excludes_rows_that_blow_up_within_the_step():
     # the images of the x0 = +-1e8 columns pass the blow-up guard; those of
     # x0 = +-5e7 reach its norm 1e8 but do not exceed it
@@ -522,7 +536,8 @@ def test_minimizing_metric_of_a_map_excludes_orbits_that_blow_up():
 def test_minimizing_metric_ct_degenerate_horizon():
     sys_ = linear_ode_system(np.array([[0.7]]))
     metric = minimizing_metric(sys_, 1.0, time_samples=1)
-    assert np.allclose(metric.evaluate(np.array([0.4])), np.eye(1))
+    roots, *_ = metric.values(np.array([[0.4]]))
+    assert np.allclose(roots[0], np.eye(1))
 
 
 def test_minimizing_metric_ct_scalar_growth():
@@ -531,7 +546,8 @@ def test_minimizing_metric_ct_scalar_growth():
     for horizon in (0.5, 1.5):
         metric = minimizing_metric(sys_, horizon, time_samples=9, tol=1e-10)
         # equal-weight log-mean of e^{-2 lam s} over the node grid
-        value = metric.evaluate(np.array([0.1]))[0, 0]
+        roots, *_ = metric.values(np.array([[0.1]]))
+        value = roots[0].item()
         assert value == pytest.approx(np.exp(lam * horizon), rel=1e-6)
         rep = bound(sys_, UNIT_BOX_1, metric, resolution=3)
         assert rep.bound == pytest.approx(lam / LN2, rel=1e-3)
@@ -696,8 +712,9 @@ def test_metric_change_bound_on_lanford_orbits():
         for t in (1.0, 2.0, 4.0):
             prop = propagate(sys_, x, t, variational=True)
             a_t, y = prop.jacobians[0], prop.states[0]
-            p, q = metric.evaluate(x), metric.evaluate(y)
-            s_metric = positive_sum(metric_sv_values(power(q, 0.5), a_t, power(p, -0.5)))
+            (_, q_half, _), *_ = metric.values(y[None])
+            (_, _, p_ihalf), *_ = metric.values(x[None])
+            s_metric = positive_sum(metric_sv_values(q_half[0], a_t, p_ihalf[0]))
             s_eucl = positive_sum(np.log2(np.linalg.svd(a_t, compute_uv=False)))
             gap = float(s_metric - s_eucl)
             assert -c_plus - 1e-8 <= gap <= c_plus + 1e-8
@@ -853,15 +870,10 @@ def test_bound_kind_and_margin_round_trip(tmp_path):
     text = json.loads((tmp_path / "r.report.json").read_text(encoding="utf-8"))
     assert text["bound_kind"] == "grid-adaptive-minus-excluded"
     assert text["refine_margin"] == rep.refine_margin
-    assert BoundReport.from_json(tmp_path / "r.report.json") == rep
+    assert ((tmp_path / "r.report.json").read_text(encoding="utf-8")
+            == json.dumps(_stamped(rep, text["created"])) + "\n")
     plain = bound(system, UNIT_BOX_2, MetricField.identity(2), resolution=3)
     assert (plain.bound_kind, plain.refine_margin) == ("grid", None)
-    # a schema-3 report, which had neither field, is refused
-    old = plain.to_dict()
-    del old["bound_kind"], old["refine_margin"]
-    old.update(schema_version=3, kind="bound")
-    with pytest.raises(ConfigError, match=f"schema version 3.*reads schema {SCHEMA_VERSION}"):
-        BoundReport.from_dict(old)
 
 
 def test_report_round_trip_and_csv(tmp_path):
@@ -872,8 +884,9 @@ def test_report_round_trip_and_csv(tmp_path):
     jpath = tmp_path / "r.report.json"
     cpath = tmp_path / "r.points.csv"
     rep.write(tmp_path / "r")
-    back = BoundReport.from_json(jpath)
-    assert back == rep
+    back = jpath.read_text(encoding="utf-8")
+    assert back == json.dumps(json.loads(back)) + "\n"
+    assert back == json.dumps(_stamped(rep, json.loads(back)["created"])) + "\n"
     text = cpath.read_text()
     assert text.splitlines()[0] == "x0,x1,s1,s2,local_bound"
     rep.write(tmp_path / "r")
@@ -891,7 +904,7 @@ def _stamped(rep, created):
     """The dict ``write`` writes as JSON: the stamps, the fields, then the
     table's ``columns`` and ``per_point`` rows."""
     header, rows = _points_table(rep)
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     del d["per_point"]
     return {"schema_version": SCHEMA_VERSION, "kind": "bound", "created": created,
             **d, "columns": header, "per_point": rows}
@@ -940,23 +953,11 @@ def test_report_json_bytes_match_json_module(tmp_path, rows):
     # the report is one line of up to a megabyte, too long for a diff on failure
     matches = new == json.dumps(_stamped(rep, created)) + "\n"
     assert matches
-    back = BoundReport.from_json(tmp_path / "r.report.json")
-    assert json.dumps(_stamped(back, created)) + "\n" == new
-    # NaN != NaN, so the rows are compared apart from the other fields
-    assert np.array_equal(back.per_point, rep.per_point, equal_nan=True)
-    back.per_point, rep.per_point = [], []
-    assert back == rep
-
-
-def test_points_csv_bytes_survive_json_round_trip(tmp_path, csv_table):
-    rep = bound(lanford_system(A0), lanford_region(A0), lanford_metric(A0), resolution=7)
-    rep.write(tmp_path / "r")
-    back = BoundReport.from_json(tmp_path / "r.report.json")
-    back.write(tmp_path / "back")
-    csv_table(tmp_path / "ref.csv", *_points_table(rep))
-    ref = (tmp_path / "ref.csv").read_bytes()
-    assert (tmp_path / "r.points.csv").read_bytes() == ref
-    assert (tmp_path / "back.points.csv").read_bytes() == ref
+    back = json.loads(new)
+    assert json.dumps(back) + "\n" == new
+    # NaN != NaN, so the rows are compared as an array
+    assert np.array_equal(np.array(back["per_point"], dtype=float).reshape(-1, 5),
+                          rep.per_point, equal_nan=True)
 
 
 @pytest.mark.parametrize("rows", TABLES, ids=TABLE_IDS)
@@ -991,33 +992,6 @@ def test_one_column_table(tmp_path, monkeypatch, csv_table, report_tables, block
     (columns, json_rows), (header, csv_rows) = report_tables(stem)
     assert columns == header == ["v"]
     assert json_rows.tobytes() == csv_rows.tobytes() == table.tobytes()
-
-
-def test_report_from_dict_rejects_other_schema():
-    sys_ = linear_map_system(np.diag([2.0, 0.5]))
-    old = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
-    del old["map_step"]
-    old.update(schema_version=1, pdot_mode="analytic")
-    with pytest.raises(ConfigError, match=f"schema version 1.*reads schema {SCHEMA_VERSION}"):
-        BoundReport.from_dict(old)
-    other = bound(sys_, UNIT_BOX_2, MetricField.identity(2), resolution=3).to_dict()
-    other.update(schema_version=SCHEMA_VERSION, kind="oracle")
-    with pytest.raises(ConfigError, match="kind 'oracle'.*kind 'bound'"):
-        BoundReport.from_dict(other)
-
-
-def test_report_from_json_refuses_schema_2(tmp_path):
-    # a schema-2 report: stamps last, rows as state/spectrum/local objects
-    rep = bound(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
-                MetricField.identity(2), resolution=3)
-    old = rep.to_dict()
-    old["per_point"] = [{"state": r[:2], "spectrum": r[2:4], "local": r[4]}
-                        for r in old["per_point"]]
-    old.update(created="2026-01-01T00:00:00+00:00", schema_version=2)
-    path = tmp_path / "old.report.json"
-    path.write_text(json.dumps(old))
-    with pytest.raises(ConfigError, match=f"schema version 2.*reads schema {SCHEMA_VERSION}"):
-        BoundReport.from_json(path)
 
 
 def test_bound_dominates_oracle_spot():
@@ -1058,9 +1032,9 @@ def test_bound_core_matches_per_point_loop_discrete():
     assert rep.excluded == [{"state": [1.0, 1.0], "reason": "outside the rule's domain"}]
     assert rep.per_point[:, :2].tolist() == pts[:-1].tolist()
     for row, x in zip(rep.per_point, pts[:-1]):
-        p = metric.evaluate(x)
+        (_, _, p_ihalf), *_ = metric.values(x[None])
         q = _counting_value(sys_.rhs(x))
-        values = metric_sv_values(power(q, 0.5), sys_.jacobian(x), power(p, -0.5))
+        values = metric_sv_values(power(q, 0.5), sys_.jacobian(x), p_ihalf[0])
         # the pair's Cholesky quotient has the same singular values
         np.testing.assert_allclose(row[2:4], values, rtol=0.0, atol=1e-14)
         assert row[-1] == float(positive_sum(row[2:4]))
@@ -1084,9 +1058,9 @@ def test_bound_core_matches_per_point_loop_continuous():
     prop = propagate(sys_, pts, h, variational=True)
     for row, x, image, jac in zip(rep.per_point, pts[1:], prop.states[1:],
                                   prop.jacobians[1:]):
-        p = metric.evaluate(x)
+        (_, _, p_ihalf), *_ = metric.values(x[None])
         q = _counting_value(image)
-        values = 2.0 * LN2 / h * metric_sv_values(power(q, 0.5), jac, power(p, -0.5))
+        values = 2.0 * LN2 / h * metric_sv_values(power(q, 0.5), jac, p_ihalf[0])
         assert row[:2].tolist() == x.tolist()
         np.testing.assert_allclose(row[2:4], values, rtol=0.0, atol=1e-12)
         assert row[-1] == float(positive_sum(row[2:4]) / (2.0 * LN2))
@@ -1126,12 +1100,23 @@ BLOCK_CASES = {
 }
 
 
+def _written(rep, stem):
+    """The bytes ``rep.write(stem)`` writes, the report's then the table's,
+    with the report's ``created`` stamp blanked."""
+    rep.write(stem)
+    with open(f"{stem}.report.json", encoding="utf-8") as fh:
+        text = fh.read()
+    with open(f"{stem}.points.csv", "rb") as fh:
+        return text.replace(json.loads(text)["created"], "", 1), fh.read()
+
+
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
-def test_bound_blocks_change_no_result(monkeypatch, case):
+def test_bound_blocks_change_no_result(monkeypatch, tmp_path, case):
     ref = BLOCK_CASES[case]()
+    written = _written(ref, tmp_path / "default")
     for block_rows in (1, 7):
         monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
-        assert BLOCK_CASES[case]() == ref
+        assert _written(BLOCK_CASES[case](), tmp_path / f"rows{block_rows}") == written
     if case == "counting":
         states = [e["state"] for e in ref.excluded]
         assert [-0.5, -0.5] in states and [-0.5, 0.0] in states

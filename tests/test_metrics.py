@@ -31,8 +31,9 @@ def test_identity_metric_gives_plain_singular_values():
     rng = np.random.default_rng(30)
     metric = MetricField.identity(3)
     a = rand_gl(rng, 3)
-    values = metric_sv_values(power(metric.evaluate(np.ones(3)), 0.5), a,
-                              power(metric.evaluate(np.zeros(3)), -0.5))
+    (_, q_half, _), *_ = metric.values(np.ones((1, 3)))
+    (_, _, p_ihalf), *_ = metric.values(np.zeros((1, 3)))
+    values = metric_sv_values(q_half[0], a, p_ihalf[0])
     expected = np.log2(np.linalg.svd(a, compute_uv=False))
     assert np.allclose(values, expected, atol=1e-12)
 
@@ -44,8 +45,9 @@ def test_scalar_metric_formula():
         lambda x: np.where(x[..., :1, None] > 0, q, p) * np.ones(x.shape[:-1] + (1, 1)),
         label="two-level",
     )
-    values = metric_sv_values(power(metric.evaluate(np.array([1.0])), 0.5), np.array([[a]]),
-                              power(metric.evaluate(np.array([-1.0])), -0.5))
+    (_, q_half, _), *_ = metric.values(np.array([[1.0]]))
+    (_, _, p_ihalf), *_ = metric.values(np.array([[-1.0]]))
+    values = metric_sv_values(q_half[0], np.array([[a]]), p_ihalf[0])
     assert np.allclose(values, [np.log2(abs(a) * np.sqrt(q / p))])
 
 
@@ -175,8 +177,8 @@ def test_ct_spectrum_lanford_origin():
     sys_ = lanford_system(a)
     metric = lanford_metric(a)
     x = np.zeros(3)
-    p = metric.evaluate(x)
-    values = ct_spectrum_values(p, power(p, -0.5), sys_.jacobian(x),
+    (p, _, p_ihalf), *_ = metric.values(x[None])
+    values = ct_spectrum_values(p[0], p_ihalf[0], sys_.jacobian(x),
                                 metric.orbital_derivative(x))
     assert np.allclose(values, [2 * a, 2 * (a - 1), 2 * (a - 1)], atol=1e-12)
 
@@ -197,7 +199,7 @@ def test_ct_spectrum_determinant_residual():
 
 def _with_pdot(pdot):
     """Identity metric on the plane whose orbital rule returns ``pdot(x)``."""
-    return MetricField.analytic(2, MetricField.identity(2).evaluate, pdot, label="pdot")
+    return MetricField.analytic(2, MetricField.identity(2).eval_rule, pdot, label="pdot")
 
 
 def test_orbital_derivative_rejects_asymmetric_pdot():
@@ -256,7 +258,7 @@ def test_pdot_symmetry_check_is_isclose_both_ways(a, diagonal):
 
 
 def test_pdot_symmetry_check_of_one_dimension_and_of_nonfinite_rows():
-    one = MetricField.analytic(1, MetricField.identity(1).evaluate,
+    one = MetricField.analytic(1, MetricField.identity(1).eval_rule,
                                lambda x: np.array([[[1e300]], [[-0.0]], [[np.nan]]]))
     assert one.orbital_derivative(np.zeros((3, 1)))[:2].tolist() == [[[1e300]], [[-0.0]]]
     # rows with inf or NaN are not checked, however asymmetric; the caller
@@ -348,7 +350,7 @@ def _map_and_analytic_spectra(system, region, metric, resolution, step):
     wrapped as a tabulated rule with that step) and with the metric's
     analytic orbital derivative."""
     table = MetricField.tabulated(
-        metric.dim, pulled_back_rule(system, metric.evaluate, step), step=step)
+        metric.dim, pulled_back_rule(system, metric.eval_rule, step), step=step)
     by_map = bound(system, region, table, resolution)
     exact = bound(system, region, metric, resolution)
     assert (by_map.map_step, exact.map_step) == (step, None)
@@ -426,8 +428,9 @@ def test_congruence_consistency_constant_metric():
     v = rand_gl(rng, 3)
     a = rand_gl(rng, 3)
     metric = MetricField.constant(v.T @ v)
-    values = metric_sv_values(power(metric.evaluate(np.ones(3)), 0.5), a,
-                              power(metric.evaluate(np.zeros(3)), -0.5))
+    (_, q_half, _), *_ = metric.values(np.ones((1, 3)))
+    (_, _, p_ihalf), *_ = metric.values(np.zeros((1, 3)))
+    values = metric_sv_values(q_half[0], a, p_ihalf[0])
     expected = np.log2(np.linalg.svd(v @ a @ np.linalg.inv(v), compute_uv=False))
     assert np.allclose(values, expected, atol=1e-8)
 
@@ -440,7 +443,7 @@ def test_spectra_invariant_under_metric_scaling():
     c = 7.3
     scaled = MetricField.analytic(
         3,
-        lambda x: c * base.evaluate(x),
+        lambda x: c * base.eval_rule(x),
         lambda x: c * base.orbital_derivative(x),
         label="scaled",
     )
@@ -450,10 +453,10 @@ def test_spectra_invariant_under_metric_scaling():
         jac = sys_.jacobian(x)
 
         def spectra(metric):
-            p = metric.evaluate(x)
-            r = power(p, -0.5)
-            return (metric_sv_values(power(metric.evaluate(phi_x), 0.5), jac, r),
-                    ct_spectrum_values(p, r, jac, metric.orbital_derivative(x)))
+            (p, _, r), *_ = metric.values(x[None])
+            (_, q_half, _), *_ = metric.values(phi_x[None])
+            return (metric_sv_values(q_half[0], jac, r[0]),
+                    ct_spectrum_values(p[0], r[0], jac, metric.orbital_derivative(x)))
 
         (s1, c1), (s2, c2) = spectra(base), spectra(scaled)
         assert np.allclose(s1, s2, atol=1e-10)
@@ -474,7 +477,7 @@ def test_tabulated_metric_values_are_the_first_of_each_pair_and_reject_analytic_
     assert len(roots[0]) == 2 and inverse.tolist() == [0, 1, 0, 1]
     assert failed.tolist() == [False] * 4 and why == {}
     assert np.array_equal(p[0], p[2]) and np.array_equal(p[0], 1.25 * np.eye(2))
-    assert np.array_equal(metric.evaluate(x), p)
+    assert np.array_equal(p, rule(x)[0][:, 0])
     with pytest.raises(ConfigError):
         metric.orbital_derivative(x)
 
@@ -487,14 +490,12 @@ def test_metric_values_flag_rows_without_spd_value():
     assert failed.tolist() == [False, True, False] and list(why) == [1]
     assert "not positive definite" in why[1]
     assert np.array_equal(p[[0, 2]], np.ones((2, 1, 1)))
-    with pytest.raises(NumericError, match="not positive definite"):
-        metric.evaluate(np.array([-1.0]))
 
 
 def test_metric_dimension_mismatch():
     metric = MetricField.identity(3)
     with pytest.raises(ConfigError):
-        metric.evaluate(np.zeros(2))
+        metric.values(np.zeros((1, 2)))
 
 
 def _stack_with_repeats(case):
