@@ -97,10 +97,13 @@ def _parse_resolution(spec):
 
 
 def _parse_horizons(spec) -> list:
-    """Horizons from '1,2,4', '[1,2,4]' or a list of numbers."""
+    """Horizons from '1,2,4', '[1,2,4]' or a list of numbers, none repeated."""
     if isinstance(spec, str):
         spec = spec.strip().strip("[]").split(",")
-    return _numbers(spec, float, "horizons")
+    horizons = _numbers(spec, float, "horizons")
+    if len(set(horizons)) < len(horizons):
+        raise ConfigError(f"horizons must not repeat, got {horizons}")
+    return horizons
 
 
 _CONFIG_KEYS = ("system", "params", "box", "resolution")

@@ -159,7 +159,7 @@ class CompactSet:
                 "bounds": [[float(lo), float(hi)] for lo, hi in self.bounds]}
 
 
-@dataclass
+@dataclass(eq=False)
 class Propagation:
     """Raw batched propagation result.
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import CompactSet, SystemModel, grid_counts, propagate, sample_set
+from .dynamics import CompactSet, SystemModel, grid_counts, propagate
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
@@ -190,14 +190,14 @@ def _write_rows(fh, columns: list, fmt, opening: str, sep: str, close: str,
         fh.write("".join(block))
 
 
-@dataclass
+@dataclass(eq=False)
 class OracleResult:
     horizons: list
-    values: list               # max over surviving points, per horizon
+    values: list               # max over the kept points, per horizon
     aitken: float
-    states: Array              # surviving sample points, (m, dim)
+    states: Array              # kept sample points, (m, dim)
     exponents: Array           # their exponents at the final horizon, (m, dim)
-    excluded: list             # (point index, escape time)
+    excluded: list             # {state, reason} of each point escaped by the last horizon
     resolution: list
     units: str                 # of values and exponents: bits/step or bits/time
 
@@ -299,46 +299,44 @@ def _cells(a: Array, axes) -> Array:
 
 
 class _Lattice:
-    """A bound's lattice of sample points, as refinement splits it.
+    """A lattice of sample points, as refinement splits it, and the table of
+    the rows that ``rows`` gives its nodes.
 
-    ``counts`` points per axis span the box.  ``live`` marks the cells (by
-    lower corner, ``counts - 1`` per axis) that a split may still halve:
-    every cell of the first lattice (``True``), then the halves of the
-    cells split.  ``table`` holds the rows of the kept nodes and ``at``
-    their flat node indices, ``excluded`` the entries of the excluded nodes
-    and ``lost`` theirs, each in the order the nodes were evaluated: node
-    order within each split, and the indices on the current lattice.
-    ``best`` is the largest local bound and ``level`` the number of splits."""
+    ``counts`` points per axis span the box.  ``rows(block)`` takes a block
+    of nodes, states (m, d), and returns ``(table rows of the kept nodes,
+    ok, reasons)``: ``ok`` marks the nodes kept, ``reasons`` says why each
+    other one is left out, and a row's last column is the value that
+    ``best`` and ``split`` read.  ``live`` marks the cells (by lower corner,
+    ``counts - 1`` per axis) that a split may still halve: every cell of the
+    first lattice (``True``), then the halves of the cells split.  ``table``
+    holds the rows of the kept nodes and ``at`` their flat node indices,
+    ``excluded`` the ``{state, reason}`` entries of the excluded nodes and
+    ``lost`` theirs, each in node order.  ``best`` is the largest last
+    column and ``level`` the number of splits."""
 
-    def __init__(self, system: SystemModel, region: CompactSet, metric: MetricField,
-                 counts: list):
-        self.system, self.region, self.metric, self.counts = system, region, metric, counts
+    def __init__(self, region: CompactSet, counts: list, rows):
+        self.region, self.counts, self.rows = region, counts, rows
         self.live = True
         self.best, self.level, self.margin = -np.inf, 0, None
-        self.table, self.at = np.empty((0, 2 * len(counts) + 1)), np.empty(0, dtype=np.int64)
+        self.table, self.at = None, np.empty(0, dtype=np.int64)
         self.excluded, self.lost = [], np.empty(0, dtype=np.int64)
         self._evaluate(range(int(np.prod(counts, dtype=np.int64))))
-        if not len(self.table) and not self.excluded:
-            raise ConfigError("constraint excluded every grid point")
-        if not len(self.table):
-            raise NumericError("every sample point was excluded; no bound available")
 
     def _evaluate(self, index) -> None:
         """Evaluates the nodes of increasing flat indices ``index`` (an
         array, or the range of the whole lattice) that the region keeps,
-        and appends their rows to ``table`` and ``excluded``.  Their
-        spectra are evaluated ``_BLOCK_ROWS`` nodes at a time: no row's
-        arithmetic depends on the rows beside it, so the blocks join, in
-        node order, into the table one batch would give."""
+        and appends their rows to ``table`` and ``excluded``.  ``rows`` is
+        called on ``_BLOCK_ROWS`` nodes at a time: no row's arithmetic
+        depends on the rows beside it, so the blocks join, in node order,
+        into the table one batch would give."""
         pts, index = dynamics.lattice_points(self.region, self.counts, index)
-        tables, kept, reasons = [self.table], [np.zeros(0, dtype=bool)], []
+        if self.table is None and not len(pts):
+            raise ConfigError("constraint excluded every grid point")
+        tables = [] if self.table is None else [self.table]
+        kept, reasons = [np.zeros(0, dtype=bool)], []
         for start in range(0, len(pts), dynamics._BLOCK_ROWS):
-            block = pts[start:start + dynamics._BLOCK_ROWS]
-            values, ok, why = _spectra(self.system, self.metric, block)
-            locals_ = positive_sum(values)
-            if self.system.time_type == "continuous":
-                locals_ = locals_ / (2.0 * LN2)
-            tables.append(np.column_stack([block[ok], values, locals_]))
+            table, ok, why = self.rows(pts[start:start + dynamics._BLOCK_ROWS])
+            tables.append(table)
             kept.append(ok)
             reasons += why
         self.table, kept = np.concatenate(tables), np.concatenate(kept)
@@ -349,8 +347,8 @@ class _Lattice:
 
     def split(self) -> None:
         """Double the lattice (c -> 2c - 1 per axis), re-index ``at`` and
-        ``lost`` on it, and evaluate the new nodes of the live cells that
-        may hold a larger local bound.
+        ``lost`` on it, evaluate the new nodes of the live cells that may
+        hold a larger local bound, and sort every row back into node order.
 
         A cell's margin is ``REFINE_MARGIN`` times the largest difference
         in local bound between kept lattice neighbours on the edges of the
@@ -386,36 +384,9 @@ class _Lattice:
         need[(slice(None, None, 2),) * dim] = False   # the coarse nodes
         self.level += 1
         self._evaluate(np.flatnonzero(need))
-
-    def report(self) -> BoundReport:
-        """The report of the rows evaluated, the kept and the excluded nodes
-        each sorted by node index after a split (the first lattice's are)."""
-        table, excluded = self.table, self.excluded
-        if self.level:
-            table = table[np.argsort(self.at)]
-            excluded = [excluded[i] for i in np.argsort(self.lost)]
-        best = table[np.argmax(table[:, -1])]
-        continuous = self.system.time_type == "continuous"
-        return BoundReport(
-            system=self.system.name,
-            params=_json_params(self.system),
-            time_type=self.system.time_type,
-            units=UNITS[self.system.time_type],
-            region=self.region.descriptor(),
-            metric=self.metric.label,
-            metric_horizon=self.metric.horizon,
-            resolution=list(self.counts),
-            bound=float(best[-1]),
-            maximizer=best[:self.region.dim].tolist(),
-            per_point=table,
-            excluded=excluded,
-            refinements=self.level,
-            map_step=(self.metric.step if continuous and not self.metric.has_orbital
-                      else None),
-            bound_kind=("grid-adaptive" if self.level else "grid")
-            + ("-minus-excluded" if excluded else ""),
-            refine_margin=self.margin,
-        )
+        kept, lost = np.argsort(self.at), np.argsort(self.lost)      # back to node order
+        self.table, self.at, self.lost = self.table[kept], self.at[kept], self.lost[lost]
+        self.excluded = [self.excluded[i] for i in lost]
 
 
 def bound(system: SystemModel, region: CompactSet, metric: MetricField,
@@ -446,7 +417,15 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
     if not discrete and not metric.has_orbital and not (metric.step or 0.0) > 0.0:
         raise ConfigError(f"metric '{metric.label}' has neither an orbital derivative "
                           "nor a positive time step for the time-step map")
-    lattice = _Lattice(system, region, metric, grid_counts(resolution, region.dim))
+
+    def rows(block: Array) -> tuple:
+        values, ok, reasons = _spectra(system, metric, block)
+        local = positive_sum(values) / (1.0 if discrete else 2.0 * LN2)
+        return np.column_stack([block[ok], values, local]), ok, reasons
+
+    lattice = _Lattice(region, grid_counts(resolution, region.dim), rows)
+    if not len(lattice.table):
+        raise NumericError("every sample point was excluded; no bound available")
     budget = DT_POINT_BUDGET if discrete else CT_POINT_BUDGET
     while refine and lattice.level < MAX_REFINES:
         if np.prod([2 * c - 1 for c in lattice.counts], dtype=float) > budget:
@@ -457,7 +436,26 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
         lattice.split()
         if abs(lattice.best - best) < REFINE_TOL:
             break
-    return lattice.report()
+    best = lattice.table[np.argmax(lattice.table[:, -1])]
+    return BoundReport(
+        system=system.name,
+        params=_json_params(system),
+        time_type=system.time_type,
+        units=UNITS[system.time_type],
+        region=region.descriptor(),
+        metric=metric.label,
+        metric_horizon=metric.horizon,
+        resolution=list(lattice.counts),
+        bound=float(best[-1]),
+        maximizer=best[:region.dim].tolist(),
+        per_point=lattice.table,
+        excluded=lattice.excluded,
+        refinements=lattice.level,
+        map_step=metric.step if not discrete and not metric.has_orbital else None,
+        bound_kind=("grid-adaptive" if lattice.level else "grid")
+        + ("-minus-excluded" if lattice.excluded else ""),
+        refine_margin=lattice.margin,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -542,47 +540,45 @@ def lyapunov_oracle(system: SystemModel, region: CompactSet,
     the horizon series.  A map's horizons are step counts and its values
     are in bits/step; a flow's are in bits per unit time.
 
-    Points are propagated in blocks of ``_BLOCK_ROWS``, so memory grows with
-    the grid only by the kept states and exponents.  A block is reduced in
-    one pass over all horizons: one SVD of the stacked records, exponents
-    log2(sv)/t, each horizon's max over the rows not escaped by then.
-    Escaped rows (a state past the guard or a Jacobian not finite) are
-    excluded, so every record is finite.  On lanford at resolution 11, the
-    30 rows near the separatrix surface (level at least -1e-3) shadow the
-    heteroclinic connection: their states at t = 40 differ from a scipy
+    The points are the nodes of ``bound``'s lattice (``_Lattice``), one
+    ``propagate`` and one SVD of the kept rows' records per block: a row
+    holds its state, its exponents log2(sv)/t at the last horizon and its
+    summed positive exponents at each horizon, and each horizon's value is
+    that column's max.  A row whose orbit escapes by the last horizon (a
+    state past the guard or a Jacobian not finite) is excluded, with its
+    escape time in the reason, so every horizon's value is a max over the
+    same rows, those of the report's table.  On lanford at resolution 11,
+    the 30 rows near the separatrix surface (level at least -1e-3) shadow
+    the heteroclinic connection: their states at t = 40 differ from a scipy
     DOP853 reference (rtol 1e-13) by 4.9e-2, so their exponents depend on
     the integrator, and QR renormalisation would not make them
     reproducible."""
     horizons = sorted(float(t) for t in horizons)
-    if not horizons or horizons[0] <= 0:
-        raise ConfigError("horizons must be positive")
-    pts = sample_set(region, resolution)
-    t = np.array(horizons)[:, None]
-    values = np.full(len(horizons), -np.inf)
-    states, exponents, excluded = [], [], []
-    for start in range(0, len(pts), dynamics._BLOCK_ROWS):
-        block = pts[start:start + dynamics._BLOCK_ROWS]
+    if not horizons or horizons[0] <= 0 or len(set(horizons)) < len(horizons):
+        raise ConfigError(f"horizons must be positive and distinct, got {horizons}")
+    t = np.array(horizons)[:, None, None]
+
+    def rows(block: Array) -> tuple:
         prop = propagate(system, block, horizons[-1], variational=True, record_at=horizons)
+        ok = ~prop.escaped
         with np.errstate(divide="ignore"):
-            lam = np.log2(np.linalg.svd(prop.jacobians, compute_uv=False)) / t[..., None]
-        # rows that escaped by each horizon, (horizons, rows)
-        gone = prop.escape_times <= t + 1e-12
-        values = np.maximum(values, np.max(positive_sum(lam), axis=1, initial=-np.inf,
-                                           where=~gone))
-        states.append(block[~prop.escaped])
-        exponents.append(lam[-1][~prop.escaped])
-        excluded += [(start + int(i), float(prop.escape_times[i]))
-                     for i in np.nonzero(prop.escaped)[0]]
-    if len(excluded) == len(pts):
+            lam = np.log2(np.linalg.svd(prop.jacobians[:, ok], compute_uv=False)) / t
+        reasons = [f"trajectory of '{system.name}' blew up at t={e:.6g}"
+                   for e in prop.escape_times[prop.escaped].tolist()]
+        return np.column_stack([block[ok], lam[-1], positive_sum(lam).T]), ok, reasons
+
+    lattice = _Lattice(region, grid_counts(resolution, region.dim), rows)
+    if not len(lattice.table):
         raise NumericError(f"every sample point blew up by the last horizon t={horizons[-1]:g}")
+    values = np.max(lattice.table[:, 2 * region.dim:], axis=0)
     return OracleResult(
-        horizons=list(horizons),
+        horizons=horizons,
         values=values.tolist(),
         aitken=aitken_accelerate(values),
-        states=np.concatenate(states),
-        exponents=np.concatenate(exponents),
-        excluded=excluded,
-        resolution=grid_counts(resolution, region.dim),
+        states=lattice.table[:, :region.dim],
+        exponents=lattice.table[:, region.dim:2 * region.dim],
+        excluded=lattice.excluded,
+        resolution=lattice.counts,
         units=UNITS[system.time_type],
     )
 

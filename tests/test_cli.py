@@ -231,6 +231,27 @@ def test_nonfinite_horizon_is_config_error(tmp_path, capsys, argv):
     assert "configuration error: " in capsys.readouterr().err
 
 
+# a repeated horizon once made sweep bound and write it twice, and made the
+# oracle's Aitken value read the repeated horizon's value
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--horizons", "2,2,8"],
+    ["sweep", "--horizons", "2,2"],
+    ["sweep", "--horizons", "2,4,2.0"],
+], ids=["oracle", "sweep", "sweep-spelled-apart"])
+def test_repeated_horizon_is_config_error(tmp_path, capsys, argv):
+    system = ["--system", "linmap", "--matrix", "[[2,1],[0,0.5]]", "--resolution", "3"]
+    assert run([*argv, *system, "--out", str(tmp_path / "rep")]) == 1
+    assert "configuration error: horizons must not repeat" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_config_horizon_is_config_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"system": "identity", "horizons": [1, 1.0]}))
+    assert run(["oracle", "--config", str(config), "--out", str(tmp_path / "rep")]) == 1
+    assert "configuration error: horizons must not repeat" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [
     {"system": "lanford", "params": {"b": 1}},
     {"system": "lanford", "params": [1]},

@@ -235,6 +235,14 @@ def test_a_row_propagates_as_it_would_alone():
             assert np.isnan(alone.escape_times[0])
 
 
+def test_propagations_compare_by_identity():
+    # a generated __eq__ would compare the array fields and raise
+    system = linear_map_system(np.diag([2.0, 0.5]))
+    first, second = (propagate(system, np.ones((2, 2)), 3.0, variational=True)
+                     for _ in range(2))
+    assert first == first and first != second
+
+
 def test_dop853_tableau_matches_the_reference_coefficients():
     # all 16 rows of A: the 12 stages, the solution (row 12, B) and the
     # three extra stages of the continuous extension, and its matrix D

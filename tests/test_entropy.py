@@ -648,11 +648,46 @@ def test_lyapunov_oracle_blocks_change_no_result(monkeypatch):
         res = lyapunov_oracle(sys_, box, horizons=(1.0, 3.0, 6.0), resolution=(3, 3, 5))
         assert np.allclose(res.values, ref.values, rtol=0.0, atol=1e-12)
         assert abs(res.aitken - ref.aitken) <= 1e-12
-        assert [i for i, _ in res.excluded] == [i for i, _ in ref.excluded]
-        assert np.allclose([t for _, t in res.excluded], [t for _, t in ref.excluded],
-                           rtol=1e-12, atol=0.0)
+        assert res.excluded == ref.excluded          # states and reasons
         np.testing.assert_array_equal(res.states, ref.states)
         assert np.allclose(res.exponents, ref.exponents, rtol=0.0, atol=1e-12)
+
+
+def test_lyapunov_oracle_values_are_maxima_over_the_rows_it_lists():
+    # 21 of the 27 rows blow up before t = 6, some of them after t = 1 or
+    # t = 3: every horizon's value is a max over the 6 rows kept to t = 6
+    sys_ = lanford_system(A0)
+    box = CompactSet(bounds=((-0.4, 0.4), (-0.4, 0.4), (-0.3, 0.5)))
+    horizons = (1.0, 3.0, 6.0)
+    res = lyapunov_oracle(sys_, box, horizons=horizons, resolution=3)
+    assert len(res.states) == 6 and len(res.excluded) == 21
+    prop = propagate(sys_, res.states, horizons[-1], variational=True, record_at=horizons)
+    assert not prop.escaped.any()
+    values = [float(np.max(positive_sum(np.log2(np.linalg.svd(jac, compute_uv=False)) / t)))
+              for jac, t in zip(prop.jacobians, horizons)]
+    assert np.allclose(res.values, values, rtol=0.0, atol=1e-12)
+    assert res.values == pytest.approx([0.587546, 0.727543, 0.826378], abs=1e-6)
+
+
+def test_lyapunov_oracle_excludes_as_bound_does():
+    # e^{40 t} passes the blow-up guard before t = 0.5 unless x = 0: the
+    # oracle and a bound on the time-0.5 map exclude the same rows, in the
+    # same {state, reason} entries; the oracle's reason names the escape time
+    fast = linear_ode_system(np.array([[40.0]]))
+    tab = MetricField.tabulated(1, pulled_back_rule(fast, _eye, 0.5), label="tab", step=0.5)
+    rep = bound(fast, UNIT_BOX_1, tab, resolution=3)
+    res = lyapunov_oracle(fast, UNIT_BOX_1, horizons=(0.5, 1.0), resolution=3)
+    assert [set(e) for e in res.excluded] == [set(e) for e in rep.excluded]
+    assert [e["state"] for e in res.excluded] == [e["state"] for e in rep.excluded]
+    assert all(e["reason"].startswith("trajectory of 'linode' blew up at t=0.")
+               for e in res.excluded)
+    assert res.states.tolist() == [[0.0]]
+
+
+def test_lyapunov_oracle_refuses_a_repeated_horizon():
+    with pytest.raises(ConfigError, match="distinct"):
+        lyapunov_oracle(linear_map_system(np.diag([2.0, 0.5])), UNIT_BOX_2,
+                        horizons=(2, 8, 2.0), resolution=3)
 
 
 def test_lyapunov_oracle_matches_dop853_reference(dop853):
