@@ -13,7 +13,6 @@ from .dynamics import (
     linear_ode_system,
     identity_system,
     make_system,
-    sample_set,
 )
 from .entropy import (
     BoundReport,

@@ -97,12 +97,13 @@ def _parse_resolution(spec):
 
 
 def _parse_horizons(spec) -> list:
-    """Horizons from '1,2,4', '[1,2,4]' or a list of numbers, none repeated."""
+    """Horizons from '1,2,4', '[1,2,4]' or a list of numbers, no two of which
+    print alike in the ``:g`` spelling (6 digits) of output lines and file names."""
     if isinstance(spec, str):
         spec = spec.strip().strip("[]").split(",")
     horizons = _numbers(spec, float, "horizons")
-    if len(set(horizons)) < len(horizons):
-        raise ConfigError(f"horizons must not repeat, got {horizons}")
+    if len({f"{h:g}" for h in horizons}) < len(horizons):
+        raise ConfigError(f"horizons must not repeat to 6 significant digits, got {horizons}")
     return horizons
 
 
@@ -195,7 +196,7 @@ def _run_spot_check(system, region, resolution, horizon, require):
     if require and report.fraction > 0.0:
         raise _InvarianceFailure(
             f"{report.n_escaped} grid points left the declared set; first exits "
-            f"{report.first_exit[:3]}")
+            f"{report.excluded[:3]}")
     return report
 
 

@@ -7,7 +7,6 @@ unit time.  Continuous-time roots stay in natural-log units until the final
 """
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, fields
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import CompactSet, SystemModel, grid_counts, propagate
+from .dynamics import CompactSet, SystemModel, _Lattice, grid_counts, propagate
 from .errors import ConfigError, NumericError
 from .metrics import MetricField, ct_spectrum_values, metric_sv_values
 from . import spd
@@ -42,19 +41,6 @@ REFINE_TOL = 1e-4
 MAX_REFINES = 3
 DT_POINT_BUDGET = 2_000_000
 CT_POINT_BUDGET = 8_000_000
-# A split rules out a cell when its largest kept corner is below the best
-# local bound by more than REFINE_MARGIN times the largest step in local bound
-# between kept grid neighbours on the edges of the cell and of the cells
-# around it.  A point of a cell is half a step per axis from its nearest
-# corner, so a function whose steps are those of the grid differs there by at
-# most d/2 steps in d dimensions; 2 covers d <= 3 with room for curvature.
-# Measured on lanford-exp refined from resolution 21 to 41 at a = 2/3 (2-vCPU
-# host): factor 1 evaluates 5,070 of the grid's 33,401 points, 2 evaluates
-# 7,630 and 3 12,926, in 9, 15 and 18 ms against 43 ms for the whole grid;
-# each factor gives the whole grid's bound, here and from resolution 20 (to
-# 77) at a = 2/3, 0.75 and 1.  One margin for the whole grid, its largest
-# step anywhere, evaluated 16,373 points at factor 2.
-REFINE_MARGIN = 2.0
 # |f(x)| accepted at an equilibrium, relative to 1 + |x|
 EQUILIBRIUM_TOL = 1e-8
 # json's spelling of the floats whose repr is not JSON
@@ -280,113 +266,6 @@ def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
                else why.get(i) or why.get(m + i) or culprit[i]
                for i in np.flatnonzero(~ok).tolist()]
     return (values[~lost] if lost.any() else values), ok, reasons
-
-
-def _doubled(at: Array, counts: list, finer: list) -> Array:
-    """The flat indices on the lattice ``finer`` (2c - 1 points per axis)
-    of the nodes ``at`` of the lattice ``counts`` (c per axis)."""
-    return np.ravel_multi_index(tuple(2 * i for i in np.unravel_index(at, counts)), finer)
-
-
-def _cells(a: Array, axes) -> Array:
-    """``np.fmax`` of each pair of neighbours along each of ``axes`` in turn:
-    per cell (by lower corner), the largest non-NaN value of ``a`` at its
-    corners along ``axes``, NaN where there is none; exact in any order."""
-    for k in axes:
-        head = (slice(None),) * k
-        a = np.fmax(a[head + (slice(None, -1),)], a[head + (slice(1, None),)])
-    return a
-
-
-class _Lattice:
-    """A lattice of sample points, as refinement splits it, and the table of
-    the rows that ``rows`` gives its nodes.
-
-    ``counts`` points per axis span the box.  ``rows(block)`` takes a block
-    of nodes, states (m, d), and returns ``(table rows of the kept nodes,
-    ok, reasons)``: ``ok`` marks the nodes kept, ``reasons`` says why each
-    other one is left out, and a row's last column is the value that
-    ``best`` and ``split`` read.  ``live`` marks the cells (by lower corner,
-    ``counts - 1`` per axis) that a split may still halve: every cell of the
-    first lattice (``True``), then the halves of the cells split.  ``table``
-    holds the rows of the kept nodes and ``at`` their flat node indices,
-    ``excluded`` the ``{state, reason}`` entries of the excluded nodes and
-    ``lost`` theirs, each in node order.  ``best`` is the largest last
-    column and ``level`` the number of splits."""
-
-    def __init__(self, region: CompactSet, counts: list, rows):
-        self.region, self.counts, self.rows = region, counts, rows
-        self.live = True
-        self.best, self.level, self.margin = -np.inf, 0, None
-        self.table, self.at = None, np.empty(0, dtype=np.int64)
-        self.excluded, self.lost = [], np.empty(0, dtype=np.int64)
-        self._evaluate(range(int(np.prod(counts, dtype=np.int64))))
-
-    def _evaluate(self, index) -> None:
-        """Evaluates the nodes of increasing flat indices ``index`` (an
-        array, or the range of the whole lattice) that the region keeps,
-        and appends their rows to ``table`` and ``excluded``.  ``rows`` is
-        called on ``_BLOCK_ROWS`` nodes at a time: no row's arithmetic
-        depends on the rows beside it, so the blocks join, in node order,
-        into the table one batch would give."""
-        pts, index = dynamics.lattice_points(self.region, self.counts, index)
-        if self.table is None and not len(pts):
-            raise ConfigError("constraint excluded every grid point")
-        tables = [] if self.table is None else [self.table]
-        kept, reasons = [np.zeros(0, dtype=bool)], []
-        for start in range(0, len(pts), dynamics._BLOCK_ROWS):
-            table, ok, why = self.rows(pts[start:start + dynamics._BLOCK_ROWS])
-            tables.append(table)
-            kept.append(ok)
-            reasons += why
-        self.table, kept = np.concatenate(tables), np.concatenate(kept)
-        self.at, self.lost = np.append(self.at, index[kept]), np.append(self.lost, index[~kept])
-        self.excluded += [{"state": state, "reason": reason}
-                          for state, reason in zip(pts[~kept].tolist(), reasons)]
-        self.best = float(np.max(self.table[:, -1], initial=-np.inf))
-
-    def split(self) -> None:
-        """Double the lattice (c -> 2c - 1 per axis), re-index ``at`` and
-        ``lost`` on it, evaluate the new nodes of the live cells that may
-        hold a larger local bound, and sort every row back into node order.
-
-        A cell's margin is ``REFINE_MARGIN`` times the largest difference
-        in local bound between kept lattice neighbours on the edges of the
-        cell and of its 3^d - 1 neighbouring cells (infinite when there is
-        none), so a steep step keeps only the cells beside it alive.
-        ``margin``, the report's ``refine_margin``, is the largest finite
-        one: ``REFINE_MARGIN`` times the lattice's largest step (infinite
-        when no two neighbours are kept).  A live cell is split, its halves
-        live, when none of its corners is kept or when its largest kept
-        corner plus its margin reaches ``best``.  The nodes of its halves
-        that are not nodes of the coarse lattice are evaluated."""
-        dim, axes = len(self.counts), range(len(self.counts))
-        local = np.full(self.counts, np.nan)         # NaN off the kept nodes
-        local.flat[self.at] = self.table[:, -1]
-        margin = np.full([c - 1 for c in self.counts], np.nan)   # NaN: no step
-        for k in axes:            # largest step on each cell's edges along axis k
-            margin = np.fmax(margin, _cells(np.abs(np.diff(local, axis=k)), set(axes) - {k}))
-        # and on its neighbours' edges: one cell of NaN around, reduced twice
-        margin = REFINE_MARGIN * _cells(np.pad(margin, 1, constant_values=np.nan), [*axes, *axes])
-        largest = float(np.max(margin, initial=-np.inf, where=~np.isnan(margin)))
-        self.margin = largest if largest >= 0.0 else np.inf
-        split = self.live & ~(_cells(local, axes) + margin < self.best)  # a NaN one splits
-        coarse, self.counts = self.counts, [2 * c - 1 for c in self.counts]
-        self.at, self.lost = (_doubled(self.at, coarse, self.counts),
-                              _doubled(self.lost, coarse, self.counts))
-        self.live = np.zeros([c - 1 for c in self.counts], dtype=bool)
-        need = np.zeros(self.counts, dtype=bool)
-        corners = list(itertools.product((0, 1), repeat=dim))
-        for corner in corners:
-            self.live[tuple(slice(o, None, 2) for o in corner)] = split
-        for corner in corners:
-            need[tuple(slice(o, o + c - 1) for o, c in zip(corner, self.counts))] |= self.live
-        need[(slice(None, None, 2),) * dim] = False   # the coarse nodes
-        self.level += 1
-        self._evaluate(np.flatnonzero(need))
-        kept, lost = np.argsort(self.at), np.argsort(self.lost)      # back to node order
-        self.table, self.at, self.lost = self.table[kept], self.at[kept], self.lost[lost]
-        self.excluded = [self.excluded[i] for i in lost]
 
 
 def bound(system: SystemModel, region: CompactSet, metric: MetricField,

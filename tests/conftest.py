@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from restent.dynamics import BLOWUP_NORM
+from restent.dynamics import BLOWUP_NORM, grid_counts, lattice_points
+
+
+def sample_set(region, resolution):
+    """The nodes of the uniform lattice of ``resolution`` points per axis
+    (one count, or one per axis) over the box that the constraint keeps, in
+    row-major order: ``lattice_points`` of the whole lattice."""
+    counts = grid_counts(resolution, region.dim)
+    return lattice_points(region, counts, range(int(np.prod(counts))))[0]
 
 
 def _dop853_flow(system, x0, t, variational=False, record_at=None):

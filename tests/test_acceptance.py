@@ -18,7 +18,6 @@ from restent.dynamics import (
     lanford_system,
     linear_map_system,
     linear_ode_system,
-    sample_set,
 )
 from restent.entropy import (
     bound,
@@ -31,6 +30,8 @@ from restent.entropy import (
 )
 from restent.metrics import MetricField
 from restent.props import run_property_suite
+
+from conftest import sample_set
 
 A_VALUES = (2.0 / 3.0, 0.75, 1.0)
 A_HET = 2.0 / 3.0

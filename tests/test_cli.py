@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -243,6 +244,25 @@ def test_repeated_horizon_is_config_error(tmp_path, capsys, argv):
     assert run([*argv, *system, "--out", str(tmp_path / "rep")]) == 1
     assert "configuration error: horizons must not repeat" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# horizons that print alike once wrote one sweep report over the other
+# and printed "horizon 0.5" twice
+@pytest.mark.parametrize("command, horizons", [
+    ("sweep", "0.5,0.5000001"), ("oracle", "1,1.0000001")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_horizons_that_print_alike_are_config_error(tmp_path, capsys, command, horizons,
+                                                    source):
+    argv = [command, "--system", "lanford", "--resolution", "3", "--out", str(tmp_path / "h")]
+    if source == "flag":
+        argv += ["--horizons", horizons]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"horizons": [float(h) for h in horizons.split(",")]}))
+        argv += ["--config", str(config)]
+    assert run(argv) == 1
+    assert "configuration error: horizons must not repeat" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if source == "config" else [])
 
 
 def test_repeated_config_horizon_is_config_error(tmp_path, capsys):
@@ -521,7 +541,11 @@ def test_exit_code_invariance_failure(tmp_path, capsys):
                 "--metric", "lanford-exp", "--resolution", "7",
                 "--check-invariance", "--check-horizon", "3.0", "--out", stem])
     assert code == 3
-    assert "invariance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invariance" in err
+    assert "112 grid points left the declared set" in err
+    first = ast.literal_eval(err.split("first exits ", 1)[1])
+    assert len(first) == 3 and first[0]["reason"] == "left the set at t=0.05"
 
 
 def test_invariance_check_passes_at_heteroclinic_parameter(tmp_path, capsys):

@@ -24,8 +24,9 @@ from restent.dynamics import (
     linear_ode_system,
     make_system,
     propagate,
-    sample_set,
 )
+
+from conftest import sample_set
 
 A_DEFAULT = 2.0 / 3.0
 
@@ -314,7 +315,7 @@ def test_an_empty_record_list_gives_no_records(factory):
 def test_a_map_spot_check_over_no_steps_reports_none_escaped():
     report = invariance_spot_check(linear_map_system(np.diag([2.0, 0.5])),
                                    CompactSet(bounds=((-1.0, 1.0), (-1.0, 1.0))), 3, 0)
-    assert (report.n_points, report.n_escaped, report.first_exit) == (9, 0, [])
+    assert (report.n_points, report.n_escaped, report.excluded) == (9, 0, [])
 
 
 def test_record_times_are_hit_and_must_not_decrease():
@@ -355,8 +356,9 @@ def test_sample_set_examples():
     with pytest.raises(ConfigError):
         sample_set(box, 1)
     tiny = CompactSet(bounds=((0.0, 1.0),), constraint=lambda x: x[..., 0] > 5.0)
-    with pytest.raises(ConfigError):
-        sample_set(tiny, 3)
+    assert len(sample_set(tiny, 3)) == 0
+    with pytest.raises(ConfigError, match="constraint excluded every grid point"):
+        invariance_spot_check(identity_system(1), tiny, 3, 1)
 
 
 def _meshgrid_sample(region, counts):
@@ -428,7 +430,34 @@ def test_plain_box_fails_spot_check_for_lanford():
     box = CompactSet(bounds=((-1.2, 1.2), (-1.2, 1.2), (0.0, 1.0)))
     report = invariance_spot_check(sys_, box, 5, horizon=2.0)
     assert report.fraction > 0.0
-    assert report.first_exit
+    assert report.excluded
+
+
+# the lanford plain box above: 120 of 125 leave; a map whose rows from
+# x = +-1 blow up at step 1, frozen inside the box, and whose rows from
+# (0, +-1) leave it at step 1
+@pytest.mark.parametrize("system, box, resolution, horizon", [
+    (lanford_system(A_DEFAULT), ((-1.2, 1.2), (-1.2, 1.2), (0.0, 1.0)), 5, 2.0),
+    (linear_map_system(np.diag([1e9, 2.0])), ((-1.0, 1.0), (-1.0, 1.0)), 3, 3),
+], ids=["flow", "map"])
+@pytest.mark.parametrize("block_rows", [1, 7, dynamics._BLOCK_ROWS])
+def test_spot_check_blocks_give_one_batchs_entries(monkeypatch, block_rows, system, box,
+                                                   resolution, horizon):
+    region = CompactSet(bounds=box)
+    whole = invariance_spot_check(system, region, resolution, horizon)
+    monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
+    report = invariance_spot_check(system, region, resolution, horizon)
+    assert (report.n_points, report.excluded) == (whole.n_points, whole.excluded)
+    assert all(set(entry) == {"state", "reason"} for entry in report.excluded)
+    reasons = [entry["reason"] for entry in report.excluded]
+    if system.time_type == "continuous":
+        assert (report.n_points, report.n_escaped) == (125, 120)
+        assert reasons[:3] == ["left the set at t=0.05"] * 3
+        assert report.excluded[0]["state"] == [-1.2, -1.2, 0.0]
+    else:
+        assert (report.n_points, report.n_escaped) == (9, 8)
+        blown = "trajectory of 'linmap' blew up at t=1"
+        assert reasons == [blown] * 3 + ["left the set at t=1"] * 2 + [blown] * 3
 
 
 def test_default_region_and_config_loading(tmp_path):

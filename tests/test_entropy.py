@@ -15,12 +15,11 @@ from restent.dynamics import (
     linear_map_system,
     linear_ode_system,
     propagate,
+    REFINE_MARGIN,
     SystemModel,
-    sample_set,
 )
 from restent.entropy import (
     MAX_REFINES,
-    REFINE_MARGIN,
     REFINE_TOL,
     SCHEMA_VERSION,
     _spectra,
@@ -37,6 +36,8 @@ from restent.entropy import (
 from restent.metrics import MetricField, metric_sv_values
 from restent import dynamics, entropy, spd
 from restent.spd import karcher_barycenter, power
+
+from conftest import sample_set
 
 A0 = 2.0 / 3.0
 LN2 = np.log(2.0)

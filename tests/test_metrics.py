@@ -12,7 +12,6 @@ from restent.dynamics import (
     lanford_system,
     linear_map_system,
     linear_ode_system,
-    sample_set,
 )
 from restent.entropy import bound, lanford_metric, positive_sum
 from restent import metrics
@@ -22,6 +21,8 @@ from restent.metrics import (
     metric_sv_values,
 )
 from restent.spd import power, sym
+
+from conftest import sample_set
 
 from test_entropy import pulled_back_rule
 from test_spd import rand_gl, rand_spd
