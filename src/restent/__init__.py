@@ -19,9 +19,7 @@ from .entropy import (
     OracleResult,
     bound,
     lanford_closed_form,
-    lanford_metric,
     lyapunov_oracle,
-    minimizing_metric,
     proximate_entropy,
 )
 from .errors import (
@@ -30,7 +28,7 @@ from .errors import (
     ToolkitError,
     UnknownSystemError,
 )
-from .metrics import MetricField
+from .metrics import MetricField, lanford_metric, minimizing_metric
 from .spd import (
     as_spd,
     congruence,

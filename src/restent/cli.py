@@ -33,14 +33,12 @@ from .entropy import (
     _write_table,
     bound,
     lanford_closed_form,
-    lanford_metric,
     lyapunov_oracle,
-    minimizing_metric,
     proximate_entropy,
     write_report,
 )
 from .errors import ConfigError, NumericError, ToolkitError
-from .metrics import MetricField
+from .metrics import MetricField, lanford_metric, minimizing_metric
 
 
 class _InvarianceFailure(ToolkitError):

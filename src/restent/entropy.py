@@ -1,5 +1,5 @@
-"""Restoration-entropy upper bounds, minimizing-metric constructions, the
-finite-time-Lyapunov-exponent oracle, and proximate topological entropy.
+"""Restoration-entropy upper bounds, the finite-time-Lyapunov-exponent
+oracle, proximate topological entropy, and the reports that hold them.
 
 Discrete-time bounds are in bits/step, continuous-time bounds in bits per
 unit time.  Continuous-time roots stay in natural-log units until the final
@@ -18,9 +18,8 @@ import numpy as np
 from . import dynamics
 from .dynamics import CompactSet, SystemModel, _Lattice, grid_counts, propagate
 from .errors import ConfigError, NumericError
-from .metrics import MetricField, ct_spectrum_values, metric_sv_values
-from . import spd
-from .spd import LN2, karcher_barycenter
+from .metrics import MetricField
+from .spd import LN2
 
 Array = np.ndarray
 
@@ -210,64 +209,6 @@ def positive_sum(values: Array) -> Array:
     return np.sum(np.maximum(0.0, np.asarray(values, dtype=float)), axis=-1)
 
 
-def _spectra(system: SystemModel, metric: MetricField, pts: Array) -> tuple:
-    """Metric spectra at a block of grid points, evaluated as one batch.
-
-    A tabulated metric is measured on the time-h map (h = 1 for a map,
-    ``metric.step`` for a flow) from its rule's pairs alone, as half each
-    pair's ``vectorial_distance``: nothing is inverted or rooted, so no
-    floor on the condition number applies.  A flow's values are scaled by
-    2 ln 2 / h, to the units of the generator spectrum that other metrics
-    get on a flow; on a map, they are evaluated on the points stacked with
-    their images.  Returns ``(values, ok, reasons)``: the spectra of the
-    points kept, which ``ok`` marks, and why each other one is left out."""
-    m = len(pts)
-    discrete = system.time_type == "discrete"
-    if metric.kind == "tabulated":
-        pairs, why = metric.eval_rule(pts)
-        finite = np.isfinite(pairs).all(axis=(-3, -2, -1))
-        ok = np.array([r is None for r in why], dtype=bool) & finite
-        try:
-            doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
-        except NumericError:             # factor row by row to find the failures
-            for i in np.flatnonzero(ok):
-                try:
-                    np.linalg.cholesky(pairs[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-            doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
-        reasons = [why[i] if why[i] is not None else "metric pair is not finite"
-                   if not finite[i] else "metric pair is not positive definite"
-                   for i in np.flatnonzero(~ok)]
-        return (0.5 if discrete else LN2 / metric.step) * doubled, ok, reasons
-    if discrete:
-        prop = propagate(system, pts, 1.0, variational=True)
-        images, jac, escaped = prop.states, prop.jacobians, prop.escaped
-    else:
-        images, jac, escaped = None, system.jacobian(pts), np.zeros(m, dtype=bool)
-    roots, inverse, failed, why = metric.values(
-        pts if images is None else np.concatenate([pts, images]))
-    ok = ~(escaped | failed.reshape(-1, m).any(axis=0))
-    measured, at = np.flatnonzero(ok), inverse[:m][ok]   # each one's distinct metric value
-    if images is None:
-        pdot = metric.orbital_derivative(pts[ok])
-        values = ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot)
-    else:
-        values = metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at])
-    lost = np.isnan(values[:, 0])          # a matrix the spectrum refused
-    culprit = {i: "non-finite Jacobian" if not np.isfinite(jac[i]).all()
-               else "non-finite orbital derivative" if images is None
-               and not np.isfinite(pdot[j]).all()
-               else f"metric-adapted {'generator' if images is None else 'Jacobian'} overflows"
-               for i, j in zip(measured[lost].tolist(), np.flatnonzero(lost).tolist())}
-    ok[measured[lost]] = False
-    reasons = [(f"trajectory of '{system.name}' blew up within the map step "
-                f"at t={prop.escape_times[i]:.6g}") if escaped[i]
-               else why.get(i) or why.get(m + i) or culprit[i]
-               for i in np.flatnonzero(~ok).tolist()]
-    return (values[~lost] if lost.any() else values), ok, reasons
-
-
 def bound(system: SystemModel, region: CompactSet, metric: MetricField,
           resolution=9, refine: bool = False) -> BoundReport:
     """Upper bound on the restoration entropy over the sampled set, in
@@ -298,7 +239,7 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
                           "nor a positive time step for the time-step map")
 
     def rows(block: Array) -> tuple:
-        values, ok, reasons = _spectra(system, metric, block)
+        values, ok, reasons = metric.spectra(system, block)
         local = positive_sum(values) / (1.0 if discrete else 2.0 * LN2)
         return np.column_stack([block[ok], values, local]), ok, reasons
 
@@ -335,75 +276,6 @@ def bound(system: SystemModel, region: CompactSet, metric: MetricField,
         + ("-minus-excluded" if lattice.excluded else ""),
         refine_margin=lattice.margin,
     )
-
-
-# ---------------------------------------------------------------------------
-# Minimizing metric sequences
-# ---------------------------------------------------------------------------
-
-def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
-                      tol: float = 1e-7) -> MetricField:
-    """Tabulated metric whose value at x is the unweighted Karcher barycenter
-    B_0 of the Gram atoms A^T A of the Jacobian products A along the orbit
-    of x at nodes 0..N-1: for a map, the steps (``horizon`` = N, a whole
-    number at least 1; ``time_samples`` is not read); for a flow, N =
-    ``time_samples`` equally spaced times in [0, T] (``horizon`` = T > 0),
-    whose spacing h it carries as ``step``.  N = 1 gives the identity.
-    Inversion is a trace-metric isometry (Bhatia 2007, ch. 6), so B_0 is the
-    inverse of the barycenter of the inverse-Gram atoms (Moakher 2005),
-    computed with no inversion.  The orbit is recorded at one more node N
-    (step N, time T + h), and the rule's pair is (B_0, B_1), B_1 the
-    barycenter of nodes 1..N: Phi_h^T P(phi_h x) Phi_h, by congruence
-    equivariance.
-
-    ``tol`` bounds the distance, in bits, from each window barycenter to the
-    exact one, so each log2 singular value of the time-h map moves by at
-    most ``tol`` bits (the vectorial triangle inequality, property
-    ``triangle-majorization``), ``tol``/h per unit time for a flow.  A row
-    whose orbit escapes before the last node, whose product one window's
-    ``karcher_barycenter`` refuses or whose residual stays at ``tol`` or above
-    is excluded with a reason, and holds the identity from that window on.
-    ``tol`` must satisfy 0 < tol < inf; at inf every window would pass as
-    converged at its log-Euclidean start."""
-    if not 0.0 < tol < np.inf:
-        raise ConfigError(f"barycenter tolerance must be positive and finite, got {tol:g}")
-    horizon = float(horizon)
-    if system.time_type == "discrete":
-        if not horizon.is_integer() or horizon < 1:
-            raise ConfigError("steps must be a whole number of at least 1 (a map's "
-                              f"horizons are step counts), got {horizon:g}")
-        nodes, label, step = np.arange(horizon + 1.0), f"auto:N={int(horizon)}", None
-    else:
-        time_samples = int(time_samples)
-        if not 0.0 < horizon < np.inf:
-            raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")
-        if time_samples < 1:
-            raise ConfigError("time_samples must be at least 1")
-        label = f"auto:T={horizon:g}"
-        if time_samples == 1:         # the one atom at 0 is the identity
-            return MetricField.constant(np.eye(system.dim), label=label)
-        step = horizon / (time_samples - 1)
-        nodes = np.append(np.linspace(0.0, horizon, time_samples), horizon + step)
-
-    def rule(x: Array) -> tuple:
-        prop = propagate(system, x, nodes[-1], variational=True, record_at=nodes)
-        reasons = [f"trajectory escaped at t={t:.6g} while building the minimizing metric"
-                   if gone else None for gone, t in zip(prop.escaped, prop.escape_times)]
-        a = np.swapaxes(prop.jacobians, 0, 1)
-        bars = np.broadcast_to(np.eye(system.dim), (len(x), 2, system.dim, system.dim)).copy()
-        for k, window in enumerate((a[:, :-1], a[:, 1:])):    # one by one: half the peak
-            rows = np.flatnonzero([r is None for r in reasons])
-            found, residual = karcher_barycenter(np.swapaxes(window[rows], -1, -2), tol=tol)
-            done = residual < tol
-            bars[rows, k] = np.where(done[:, None, None], found, np.eye(system.dim))
-            for i, res in zip(rows[~done].tolist(), residual[~done]):
-                reasons[i] = ("minimizing metrics require an invertible Jacobian at every "
-                              "sample point; got a numerically singular one" if res == np.inf
-                              else f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
-                              f"iterations: gradient residual {res:.3e} bits (tol {tol:.1e})")
-        return bars, reasons
-
-    return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -489,41 +361,3 @@ def lanford_closed_form(a: float) -> float:
     if a < 2.0 / 3.0 - 1e-12:
         raise ConfigError("the closed form is established only for a >= 2/3")
     return 2.0 * (2.0 * a - 1.0) / LN2
-
-
-def lanford_metric(a: float = 2.0 / 3.0) -> MetricField:
-    """Exponentially weighted diagonal metric diag(1, 1, 1/2) * e^{2z/a}
-    adapted to the built-in three-dimensional system; its orbital derivative
-    is (2 zdot / a) P."""
-    a = float(a)
-    if a <= 0:
-        raise ConfigError("parameter a must be positive")
-    p0 = np.diag([1.0, 1.0, 0.5])
-
-    def ev(x: Array) -> Array:
-        w = np.exp(2.0 * x[..., 2] / a)
-        return p0 * w[..., None, None]
-
-    def od(x: Array) -> Array:
-        z = x[..., 2]
-        zdot = a * z - np.sum(x * x, axis=-1)
-        return p0 * (2.0 * zdot / a * np.exp(2.0 * z / a))[..., None, None]
-
-    return MetricField.analytic(3, ev, od, label="lanford-exp")
-
-
-def metric_change_constant(metric: MetricField, points) -> float:
-    """Upper bound (bits) on how much switching between this metric and the
-    Euclidean one can move a summed positive log-singular-value over the
-    sampled set: the max over k of the extreme products of the k largest
-    singular values of P^{1/2} and of P^{-1/2}, taken over the distinct
-    values of P.  Raises NumericError with the reason of the first point
-    that has no value."""
-    roots, _, _, why = metric.values(np.asarray(points, dtype=float))
-    if why:
-        raise NumericError(why[min(why)])
-    w = np.linalg.eigvalsh(roots[0])               # ascending, (k, n)
-    half = 0.5 * np.log2(w[..., ::-1])             # log2 singulars of P^{1/2}, desc
-    fwd = np.cumsum(half, axis=-1)                 # log2 omega_k(P^{1/2})
-    bwd = np.cumsum(-half[..., ::-1], axis=-1)     # log2 omega_k(P^{-1/2})
-    return float(np.max(np.max(fwd, axis=0) + np.max(bwd, axis=0)))

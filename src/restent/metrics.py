@@ -1,5 +1,5 @@
-"""Singular values and continuous-time spectra of Jacobians measured in a
-state-dependent Riemannian metric.
+"""State-dependent Riemannian metrics: how they are built (``minimizing_metric``,
+``lanford_metric``) and measured (``MetricField.spectra``, the bound's spectra).
 
 A metric field maps a state x to an SPD matrix P(x).  Discrete-time spectra
 are base-2 logs of the singular values of B = P(x')^{1/2} A P(x)^{-1/2}
@@ -14,8 +14,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import spd
+from .dynamics import SystemModel, propagate
 from .errors import ConfigError, NumericError
-from .spd import EIG_FLOOR, _compose, as_spd, sym
+from .spd import EIG_FLOOR, LN2, _compose, as_spd, karcher_barycenter, sym
 
 Array = np.ndarray
 
@@ -139,6 +141,63 @@ class MetricField:
             raise NumericError("orbital derivative must be symmetric")
         return sym(pdot)
 
+    def spectra(self, system: SystemModel, pts: Array) -> tuple:
+        """Metric spectra at a block of grid points, evaluated as one batch.
+
+        A tabulated metric is measured on the time-h map (h = 1 for a map,
+        its ``step`` for a flow) from its rule's pairs alone, as half each
+        pair's ``vectorial_distance``: nothing is inverted or rooted, so no
+        floor on the condition number applies.  A flow's values are scaled by
+        2 ln 2 / h, to the units of the generator spectrum that other metrics
+        get on a flow; on a map, they are evaluated on the points stacked with
+        their images.  Returns ``(values, ok, reasons)``: the spectra of the
+        points kept, which ``ok`` marks, and why each other one is left out."""
+        m = len(pts)
+        discrete = system.time_type == "discrete"
+        if self.kind == "tabulated":
+            pairs, why = self.eval_rule(pts)
+            finite = np.isfinite(pairs).all(axis=(-3, -2, -1))
+            ok = np.array([r is None for r in why], dtype=bool) & finite
+            try:
+                doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
+            except NumericError:             # factor row by row to find the failures
+                for i in np.flatnonzero(ok):
+                    try:
+                        np.linalg.cholesky(pairs[i])
+                    except np.linalg.LinAlgError:
+                        ok[i] = False
+                doubled = spd.vectorial_distance(pairs[ok, 0], pairs[ok, 1])
+            reasons = [why[i] if why[i] is not None else "metric pair is not finite"
+                       if not finite[i] else "metric pair is not positive definite"
+                       for i in np.flatnonzero(~ok)]
+            return (0.5 if discrete else LN2 / self.step) * doubled, ok, reasons
+        if discrete:
+            prop = propagate(system, pts, 1.0, variational=True)
+            images, jac, escaped = prop.states, prop.jacobians, prop.escaped
+        else:
+            images, jac, escaped = None, system.jacobian(pts), np.zeros(m, dtype=bool)
+        roots, inverse, failed, why = self.values(
+            pts if images is None else np.concatenate([pts, images]))
+        ok = ~(escaped | failed.reshape(-1, m).any(axis=0))
+        measured, at = np.flatnonzero(ok), inverse[:m][ok]   # each one's distinct metric value
+        if images is None:
+            pdot = self.orbital_derivative(pts[ok])
+            values = ct_spectrum_values(roots[0][at], roots[2][at], jac[ok], pdot)
+        else:
+            values = metric_sv_values(roots[1][inverse[m:][ok]], jac[ok], roots[2][at])
+        lost = np.isnan(values[:, 0])          # a matrix the spectrum refused
+        culprit = {i: "non-finite Jacobian" if not np.isfinite(jac[i]).all()
+                   else "non-finite orbital derivative" if images is None
+                   and not np.isfinite(pdot[j]).all()
+                   else f"metric-adapted {'generator' if images is None else 'Jacobian'} overflows"
+                   for i, j in zip(measured[lost].tolist(), np.flatnonzero(lost).tolist())}
+        ok[measured[lost]] = False
+        reasons = [(f"trajectory of '{system.name}' blew up within the map step "
+                    f"at t={prop.escape_times[i]:.6g}") if escaped[i]
+                   else why.get(i) or why.get(m + i) or culprit[i]
+                   for i in np.flatnonzero(~ok).tolist()]
+        return (values[~lost] if lost.any() else values), ok, reasons
+
 
 def _distinct(a: Array) -> tuple:
     """``(first, inverse)``: ``a[first]`` holds each distinct row of the float
@@ -210,3 +269,106 @@ def ct_spectrum_values(p: Array, p_ihalf: Array, jac: Array, pdot: Array) -> Arr
     w = np.linalg.eigvalsh(s)[..., ::-1]
     w[refused] = np.nan
     return w
+
+
+def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
+                      tol: float = 1e-7) -> MetricField:
+    """Tabulated metric whose value at x is the unweighted Karcher barycenter
+    B_0 of the Gram atoms A^T A of the Jacobian products A along the orbit
+    of x at nodes 0..N-1: for a map, the steps (``horizon`` = N, a whole
+    number at least 1; ``time_samples`` is not read); for a flow, N =
+    ``time_samples`` equally spaced times in [0, T] (``horizon`` = T > 0),
+    whose spacing h it carries as ``step``.  N = 1 gives the identity.
+    Inversion is a trace-metric isometry (Bhatia 2007, ch. 6), so B_0 is the
+    inverse of the barycenter of the inverse-Gram atoms (Moakher 2005),
+    computed with no inversion.  The orbit is recorded at one more node N
+    (step N, time T + h), and the rule's pair is (B_0, B_1), B_1 the
+    barycenter of nodes 1..N: Phi_h^T P(phi_h x) Phi_h, by congruence
+    equivariance.
+
+    ``tol`` bounds the distance, in bits, from each window barycenter to the
+    exact one, so each log2 singular value of the time-h map moves by at
+    most ``tol`` bits (the vectorial triangle inequality, property
+    ``triangle-majorization``), ``tol``/h per unit time for a flow.  A row
+    whose orbit escapes before the last node, whose product one window's
+    ``karcher_barycenter`` refuses or whose residual stays at ``tol`` or above
+    is excluded with a reason, and holds the identity from that window on.
+    ``tol`` must satisfy 0 < tol < inf; at inf every window would pass as
+    converged at its log-Euclidean start."""
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"barycenter tolerance must be positive and finite, got {tol:g}")
+    horizon = float(horizon)
+    if system.time_type == "discrete":
+        if not horizon.is_integer() or horizon < 1:
+            raise ConfigError("steps must be a whole number of at least 1 (a map's "
+                              f"horizons are step counts), got {horizon:g}")
+        nodes, label, step = np.arange(horizon + 1.0), f"auto:N={int(horizon)}", None
+    else:
+        time_samples = int(time_samples)
+        if not 0.0 < horizon < np.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")
+        if time_samples < 1:
+            raise ConfigError("time_samples must be at least 1")
+        label = f"auto:T={horizon:g}"
+        if time_samples == 1:         # the one atom at 0 is the identity
+            return MetricField.constant(np.eye(system.dim), label=label)
+        step = horizon / (time_samples - 1)
+        nodes = np.append(np.linspace(0.0, horizon, time_samples), horizon + step)
+
+    def rule(x: Array) -> tuple:
+        prop = propagate(system, x, nodes[-1], variational=True, record_at=nodes)
+        reasons = [f"trajectory escaped at t={t:.6g} while building the minimizing metric"
+                   if gone else None for gone, t in zip(prop.escaped, prop.escape_times)]
+        a = np.swapaxes(prop.jacobians, 0, 1)
+        bars = np.broadcast_to(np.eye(system.dim), (len(x), 2, system.dim, system.dim)).copy()
+        for k, window in enumerate((a[:, :-1], a[:, 1:])):    # one by one: half the peak
+            rows = np.flatnonzero([r is None for r in reasons])
+            found, residual = karcher_barycenter(np.swapaxes(window[rows], -1, -2), tol=tol)
+            done = residual < tol
+            bars[rows, k] = np.where(done[:, None, None], found, np.eye(system.dim))
+            for i, res in zip(rows[~done].tolist(), residual[~done]):
+                reasons[i] = ("minimizing metrics require an invertible Jacobian at every "
+                              "sample point; got a numerically singular one" if res == np.inf
+                              else f"barycenter not converged after {spd.KARCHER_MAX_ITER} "
+                              f"iterations: gradient residual {res:.3e} bits (tol {tol:.1e})")
+        return bars, reasons
+
+    return MetricField.tabulated(system.dim, rule, label=label, horizon=horizon, step=step)
+
+
+def lanford_metric(a: float = 2.0 / 3.0) -> MetricField:
+    """Exponentially weighted diagonal metric diag(1, 1, 1/2) * e^{2z/a}
+    adapted to the built-in three-dimensional system; its orbital derivative
+    is (2 zdot / a) P."""
+    a = float(a)
+    if a <= 0:
+        raise ConfigError("parameter a must be positive")
+    p0 = np.diag([1.0, 1.0, 0.5])
+
+    def ev(x: Array) -> Array:
+        w = np.exp(2.0 * x[..., 2] / a)
+        return p0 * w[..., None, None]
+
+    def od(x: Array) -> Array:
+        z = x[..., 2]
+        zdot = a * z - np.sum(x * x, axis=-1)
+        return p0 * (2.0 * zdot / a * np.exp(2.0 * z / a))[..., None, None]
+
+    return MetricField.analytic(3, ev, od, label="lanford-exp")
+
+
+def metric_change_constant(metric: MetricField, points) -> float:
+    """Upper bound (bits) on how much switching between this metric and the
+    Euclidean one can move a summed positive log-singular-value over the
+    sampled set: the max over k of the extreme products of the k largest
+    singular values of P^{1/2} and of P^{-1/2}, taken over the distinct
+    values of P.  Raises NumericError with the reason of the first point
+    that has no value."""
+    roots, _, _, why = metric.values(np.asarray(points, dtype=float))
+    if why:
+        raise NumericError(why[min(why)])
+    w = np.linalg.eigvalsh(roots[0])               # ascending, (k, n)
+    half = 0.5 * np.log2(w[..., ::-1])             # log2 singulars of P^{1/2}, desc
+    fwd = np.cumsum(half, axis=-1)                 # log2 omega_k(P^{1/2})
+    bwd = np.cumsum(-half[..., ::-1], axis=-1)     # log2 omega_k(P^{-1/2})
+    return float(np.max(np.max(fwd, axis=0) + np.max(bwd, axis=0)))

@@ -22,13 +22,15 @@ from restent.dynamics import (
 from restent.entropy import (
     bound,
     lanford_closed_form,
-    lanford_metric,
     lyapunov_oracle,
-    metric_change_constant,
-    minimizing_metric,
     proximate_entropy,
 )
-from restent.metrics import MetricField
+from restent.metrics import (
+    MetricField,
+    lanford_metric,
+    metric_change_constant,
+    minimizing_metric,
+)
 from restent.props import run_property_suite
 
 from conftest import sample_set

@@ -22,19 +22,21 @@ from restent.entropy import (
     MAX_REFINES,
     REFINE_TOL,
     SCHEMA_VERSION,
-    _spectra,
     aitken_accelerate,
     bound,
     lanford_closed_form,
-    lanford_metric,
     lyapunov_oracle,
-    metric_change_constant,
-    minimizing_metric,
     positive_sum,
     proximate_entropy,
 )
-from restent.metrics import MetricField, metric_sv_values
-from restent import dynamics, entropy, spd
+from restent.metrics import (
+    MetricField,
+    lanford_metric,
+    metric_change_constant,
+    metric_sv_values,
+    minimizing_metric,
+)
+from restent import dynamics, entropy, metrics, spd
 from restent.spd import karcher_barycenter, power
 
 from conftest import sample_set
@@ -307,14 +309,14 @@ def test_minimizing_metric_refuses_each_window_on_its_own():
 
 
 def test_an_indefinite_barycenter_excludes_its_row(monkeypatch):
-    real = entropy.karcher_barycenter
+    real = metrics.karcher_barycenter
 
     def first_row_indefinite(factors, weights=None, tol=1e-9):
         bars, residual = real(factors, weights, tol)
         bars[0], residual[0] = np.diag([1.0, -1.0]), 0.0
         return bars, residual
 
-    monkeypatch.setattr(entropy, "karcher_barycenter", first_row_indefinite)
+    monkeypatch.setattr(metrics, "karcher_barycenter", first_row_indefinite)
     sys_ = linear_map_system(np.array([[2.0, 1.0], [0.0, 0.5]]))
     rep = bound(sys_, UNIT_BOX_2, minimizing_metric(sys_, 4), resolution=3)
     assert rep.excluded == [{"state": [-1.0, -1.0],
@@ -325,8 +327,8 @@ def test_an_indefinite_barycenter_excludes_its_row(monkeypatch):
 def test_minimizing_metric_of_the_henon_map_is_accurate():
     # reference: the same Karcher means in 50-digit mpmath arithmetic,
     # solved to a gradient norm below 1e-35
-    values, ok, _ = _spectra(_henon(), minimizing_metric(_henon(), 12),
-                             np.array([[0.45875, -0.132]]))
+    values, ok, _ = minimizing_metric(_henon(), 12).spectra(_henon(),
+                                                           np.array([[0.45875, -0.132]]))
     assert ok.tolist() == [True]
     assert positive_sum(values)[0] == pytest.approx(0.7880257818, abs=1e-6)
 
@@ -371,7 +373,7 @@ def test_window_spectra_match_the_metric_at_the_image(case):
     pts = sample_set(region, resolution)
     pairs, reasons = metric.eval_rule(pts)
     assert pairs.shape == (len(pts), 2, sys_.dim, sys_.dim) and reasons == [None] * len(pts)
-    values, ok, _ = _spectra(sys_, metric, pts)
+    values, ok, _ = metric.spectra(sys_, pts)
     assert ok.all()
     h = metric.step or 1.0
     prop = propagate(sys_, pts, h, variational=True)
@@ -414,7 +416,7 @@ def test_a_flow_whose_generator_overflows_is_excluded_without_warnings(dim):
     box = CompactSet(bounds=((-1.0, 1.0),) * dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, ok, reasons = _spectra(sys_, MetricField.identity(dim), sample_set(box, 3))
+        values, ok, reasons = MetricField.identity(dim).spectra(sys_, sample_set(box, 3))
         with pytest.raises(NumericError, match="every sample point was excluded"):
             bound(sys_, box, MetricField.identity(dim), resolution=3)
     assert values.shape == (0, dim) and not ok.any()
@@ -428,7 +430,7 @@ def test_a_map_whose_metric_adapted_jacobian_overflows_is_excluded_without_warni
     box = CompactSet(bounds=((-1.0, 1.0),) * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, ok, reasons = _spectra(sys_, metric, sample_set(box, 3))
+        _, ok, reasons = metric.spectra(sys_, sample_set(box, 3))
         with pytest.raises(NumericError, match="every sample point was excluded"):
             bound(sys_, box, metric, resolution=3)
     # the rows off x0 = 0 blow up within the step, the others overflow

@@ -13,11 +13,12 @@ from restent.dynamics import (
     linear_map_system,
     linear_ode_system,
 )
-from restent.entropy import bound, lanford_metric, positive_sum
+from restent.entropy import bound, positive_sum
 from restent import metrics
 from restent.metrics import (
     MetricField,
     ct_spectrum_values,
+    lanford_metric,
     metric_sv_values,
 )
 from restent.spd import power, sym
