@@ -193,8 +193,8 @@ def _run_spot_check(system, region, resolution, horizon, require):
           f"escaped within t={report.horizon:g} (fraction {report.fraction:.4f})")
     if require and report.fraction > 0.0:
         raise _InvarianceFailure(
-            f"{report.n_escaped} grid points left the declared set; first exits "
-            f"{report.excluded[:3]}")
+            f"{report.n_escaped - report.n_blown} grid points left the declared set and "
+            f"{report.n_blown} blew up; first exits {report.excluded[:3]}")
     return report
 
 
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
          help="barycenter tolerance for auto metrics: a bound on the distance, "
               "in bits, to the true barycenter")
     flag("bound sweep", "--time-samples", type=int,
-         help="time discretization of a flow's auto:T metrics")
+         help="time discretization of a flow's auto:T metrics (default 64, at least 2)")
     flag("bound", "--check-invariance", action="store_true",
          help="fail (exit 3) when grid orbits leave the set")
     flag("bound lanford", "--check-horizon", type=float, default=5.0,

@@ -578,11 +578,13 @@ class _Lattice:
 
 @dataclass
 class InvarianceReport:
-    """Sampled forward invariance: the ``excluded`` nodes of ``n_points``, in node order."""
+    """Sampled forward invariance: the ``excluded`` nodes of ``n_points``, in
+    node order, ``n_blown`` of them because their orbit blew up in the set."""
 
     n_points: int
     horizon: float
     excluded: list
+    n_blown: int
 
     @property
     def n_escaped(self) -> int:
@@ -607,12 +609,14 @@ def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
     else:
         n_checks = max(10, min(200, int(round(horizon / 0.05))))
         checks = np.linspace(horizon / n_checks, horizon, n_checks)
+    blown = []                            # per block, the rows that blew up in the set
 
     def rows(block: Array) -> tuple:
         prop = propagate(system, block, horizon, record_at=checks)
         out = ~region.contains(prop.states, rtol=MEMBERSHIP_RTOL)     # (r, m)
         exits = np.where(out, checks[:, None], np.inf).min(axis=0, initial=np.inf)
         ok = ~prop.escaped & (exits == np.inf)
+        blown.append(int(np.count_nonzero(prop.escaped & (exits == np.inf))))
         reasons = [f"left the set at t={t:g}" if t < np.inf
                    else f"trajectory of '{system.name}' blew up at t={e:.6g}"
                    for t, e in zip(exits[~ok].tolist(), prop.escape_times[~ok].tolist())]
@@ -620,7 +624,7 @@ def invariance_spot_check(system: SystemModel, region: CompactSet, resolution,
 
     lattice = _Lattice(region, grid_counts(resolution, region.dim), rows)
     return InvarianceReport(n_points=len(lattice.table) + len(lattice.excluded),
-                            horizon=horizon, excluded=lattice.excluded)
+                            horizon=horizon, excluded=lattice.excluded, n_blown=sum(blown))
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,8 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
     B_0 of the Gram atoms A^T A of the Jacobian products A along the orbit
     of x at nodes 0..N-1: for a map, the steps (``horizon`` = N, a whole
     number at least 1; ``time_samples`` is not read); for a flow, N =
-    ``time_samples`` equally spaced times in [0, T] (``horizon`` = T > 0),
-    whose spacing h it carries as ``step``.  N = 1 gives the identity.
+    ``time_samples`` (at least 2) equally spaced times in [0, T] (``horizon``
+    = T > 0), whose spacing h it carries as ``step``.  A map's N = 1 gives the identity.
     Inversion is a trace-metric isometry (Bhatia 2007, ch. 6), so B_0 is the
     inverse of the barycenter of the inverse-Gram atoms (Moakher 2005),
     computed with no inversion.  The orbit is recorded at one more node N
@@ -307,11 +307,9 @@ def minimizing_metric(system: SystemModel, horizon, time_samples: int = 64,
         time_samples = int(time_samples)
         if not 0.0 < horizon < np.inf:
             raise ConfigError(f"horizon must be positive and finite, got {horizon:g}")
-        if time_samples < 1:
-            raise ConfigError("time_samples must be at least 1")
+        if time_samples < 2:
+            raise ConfigError(f"time_samples must be at least 2, got {time_samples}")
         label = f"auto:T={horizon:g}"
-        if time_samples == 1:         # the one atom at 0 is the identity
-            return MetricField.constant(np.eye(system.dim), label=label)
         step = horizon / (time_samples - 1)
         nodes = np.append(np.linspace(0.0, horizon, time_samples), horizon + step)
 

@@ -43,6 +43,20 @@ def test_bound_linmap_diagonal(tmp_path, capsys):
         assert "bound: 1.000000 bits/step" in out
 
 
+def test_matrix_from_a_json_file_is_the_matrix_spelt_inline(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[[2,0],[0,0.5]]")
+    reports = []
+    for spec, stem in ((str(path), tmp_path / "file"), ("diag:2,0.5", tmp_path / "diag")):
+        assert run(["bound", "--system", "linmap", "--matrix", spec, "--metric", "identity",
+                    "--out", str(stem)]) == 0
+        report = json.load(open(f"{stem}.report.json"))
+        del report["created"]
+        reports.append((report, Path(f"{stem}.points.csv").read_bytes()))
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
 def test_sweep_diagonal_long_horizon(tmp_path, capsys):
     # the horizon-16 Jacobian products have condition number 2**30, their
     # inverse Gram matrices 2**60
@@ -129,7 +143,7 @@ def test_zero_time_samples_is_config_error(tmp_path, capsys):
                 "--time-samples", "0", "--resolution", "2",
                 "--out", str(tmp_path / "ts0")])
     assert code == 1
-    assert "time_samples must be at least 1" in capsys.readouterr().err
+    assert "time_samples must be at least 2, got 0" in capsys.readouterr().err
 
 
 # --bar-tol and --time-samples next to a metric that does not read them
@@ -207,6 +221,19 @@ def test_nonpositive_bar_tol_is_config_error(tmp_path, capsys, value):
     ["bound", "--system", "identity", "--resolution", "2.5"],
     ["bound", "--system", "identity", "--resolution", "nan"],
     ["bound", "--system", "identity", "--resolution", "1"],
+    # a box, metric, horizon list, grid or matrix that does not fit the system
+    ["bound", "--system", "linmap", "--matrix", "diag:2,0.5", "--box", "0:1,0:1,0:1"],
+    ["bound", "--system", "identity", "--metric", "foo"],
+    ["sweep", "--system", "linmap", "--matrix", "diag:2,0.5"],
+    ["bound", "--system", "identity", "--resolution", "9,9,9"],
+    ["bound", "--system", "linmap", "--matrix", "[[1,2,3],[4,5,6]]"],
+    # lanford's a must be positive, for its region and for its metric
+    ["lanford", "--a", "0"],
+    ["bound", "--system", "lanford", "--a", "0", "--box=-1:1,-1:1,0:1",
+     "--metric", "lanford-exp"],
+    # a flow's auto:T metric needs two time samples at least
+    ["bound", "--system", "lanford", "--metric", "auto:3", "--time-samples", "1",
+     "--resolution", "3"],
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "bad")]) == 1
@@ -496,6 +523,13 @@ def test_exit_code_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_oracle_counts_the_points_it_excludes(tmp_path, capsys):
+    # diag(1e9, 2) blows up the 6 orbits off the y-axis at the first step
+    assert run(["oracle", "--system", "linmap", "--matrix", "diag:1e9,2", "--resolution", "3",
+                "--horizons", "1,2", "--out", str(tmp_path / "orc")]) == 0
+    assert "excluded 6 blown-up sample point(s)" in capsys.readouterr().out.splitlines()
+
+
 def test_oracle_names_the_last_horizon_when_every_point_blows_up(tmp_path, capsys):
     # xdot = 3x from the unit box passes the blow-up norm near t = 6: after
     # the first horizons, before the last one
@@ -543,9 +577,24 @@ def test_exit_code_invariance_failure(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "invariance" in err
-    assert "112 grid points left the declared set" in err
+    assert "112 grid points left the declared set and 0 blew up" in err
     first = ast.literal_eval(err.split("first exits ", 1)[1])
     assert len(first) == 3 and first[0]["reason"] == "left the set at t=0.05"
+
+
+def test_invariance_failure_counts_orbits_that_left_apart_from_those_that_blew_up(
+        tmp_path, capsys):
+    # from the 3 x 3 grid on [-1, 1]^2, diag(1e9, 2) blows up the 6 orbits
+    # off the y-axis at the first step and doubles the 2 others on it out of the box
+    code = run(["bound", "--system", "linmap", "--matrix", "diag:1e9,2", "--metric", "identity",
+                "--resolution", "3", "--check-invariance", "--check-horizon", "3",
+                "--out", str(tmp_path / "inv")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "invariance spot check: 8/9 escaped within t=3" in captured.out
+    assert ("invariance spot check failed: 2 grid points left the declared set and 6 blew up; "
+            "first exits [{'state': [-1.0, -1.0], 'reason': \"trajectory of 'linmap' blew up "
+            "at t=1\"}" in captured.err)
 
 
 def test_invariance_check_passes_at_heteroclinic_parameter(tmp_path, capsys):
@@ -659,6 +708,14 @@ def test_lanford_command(tmp_path, capsys):
     assert "fraction 0.0000" in out
     bound = float([l for l in out.splitlines() if "metric bound" in l][0].split(":")[1].split()[0])
     assert abs(bound - 0.961797) < 1e-4
+
+
+def test_lanford_command_off_the_heteroclinic_parameter_notes_it(tmp_path, capsys):
+    # a != 2/3: the spot check reports escapes without failing, and a note says why
+    assert run(["lanford", "--a", "0.75", "--resolution", "5",
+                "--out", str(tmp_path / "lanf")]) == 0
+    assert ("note: for a != 2/3 no compact forward-invariant set with interior exists; "
+            "the bound is still valid for any invariant subset") in capsys.readouterr().out
 
 
 def test_lanford_command_with_oracle_and_resolution_list(tmp_path, capsys):

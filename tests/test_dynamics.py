@@ -336,6 +336,14 @@ def test_map_records_once_per_requested_time_and_refuses_fractions():
         propagate(sys_, np.array([1.0]), 3, record_at=[0.4, 2.6])
 
 
+def test_propagate_refuses_a_state_of_another_dimension_and_a_record_past_the_horizon():
+    sys_ = linear_ode_system(np.array([[-1.0]]))
+    with pytest.raises(ConfigError, match="state dimension 2 != system dimension 1"):
+        propagate(sys_, np.zeros((1, 2)), 1.0)
+    with pytest.raises(ConfigError, match=r"record times must lie within \[0, horizon\]"):
+        propagate(sys_, np.array([1.0]), 1.0, record_at=[0.5, 1.5])
+
+
 @pytest.mark.parametrize("system,t,marks", [
     (lanford_system(), 5.0, [np.nan, 5.0]),
     (linear_map_system(np.eye(3)), np.inf, None),
@@ -447,15 +455,16 @@ def test_spot_check_blocks_give_one_batchs_entries(monkeypatch, block_rows, syst
     whole = invariance_spot_check(system, region, resolution, horizon)
     monkeypatch.setattr(dynamics, "_BLOCK_ROWS", block_rows)
     report = invariance_spot_check(system, region, resolution, horizon)
-    assert (report.n_points, report.excluded) == (whole.n_points, whole.excluded)
+    assert ((report.n_points, report.n_blown, report.excluded)
+            == (whole.n_points, whole.n_blown, whole.excluded))
     assert all(set(entry) == {"state", "reason"} for entry in report.excluded)
     reasons = [entry["reason"] for entry in report.excluded]
     if system.time_type == "continuous":
-        assert (report.n_points, report.n_escaped) == (125, 120)
+        assert (report.n_points, report.n_escaped, report.n_blown) == (125, 120, 0)
         assert reasons[:3] == ["left the set at t=0.05"] * 3
         assert report.excluded[0]["state"] == [-1.2, -1.2, 0.0]
     else:
-        assert (report.n_points, report.n_escaped) == (9, 8)
+        assert (report.n_points, report.n_escaped, report.n_blown) == (9, 8, 6)
         blown = "trajectory of 'linmap' blew up at t=1"
         assert reasons == [blown] * 3 + ["left the set at t=1"] * 2 + [blown] * 3
 

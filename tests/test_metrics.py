@@ -19,6 +19,7 @@ from restent.metrics import (
     MetricField,
     ct_spectrum_values,
     lanford_metric,
+    metric_change_constant,
     metric_sv_values,
 )
 from restent.spd import power, sym
@@ -482,6 +483,12 @@ def test_tabulated_metric_values_are_the_first_of_each_pair_and_reject_analytic_
     assert np.array_equal(p, rule(x)[0][:, 0])
     with pytest.raises(ConfigError):
         metric.orbital_derivative(x)
+
+
+def test_metric_change_constant_refuses_a_point_without_a_metric_value():
+    nan_metric = MetricField.analytic(2, lambda x: np.full(x.shape[:-1] + (2, 2), np.nan))
+    with pytest.raises(NumericError, match="^metric value is not finite$"):
+        metric_change_constant(nan_metric, np.zeros((3, 2)))
 
 
 def test_metric_values_flag_rows_without_spd_value():
