@@ -103,12 +103,12 @@ class MetricField:
         finite = np.isfinite(values).all(axis=(-2, -1))
         w, u = np.full(values.shape[:-1], np.nan), np.full(values.shape, np.nan)
         w[finite], u[finite] = np.linalg.eigh(values[finite])
-        spd = (w[:, -1] > 0) & (w[:, 0] > EIG_FLOOR * w[:, -1])
+        definite = (w[:, -1] > 0) & (w[:, 0] > EIG_FLOOR * w[:, -1])
         roots = np.full((3,) + values.shape, np.nan)
         roots[0] = values
         for root, t in zip(roots[1:], (0.5, -0.5)):
-            root[spd] = sym(_compose(u[spd], w[spd] ** t))
-        failed = ruled | ~spd[inverse]
+            root[definite] = sym(_compose(u[definite], w[definite] ** t))
+        failed = ruled | ~definite[inverse]
         bad = np.flatnonzero(failed)
         why = {i: rule_why[i] if ruled[i] else "metric value is not finite" if not finite[k]
                else f"metric value is not positive definite (eigenvalues {w[k]})"
